@@ -93,7 +93,11 @@ def cmd_hardcore_stats(cfg: RunConfig) -> int:
         payload = stats.to_json_dict()
         payload["mode"] = "exact"
     else:
-        steps = cfg.extra.get("steps") or max(10_000, 50 * g.n)
+        steps = cfg.extra.get("steps")
+        if steps is None:
+            steps = max(10_000, 50 * g.n)
+        if cfg.trials < 1 or steps < 1:
+            raise InputError("sampled mode needs --trials and --steps of at least 1")
         counts = [0] * g.n
         for t in range(cfg.trials):
             for v in hardcore.glauber_sample(g, lam, steps, cfg.seed + t):
@@ -136,7 +140,7 @@ def cmd_frac_colour(cfg: RunConfig) -> int:
             f"graph has {g.n} vertices, above the exact-oracle cutoff {cfg.cutoff}"
         )
     if g.n == 0:
-        _emit(_json_text({"total": 0.0, "parts": []}), cfg.output)
+        _emit(fractional.FractionalColouring({}, 0.0).to_json_text(), cfg.output)
         return EXIT_OK
     lam, weights = fractional.choose_local_weights(g, cfg.epsilon)
     oracle = fractional.hard_core_oracle(lam, cutoff=cfg.cutoff)
@@ -147,7 +151,7 @@ def cmd_frac_colour(cfg: RunConfig) -> int:
         raise HcchromaError(
             "colouring failed validation: " + "; ".join(report.failures[:3])
         )
-    _emit(_json_text(colouring.to_json_dict()), cfg.output)
+    _emit(colouring.to_json_text(), cfg.output)
     slack_path = cfg.extra.get("slack_tsv")
     if slack_path:
         rows = ["vertex\tdegree\tmeasure\tbound\tslack"]

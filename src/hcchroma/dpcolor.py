@@ -21,6 +21,7 @@ import os
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Hashable, Mapping, Sequence
 
 from .errors import (
@@ -543,30 +544,64 @@ def two_phase_colour(
 # Cover files: {"graph": <edge-list path>, "lists": {...}} for list mode or
 # {"graph": <path>, "owner": [...], "cross_edges": [[a, b], ...]} in general.
 
+def _types(values) -> set[type]:
+    return set(map(type, values))
+
+
 def load_cover(filename) -> tuple[Cover, tuple[Hashable, ...] | None]:
-    """Read a cover file; returns (cover, labels) with labels None in general mode."""
+    """Read a cover file; returns (cover, labels) with labels None in general mode.
+
+    A malformed file is a `FormatError`.  A general-form cover must also
+    satisfy the cover axioms (`validate_cover`), or it is a
+    `HypothesisError`; a list-form cover satisfies them by construction.
+    """
     with open(filename, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"bad cover file: {exc}") from exc
-    if "graph" not in data:
-        raise FormatError("cover file lacks a 'graph' entry")
+    if not isinstance(data, dict) or not isinstance(data.get("graph"), str):
+        raise FormatError("cover file must be an object with a 'graph' file name")
     graph_path = os.path.join(os.path.dirname(os.path.abspath(filename)), data["graph"])
     with open(graph_path, "r", encoding="utf-8") as fh:
         g = parse_edge_list(fh.read())
     if "lists" in data:
+        table = data["lists"]
+        if not isinstance(table, dict):
+            raise FormatError("'lists' must map vertex ids to lists of labels")
+        unknown = set(table) - {str(v) for v in range(g.n)}
+        if unknown:
+            raise FormatError(f"'lists' names vertices not in the graph: {sorted(unknown)}")
         lists = []
         for v in range(g.n):
-            lists.append(data["lists"].get(str(v), []))
+            lst = table.get(str(v), [])
+            if not (
+                isinstance(lst, list)
+                and (_types(lst) <= {str} or _types(lst) <= {int, float})
+            ):
+                raise FormatError(
+                    f"list of vertex {v} must hold only strings or only numbers"
+                )
+            lists.append(lst)
         cover, labels = from_list_assignment(g, lists)
         return cover, labels
     if "owner" in data and "cross_edges" in data:
-        cover = Cover(
-            g,
-            tuple(data["owner"]),
-            frozenset(tuple(e) for e in data["cross_edges"]),
-        )
+        owner, cross = data["owner"], data["cross_edges"]
+        if not (isinstance(owner, list) and _types(owner) <= {int}):
+            raise FormatError("'owner' must be a list of vertex ids")
+        if not (
+            isinstance(cross, list)
+            and _types(cross) <= {list}
+            and set(map(len, cross)) <= {2}
+            and _types(chain.from_iterable(cross)) <= {int}
+        ):
+            raise FormatError("'cross_edges' must be a list of colour-node pairs")
+        cover = Cover(g, tuple(owner), frozenset(tuple(e) for e in cross))
+        report = validate_cover(cover)
+        if not report.ok:
+            raise HypothesisError(
+                "cover violates the cover axioms: " + "; ".join(report.violations[:3])
+            )
         return cover, None
     raise FormatError("cover file needs either 'lists' or 'owner'+'cross_edges'")
 

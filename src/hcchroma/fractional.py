@@ -14,6 +14,7 @@ colours every vertex v of a triangle-free graph inside
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -180,6 +181,42 @@ class FractionalColouring:
                 for s in sorted(self.parts)
             ],
         }
+
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\\n"``.
+
+        Written in one pass over the sorted parts: the encoder builds a
+        generator frame per value once ``indent`` is set, and numbers are
+        spelled by ``repr`` exactly as it spells them.  A non-finite
+        number, which ``repr`` spells differently, falls back to the encoder.
+        """
+        chunks = ['{\n  "parts": [']
+        sep = "\n"
+        for s in sorted(self.parts):
+            ivs = self.parts[s]
+            chunks.append(sep)
+            sep = ",\n"
+            if ivs:
+                body = "\n        ],\n        [\n          ".join(
+                    [f"{a!r},\n          {b!r}" for a, b in ivs]
+                )
+                chunks.append(
+                    '    {\n      "intervals": [\n        [\n          '
+                    + body + "\n        ]\n      ],\n"
+                )
+            else:
+                chunks.append('    {\n      "intervals": [],\n')
+            if s:
+                members = ",\n        ".join(map(repr, s))
+                chunks.append(f'      "set": [\n        {members}\n      ]\n    }}')
+            else:
+                chunks.append('      "set": []\n    }')
+        chunks.append("\n  ]" if self.parts else "]")
+        chunks.append(f',\n  "total": {self.total!r}\n}}\n')
+        text = "".join(chunks)
+        if "inf" in text or "nan" in text:
+            return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return text
 
     @staticmethod
     def from_json_dict(data: dict) -> "FractionalColouring":
@@ -351,32 +388,64 @@ def validate_colouring(g: Graph, col: FractionalColouring, bound) -> ValidationR
     slack, so callers wanting a strict comparison can tighten the bound
     themselves.  Slack per vertex is bound(v) minus the largest endpoint
     coloured with v.
+
+    A part must be a strictly increasing tuple of vertex ids in 0..n-1; a
+    malformed part is reported and credits no vertex with measure.
+
+    Adjacent vertices are not compared interval by interval, because two
+    checks made here already imply that they share no measure.  Every part
+    is checked to be independent, so adjacent vertices never share a part.
+    And if two intervals overlap by more than 1e-12, so does some
+    consecutive pair of the sorted interval list, which is reported: the
+    successor of the earlier-starting interval either overlaps it or starts
+    (like everything after it) no earlier than 1e-12 before its end.
     """
+    n = g.n
     if isinstance(bound, (int, float)):
-        bounds = [float(bound)] * g.n
+        bounds = [float(bound)] * n
     else:
         bounds = [float(b) for b in bound]
-        if len(bounds) != g.n:
+        if len(bounds) != n:
             raise InputError("need one bound per vertex")
     failures: list[str] = []
     adj_masks = g.adjacency_masks
     flat: list[Interval] = []
-    per_vertex: list[list[Interval]] = [[] for _ in range(g.n)]
+    # per vertex: the interval lengths of its parts, and each part's
+    # smallest and largest interval
+    lengths: list[list[float]] = [[] for _ in range(n)]
+    lows: list[list[Interval]] = [[] for _ in range(n)]
+    highs: list[list[Interval]] = [[] for _ in range(n)]
     for s, ivs in col.parts.items():
+        members = s
         mask = 0
+        prev = -1
+        independent = True
         for v in s:
-            if adj_masks[v] & mask:
-                failures.append(f"part {s} is not independent")
+            if not prev < v < n:
+                failures.append(
+                    f"part {s} is not a strictly increasing tuple of vertex ids "
+                    f"in 0..{n - 1}"
+                )
+                members = ()
                 break
+            if adj_masks[v] & mask:
+                independent = False
             mask |= 1 << v
+            prev = v
+        if members and not independent:
+            failures.append(f"part {s} is not independent")
         for a, b in ivs:
             if not b > a:
                 failures.append(f"degenerate interval [{a}, {b}) on part {s}")
-            flat.append((a, b))
-        for v in s:
-            per_vertex[v].extend(ivs)
-    for ivs in per_vertex:
-        ivs.sort()
+        flat.extend(ivs)
+        if members and ivs:
+            part_lengths = [b - a for a, b in ivs]
+            low = min(ivs)
+            high = max(ivs)
+            for v in members:
+                lengths[v].extend(part_lengths)
+                lows[v].append(low)
+                highs[v].append(high)
     flat.sort()
     if flat:
         if abs(flat[0][0]) > 1e-9:
@@ -394,35 +463,20 @@ def validate_colouring(g: Graph, col: FractionalColouring, bound) -> ValidationR
         failures.append("no intervals but positive total")
     measures = []
     slacks = []
-    for v in range(g.n):
-        ivs = per_vertex[v]
-        mv = interval_measure(ivs)
+    for v in range(n):
+        mv = math.fsum(lengths[v])
         measures.append(mv)
         if mv < 1.0 - SATURATE_TOL:
             failures.append(f"vertex {v} has measure {mv!r} < 1")
-        if ivs and ivs[0][0] < -1e-12:
+        if lows[v] and min(lows[v])[0] < -1e-12:
             failures.append(f"vertex {v} coloured below 0")
-        top = ivs[-1][1] if ivs else 0.0
+        top = max(highs[v])[1] if highs[v] else 0.0
         slack = bounds[v] - top
         slacks.append(slack)
         if slack < -1e-9:
             failures.append(
                 f"vertex {v} coloured up to {top!r}, beyond bound {bounds[v]!r}"
             )
-    for u, v in g.edges():
-        ius = per_vertex[u]
-        ivs = per_vertex[v]
-        i = j = 0
-        while i < len(ius) and j < len(ivs):
-            a1, b1 = ius[i]
-            a2, b2 = ivs[j]
-            if min(b1, b2) - max(a1, a2) > 1e-12:
-                failures.append(f"adjacent vertices {u},{v} share colour measure")
-                break
-            if b1 <= b2:
-                i += 1
-            else:
-                j += 1
     return ValidationReport(not failures, tuple(failures), tuple(measures), tuple(slacks))
 
 

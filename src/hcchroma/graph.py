@@ -102,9 +102,6 @@ class Graph:
                 if v > u:
                     yield (u, v)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in set(self.adjacency[u]) if len(self.adjacency[u]) > 8 else v in self.adjacency[u]
-
 
 def neighbourhood_at_distance(g: Graph, v: int, j: int) -> VertexSet:
     """Vertices at distance exactly ``j`` from ``v``, by breadth-first layers.

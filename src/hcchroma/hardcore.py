@@ -26,8 +26,8 @@ RATIONAL_CUTOFF = 12
 
 
 def _check_fugacity(lam) -> None:
-    if not lam > 0:
-        raise InputError("fugacity must be positive")
+    if not 0 < lam < math.inf:
+        raise InputError(f"fugacity must be positive and finite, not {lam!r}")
 
 
 def _check_cutoff(g: Graph, cutoff: int) -> None:
@@ -149,6 +149,10 @@ def enumerate_stats(
             occ_c[v] = (t - occ_s[v]) - y
             occ_s[v] = t
     z = z_s
+    if not math.isfinite(z):
+        raise InputError(
+            f"partition function overflows a float at fugacity {lam!r}"
+        )
     occupancy = tuple(occ_s[v] / z for v in range(n))
     nbr = {
         j: tuple(

@@ -180,3 +180,35 @@ def glauber_empirical_occupancy(g, lam, chains, steps, seed0):
         for v in glauber_sample(g, lam, steps, seed0 + t):
             counts[v] += 1
     return [c / chains for c in counts]
+
+
+def reference_edge_failures(g: Graph, col) -> list[str]:
+    """Adjacent vertices sharing colour measure, by a per-edge two-pointer sweep.
+
+    An independent reference for `validate_colouring`, which derives this
+    invariant from part independence plus consecutive-interval
+    disjointness.  Vertex ids outside 0..n-1 are ignored.
+    """
+    per_vertex = [[] for _ in range(g.n)]
+    for s, ivs in col.parts.items():
+        for v in s:
+            if 0 <= v < g.n:
+                per_vertex[v].extend(ivs)
+    for ivs in per_vertex:
+        ivs.sort()
+    failures = []
+    for u, v in g.edges():
+        ius = per_vertex[u]
+        ivs = per_vertex[v]
+        i = j = 0
+        while i < len(ius) and j < len(ivs):
+            a1, b1 = ius[i]
+            a2, b2 = ivs[j]
+            if min(b1, b2) - max(a1, a2) > 1e-12:
+                failures.append(f"adjacent vertices {u},{v} share colour measure")
+                break
+            if b1 <= b2:
+                i += 1
+            else:
+                j += 1
+    return failures

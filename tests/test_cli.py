@@ -7,6 +7,15 @@ from hcchroma.cli import main
 from hcchroma.graph import complete, cycle, star, write_edge_list
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def _strict_json(text):
+    """``json.loads`` that refuses NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 @pytest.fixture()
 def c5_file(tmp_path):
     p = tmp_path / "c5.edges"
@@ -28,7 +37,7 @@ def test_hardcore_stats_c5(c5_file, tmp_path, capsys):
         "--fact-check", "--output", str(out),
     ])
     assert code == 0
-    data = json.loads(out.read_text())
+    data = _strict_json(out.read_text())
     assert data["mode"] == "exact"
     assert abs(data["occupancy"][0] - 3 / 11) <= 1e-12
     assert abs(data["log_Z"] - math.log(11)) <= 1e-12
@@ -53,7 +62,7 @@ def test_hardcore_stats_sampled_mode(c5_file, tmp_path):
         "--output", str(out),
     ])
     assert code == 0
-    data = json.loads(out.read_text())
+    data = _strict_json(out.read_text())
     assert data["mode"] == "sampled"
     assert data["log_Z"] is None
 
@@ -84,7 +93,7 @@ def test_frac_colour_c5(c5_file, tmp_path):
         "--output", str(out), "--slack-tsv", str(slack),
     ])
     assert code == 0
-    data = json.loads(out.read_text())
+    data = _strict_json(out.read_text())
     assert data["total"] > 0
     rows = slack.read_text().strip().splitlines()
     assert len(rows) == 6
@@ -102,7 +111,7 @@ def test_frac_colour_empty_graph(tmp_path):
     code = main(["frac-colour", "--input", str(p), "--epsilon", "1.0",
                  "--output", str(out)])
     assert code == 0
-    assert json.loads(out.read_text()) == {"total": 0.0, "parts": []}
+    assert _strict_json(out.read_text()) == {"total": 0.0, "parts": []}
 
 
 def test_frac_colour_cutoff_resource_error(c5_file, monkeypatch):
@@ -122,7 +131,7 @@ def test_dp_solve_list_cover(c5_file, tmp_path):
     code = main(["dp-solve", "--cover", str(cover), "--seed", "4",
                  "--output", str(out)])
     assert code == 0
-    data = json.loads(out.read_text())
+    data = _strict_json(out.read_text())
     labels = {int(u): lab for u, lab in data["labels"].items()}
     g = cycle(5)
     for u, v in g.edges():
@@ -139,7 +148,7 @@ def test_dp_solve_two_phase(c5_file, tmp_path):
     code = main(["dp-solve", "--cover", str(cover), "--two-phase", "--ell", "3",
                  "--rounds", "10", "--seed", "2", "--output", str(out)])
     assert code == 0
-    data = json.loads(out.read_text())
+    data = _strict_json(out.read_text())
     assert data["choice"] is not None
     assert "two_phase" in data
 
@@ -162,11 +171,11 @@ def test_construct_level1(tmp_path):
         "--output", str(out),
     ])
     assert code == 0
-    report = json.loads(out.read_text())
+    report = _strict_json(out.read_text())
     assert report["not_colourable"] is True
     assert report["properties_ok"] is True
     assert report["n"] == 29
-    lists = json.loads(lists_out.read_text())
+    lists = _strict_json(lists_out.read_text())
     assert len(lists["lists"]) == 29
 
 
@@ -183,7 +192,7 @@ def test_semibip_c5(c5_file, tmp_path):
     code = main(["semibip", "--input", str(c5_file), "--lam", "1.0",
                  "--output", str(out)])
     assert code == 0
-    data = json.loads(out.read_text())
+    data = _strict_json(out.read_text())
     assert data["A"] == [0, 2]
     assert abs(data["avg_degree"] - 1.6) <= 1e-12
     assert abs(data["expected_boundary_edges"] - 30 / 11) <= 1e-9
@@ -196,7 +205,7 @@ def test_semibip_auto_mode(tmp_path):
     write_edge_list(petersen(), p)
     out = tmp_path / "o.json"
     assert main(["semibip", "--input", str(p), "--output", str(out)]) == 0
-    data = json.loads(out.read_text())
+    data = _strict_json(out.read_text())
     assert abs(data["lambda"] - 10 / (10 * math.log(3))) <= 1e-12
 
 
@@ -218,3 +227,65 @@ def test_byte_identical_reruns(c5_file, tmp_path):
     assert main(args + ["--output", str(s1)]) == 0
     assert main(args + ["--output", str(s2)]) == 0
     assert s1.read_bytes() == s2.read_bytes()
+
+
+@pytest.mark.parametrize("lam", ["inf", "nan", "1e300"])
+def test_hardcore_stats_rejects_unrepresentable_fugacity(c5_file, lam, capsys):
+    code = main(["hardcore-stats", "--input", str(c5_file), "--lam", lam])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_hardcore_stats_large_finite_fugacity_is_valid_json(c5_file, capsys):
+    code = main(["hardcore-stats", "--input", str(c5_file), "--lam", "1e100",
+                 "--fact-check"])
+    assert code == 0
+    data = _strict_json(capsys.readouterr().out)
+    assert abs(data["occupancy"][0] - 0.4) <= 1e-12
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--steps"])
+def test_hardcore_stats_sampled_rejects_zero_counts(c5_file, flag, capsys):
+    code = main(["hardcore-stats", "--input", str(c5_file), "--lam", "1.0",
+                 "--cutoff", "3", flag, "0"])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+def _write_cover(tmp_path, body, graph=None):
+    write_edge_list(graph if graph is not None else cycle(5), tmp_path / "g.edges")
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"graph": "g.edges", **body}))
+    return cover
+
+
+@pytest.mark.parametrize("body", [
+    {"lists": [[1, 2, 3]] * 5},
+    {"lists": {"0": [1, "a"]}},
+    {"lists": {"0": [[1, 2]]}},
+    {"lists": {"5": [1, 2, 3]}},
+    {"owner": [0, 1, 2, 3, 4], "cross_edges": [[0, 1, 2]]},
+    {"owner": [0, 1, 2, 3, 4], "cross_edges": [[0, "1"]]},
+    {"owner": "01234", "cross_edges": []},
+], ids=["lists-array", "mixed-labels", "array-label", "unknown-vertex",
+        "three-element-edge", "string-node", "owner-string"])
+def test_dp_solve_malformed_cover_is_format_error(tmp_path, body, capsys):
+    cover = _write_cover(tmp_path, body)
+    assert main(["dp-solve", "--cover", str(cover)]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_dp_solve_cover_must_be_an_object(tmp_path):
+    cover = tmp_path / "cover.json"
+    cover.write_text('"graph"')
+    assert main(["dp-solve", "--cover", str(cover)]) == 1
+
+
+def test_dp_solve_rejects_cross_edge_between_non_adjacent_lists(tmp_path, capsys):
+    from hcchroma.graph import edgeless
+
+    cover = _write_cover(
+        tmp_path, {"owner": [0, 0, 1, 1, 2, 2], "cross_edges": [[0, 2]]}, edgeless(3)
+    )
+    assert main(["dp-solve", "--cover", str(cover)]) == 2
+    assert "non-adjacent" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -243,6 +244,43 @@ def test_json_round_trip():
     back = FractionalColouring.from_json_dict(data)
     assert back.parts == col.parts
     assert back.total == col.total
+
+
+def pipeline_colouring(g, eps):
+    lam, weights = choose_local_weights(g, eps)
+    return greedy_fractional_colouring(g, weights, hard_core_oracle(lam))
+
+
+def reference_text(col):
+    return json.dumps(col.to_json_dict(), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("g", [edgeless(0), K1, K2, cycle(5)], ids=["empty", "K1", "K2", "C5"])
+def test_json_text_matches_encoder(g):
+    col = pipeline_colouring(g, 2.0)
+    assert col.to_json_text() == reference_text(col)
+
+
+def test_json_text_edge_cases_match_encoder():
+    cols = [
+        FractionalColouring({(): (), (0, 2): ((0, 1), (1.5, 2.0))}, 2),
+        FractionalColouring({(0,): ((0.0, math.inf),)}, math.inf),
+        FractionalColouring({(0,): ((0.0, math.nan),)}, 1e-300),
+    ]
+    for col in cols:
+        assert col.to_json_text() == reference_text(col)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=9),
+    st.floats(min_value=0.1, max_value=0.7),
+    st.integers(min_value=0, max_value=1000),
+    st.sampled_from([1.0, 2.0, 4.0]),
+)
+def test_json_text_matches_encoder_random(n, p, seed, eps):
+    col = pipeline_colouring(random_triangle_free(n, p, seed), eps)
+    assert col.to_json_text() == reference_text(col)
 
 
 @settings(max_examples=15, deadline=None)

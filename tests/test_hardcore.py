@@ -161,6 +161,17 @@ def test_fugacity_validation():
         enumerate_stats(K2, -1.0)
 
 
+def test_fugacity_must_be_finite_and_z_representable():
+    for lam in (math.inf, math.nan):
+        with pytest.raises(InputError):
+            enumerate_stats(K2, lam)
+        with pytest.raises(InputError):
+            glauber_sample(K2, lam, 10, 0)
+    with pytest.raises(InputError, match="overflows"):
+        enumerate_stats(cycle(5), 1e300)
+    assert math.isfinite(enumerate_stats(cycle(5), 1e100).log_partition)
+
+
 def test_exact_distribution_sums_to_one():
     masks, probs = exact_distribution(cycle(5), 1.0)
     assert len(masks) == 11
