@@ -7,17 +7,16 @@ re-validated by the matching library validator before a success exit.
 
 Exit codes: 0 success, 1 I/O or parse failure, 2 violated hypothesis or
 precondition, 3 resource limit (cutoff or budget).  The environment
-variable HCCHROMA_CUTOFF overrides the default exact-enumeration cutoff.
+variable HCCHROMA_CUTOFF overrides the default exact-enumeration cutoff of
+the subcommands that have --cutoff (hardcore-stats, frac-colour, semibip).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import constructions, dpcolor, fractional, hardcore
 from .errors import (
@@ -37,39 +36,17 @@ EXIT_RESOURCE = 3
 DEFAULT_CUTOFF = hardcore.DEFAULT_CUTOFF
 
 
-@dataclass
-class RunConfig:
-    """One resolved command invocation."""
-
-    command: str
-    input: str | None = None
-    lam: float | str | None = None
-    epsilon: float | None = None
-    seed: int = 0
-    trials: int = 32
-    cutoff: int = DEFAULT_CUTOFF
-    output: str | None = None
-    fmt: str = "json"
-    threads: int = 1
-    extra: dict = None
-
-    def __post_init__(self):
-        if self.cutoff < 1:
-            raise InputError("cutoff must be at least 1")
-        if self.extra is None:
-            self.extra = {}
-
-
-def _resolve_cutoff(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("HCCHROMA_CUTOFF")
-    if env is not None:
+def _resolve_cutoff(value: int | None) -> int:
+    """The exact-enumeration cutoff: --cutoff, else HCCHROMA_CUTOFF, else 30."""
+    if value is None:
+        env = os.environ.get("HCCHROMA_CUTOFF")
         try:
-            return int(env)
+            value = DEFAULT_CUTOFF if env is None else int(env)
         except ValueError as exc:
             raise InputError(f"bad HCCHROMA_CUTOFF value {env!r}") from exc
-    return DEFAULT_CUTOFF
+    if value < 1:
+        raise InputError("cutoff must be at least 1")
+    return value
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -84,66 +61,61 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_hardcore_stats(cfg: RunConfig) -> int:
-    g = read_edge_list(cfg.input)
-    lam = float(cfg.lam)
-    max_distance = cfg.extra.get("max_distance", 1)
-    if g.n <= cfg.cutoff:
-        stats = hardcore.enumerate_stats(g, lam, max_distance=max_distance, cutoff=cfg.cutoff)
+def cmd_hardcore_stats(args: argparse.Namespace) -> int:
+    cutoff = _resolve_cutoff(args.cutoff)
+    if args.fact_check and args.format == "tsv":
+        raise InputError("--fact-check needs --format json; tsv has no place for the residuals")
+    g = read_edge_list(args.input)
+    lam = args.lam
+    if g.n <= cutoff:
+        stats = hardcore.enumerate_stats(g, lam, max_distance=args.max_distance, cutoff=cutoff)
         payload = stats.to_json_dict()
         payload["mode"] = "exact"
     else:
-        steps = cfg.extra.get("steps")
+        steps = args.steps
         if steps is None:
             steps = max(10_000, 50 * g.n)
-        if cfg.trials < 1 or steps < 1:
+        if args.trials < 1 or steps < 1:
             raise InputError("sampled mode needs --trials and --steps of at least 1")
         counts = [0] * g.n
-        for t in range(cfg.trials):
-            for v in hardcore.glauber_sample(g, lam, steps, cfg.seed + t):
+        for t in range(args.trials):
+            for v in hardcore.glauber_sample(g, lam, steps, args.seed + t):
                 counts[v] += 1
-        occ = [c / cfg.trials for c in counts]
-        payload = {
-            "lambda": lam,
-            "log_Z": None,
-            "occupancy": occ,
-            "neighbour_occupancy": {
-                "1": [math.fsum(occ[u] for u in g.adjacency[v]) for v in range(g.n)]
-            },
-            "mode": "sampled",
-            "trials": cfg.trials,
-            "steps": steps,
-        }
-    if cfg.extra.get("fact_check"):
-        report = hardcore.conditional_fact_check(g, lam, cutoff=cfg.cutoff)
+        occ = tuple(c / args.trials for c in counts)
+        nbr = hardcore.neighbour_occupancy(g, occ, args.max_distance)
+        payload = hardcore.OccupancyStats(lam, None, occ, nbr).to_json_dict()
+        payload.update(mode="sampled", trials=args.trials, steps=steps)
+    if args.fact_check:
+        report = hardcore.conditional_fact_check(g, lam, cutoff=cutoff)
         payload["fact_check"] = {
             "fact1_residual": report.fact1_residual,
             "fact2_residual": report.fact2_residual,
         }
-    if cfg.fmt == "tsv":
+    if args.format == "tsv":
         rows = ["vertex\tdegree\toccupancy\tneighbour_occupancy_1"]
         nbr1 = payload["neighbour_occupancy"]["1"]
         for v in range(g.n):
             rows.append(f"{v}\t{g.degree(v)}\t{payload['occupancy'][v]!r}\t{nbr1[v]!r}")
-        _emit("\n".join(rows) + "\n", cfg.output)
+        _emit("\n".join(rows) + "\n", args.output)
     else:
-        _emit(_json_text(payload), cfg.output)
+        _emit(_json_text(payload), args.output)
     return EXIT_OK
 
 
-def cmd_frac_colour(cfg: RunConfig) -> int:
-    g = read_edge_list(cfg.input)
+def cmd_frac_colour(args: argparse.Namespace) -> int:
+    cutoff = _resolve_cutoff(args.cutoff)
+    g = read_edge_list(args.input)
     if not is_triangle_free(g):
         raise HypothesisError("input graph has a triangle")
-    if g.n > cfg.cutoff:
+    if g.n > cutoff:
         raise SizeError(
-            f"graph has {g.n} vertices, above the exact-oracle cutoff {cfg.cutoff}"
+            f"graph has {g.n} vertices, above the exact-oracle cutoff {cutoff}"
         )
     if g.n == 0:
-        _emit(fractional.FractionalColouring({}, 0.0).to_json_text(), cfg.output)
+        _emit(fractional.FractionalColouring({}, 0.0).to_json_text(), args.output)
         return EXIT_OK
-    lam, weights = fractional.choose_local_weights(g, cfg.epsilon)
-    oracle = fractional.hard_core_oracle(lam, cutoff=cfg.cutoff)
+    lam, weights = fractional.choose_local_weights(g, args.epsilon)
+    oracle = fractional.hard_core_oracle(lam, cutoff=cutoff)
     colouring = fractional.greedy_fractional_colouring(g, weights, oracle)
     bounds = [fractional.vertex_interval_bound(lam, g.degree(v)) for v in range(g.n)]
     report = fractional.validate_colouring(g, colouring, bounds)
@@ -151,26 +123,24 @@ def cmd_frac_colour(cfg: RunConfig) -> int:
         raise HcchromaError(
             "colouring failed validation: " + "; ".join(report.failures[:3])
         )
-    _emit(colouring.to_json_text(), cfg.output)
-    slack_path = cfg.extra.get("slack_tsv")
-    if slack_path:
+    _emit(colouring.to_json_text(), args.output)
+    if args.slack_tsv:
         rows = ["vertex\tdegree\tmeasure\tbound\tslack"]
         for v in range(g.n):
             rows.append(
                 f"{v}\t{g.degree(v)}\t{report.vertex_measure[v]!r}"
                 f"\t{bounds[v]!r}\t{report.vertex_slack[v]!r}"
             )
-        with open(slack_path, "w", encoding="utf-8") as fh:
+        with open(args.slack_tsv, "w", encoding="utf-8") as fh:
             fh.write("\n".join(rows) + "\n")
     return EXIT_OK
 
 
-def cmd_dp_solve(cfg: RunConfig) -> int:
-    cover, labels = dpcolor.load_cover(cfg.input)
-    ell = cfg.extra.get("ell")
-    max_resamples = cfg.extra.get("max_resamples", dpcolor.DEFAULT_MAX_RESAMPLES)
+def cmd_dp_solve(args: argparse.Namespace) -> int:
+    cover, labels = dpcolor.load_cover(args.cover)
+    ell = args.ell
     payload: dict = {}
-    if ell is not None and cfg.extra.get("certify"):
+    if ell is not None and args.certify:
         cert = dpcolor.lll_certify(cover, ell)
         payload["certificate"] = {
             "certified": cert.certified,
@@ -178,16 +148,16 @@ def cmd_dp_solve(cfg: RunConfig) -> int:
             "glll_slack": cert.glll_slack,
             "bad_events": cert.num_bad_events,
         }
-    if cfg.extra.get("two_phase"):
+    if args.two_phase:
         if ell is None:
             raise InputError("--two-phase needs --ell")
         result = dpcolor.two_phase_colour(
             cover.base,
             cover,
             ell,
-            rounds=cfg.extra.get("rounds", 10),
-            seed=cfg.seed,
-            max_resamples=max_resamples,
+            rounds=args.rounds,
+            seed=args.seed,
+            max_resamples=args.max_resamples,
         )
         payload["two_phase"] = {
             "rounds_used": result.rounds_used,
@@ -196,36 +166,34 @@ def cmd_dp_solve(cfg: RunConfig) -> int:
         }
         if result.colouring is None:
             payload["choice"] = None
-            _emit(_json_text(payload), cfg.output)
+            _emit(_json_text(payload), args.output)
             raise SizeError("two-phase colouring failed within the round budget")
         choice = result.colouring
     else:
-        choice = dpcolor.solve(cover, seed=cfg.seed, max_resamples=max_resamples, ell=ell)
+        choice = dpcolor.solve(
+            cover, seed=args.seed, max_resamples=args.max_resamples, ell=ell
+        )
     ok, msg = dpcolor.verify_dp_colouring(cover, choice)
     if not ok:
         raise HcchromaError(f"solver output failed verification: {msg}")
     payload["choice"] = {str(u): node for u, node in sorted(choice.items())}
     if labels is not None:
         payload["labels"] = {str(u): labels[node] for u, node in sorted(choice.items())}
-    _emit(_json_text(payload), cfg.output)
+    _emit(_json_text(payload), args.output)
     return EXIT_OK
 
 
-def cmd_construct(cfg: RunConfig) -> int:
-    delta = cfg.extra["delta"]
-    level = cfg.extra["level"]
-    size_cap = cfg.extra.get("size_cap", constructions.DEFAULT_SIZE_CAP)
-    budget = cfg.extra.get("budget", constructions.DEFAULT_BUDGET)
-    inst = constructions.necessary_construction(delta, level, size_cap=size_cap)
+def cmd_construct(args: argparse.Namespace) -> int:
+    inst = constructions.necessary_construction(
+        args.delta, args.level, size_cap=args.size_cap
+    )
     properties = constructions.check_recursive_properties(inst)
-    not_col = constructions.verify_not_colourable(inst, budget=budget)
-    structural = constructions.structural_not_colourable(inst, budget=budget)
-    out_graph = cfg.extra.get("out_graph")
-    if out_graph:
-        with open(out_graph, "w", encoding="utf-8") as fh:
+    not_col = constructions.verify_not_colourable(inst, budget=args.budget)
+    structural = constructions.structural_not_colourable(inst, budget=args.budget)
+    if args.out_graph:
+        with open(args.out_graph, "w", encoding="utf-8") as fh:
             fh.write(format_edge_list(inst.graph))
-    out_lists = cfg.extra.get("out_lists")
-    if out_lists:
+    if args.out_lists:
         data = {
             "delta": inst.delta,
             "level": inst.level,
@@ -237,7 +205,7 @@ def cmd_construct(cfg: RunConfig) -> int:
                 for v in range(inst.graph.n)
             },
         }
-        with open(out_lists, "w", encoding="utf-8") as fh:
+        with open(args.out_lists, "w", encoding="utf-8") as fh:
             fh.write(_json_text(data))
     report = {
         "delta": inst.delta,
@@ -249,20 +217,19 @@ def cmd_construct(cfg: RunConfig) -> int:
         "not_colourable": not_col,
         "structural_cross_check": structural,
     }
-    _emit(_json_text(report), cfg.output)
+    _emit(_json_text(report), args.output)
     if not properties.ok or not not_col:
         raise HcchromaError("construction failed its own verification")
     return EXIT_OK
 
 
-def cmd_semibip(cfg: RunConfig) -> int:
-    g = read_edge_list(cfg.input)
-    lam = cfg.lam if cfg.lam == "auto" else float(cfg.lam)
+def cmd_semibip(args: argparse.Namespace) -> int:
+    cutoff = _resolve_cutoff(args.cutoff)
+    g = read_edge_list(args.input)
+    lam = args.lam
     a_side, b_side, avg_degree = constructions.semi_bipartite_extract(
-        g, lam=lam, trials=cfg.trials, seed=cfg.seed, cutoff=cfg.cutoff,
-        threads=cfg.threads,
+        g, lam=lam, trials=args.trials, seed=args.seed, cutoff=cutoff
     )
-    a_set = set(a_side)
     for i, u in enumerate(a_side):
         for v in a_side[i + 1:]:
             if v in g.adjacency[u]:
@@ -276,15 +243,19 @@ def cmd_semibip(cfg: RunConfig) -> int:
         "B": list(b_side),
         "boundary_edges": boundary,
         "avg_degree": avg_degree,
-        "mode": "exact" if g.n <= cfg.cutoff else "sampled",
+        "mode": "exact" if g.n <= cutoff else "sampled",
     }
-    if g.n <= cfg.cutoff and g.n > 0:
-        f1, f2 = constructions.expected_crossing_edges(g, payload["lambda"], cutoff=cfg.cutoff)
+    if g.n <= cutoff and g.n > 0:
+        f1, f2 = constructions.expected_crossing_edges(g, payload["lambda"], cutoff=cutoff)
         payload["expected_boundary_edges"] = f1
         if abs(f1 - f2) > 1e-9:
             raise HcchromaError("double-count forms of the expectation disagree")
-    _emit(_json_text(payload), cfg.output)
+    _emit(_json_text(payload), args.output)
     return EXIT_OK
+
+
+def _fugacity_or_auto(text: str) -> float | str:
+    return text if text == "auto" else float(text)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -295,18 +266,16 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="edge-list graph file")
+    def common(p):
+        p.add_argument("--input", required=True, help="edge-list graph file")
         p.add_argument("--output", help="output file (default: stdout)")
         p.add_argument("--cutoff", type=int, default=None,
                        help="exact-enumeration cutoff (env HCCHROMA_CUTOFF, default 30)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads; results are identical for any value")
 
     p = sub.add_parser("hardcore-stats", help="occupancy statistics and identity checks")
+    p.set_defaults(run=cmd_hardcore_stats)
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lam", type=float, required=True, help="fugacity")
     p.add_argument("--max-distance", type=int, default=1)
     p.add_argument("--trials", type=int, default=32, help="chains in sampled mode")
@@ -316,11 +285,13 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "tsv"], default="json")
 
     p = sub.add_parser("frac-colour", help="greedy fractional colouring pipeline")
+    p.set_defaults(run=cmd_frac_colour)
     common(p)
     p.add_argument("--epsilon", type=float, required=True, help="slack parameter in (0, 4]")
     p.add_argument("--slack-tsv", help="write per-vertex bound slack table here")
 
     p = sub.add_parser("dp-solve", help="solve a correspondence-colouring cover")
+    p.set_defaults(run=cmd_dp_solve)
     p.add_argument("--cover", required=True, help="cover JSON file")
     p.add_argument("--output", help="output file (default: stdout)")
     p.add_argument("--seed", type=int, default=0)
@@ -332,9 +303,9 @@ def make_parser() -> argparse.ArgumentParser:
                    help="random partial colouring first, then the certified finisher")
     p.add_argument("--rounds", type=int, default=10,
                    help="restarts for --two-phase")
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("construct", help="build and verify the lower-bound instance")
+    p.set_defaults(run=cmd_construct)
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--size-cap", type=int, default=constructions.DEFAULT_SIZE_CAP)
@@ -342,73 +313,22 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-graph", help="write the instance graph here (edge list)")
     p.add_argument("--out-lists", help="write the list assignment here (JSON)")
     p.add_argument("--output", help="verification report (default: stdout)")
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("semibip", help="semi-bipartite induced subgraph extraction")
+    p.set_defaults(run=cmd_semibip)
     common(p)
-    p.add_argument("--lam", default="auto", help="fugacity, or 'auto'")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lam", type=_fugacity_or_auto, default="auto",
+                   help="fugacity, or 'auto'")
     p.add_argument("--trials", type=int, default=32)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    extra = {}
-    if args.command == "hardcore-stats":
-        extra = {
-            "max_distance": args.max_distance,
-            "fact_check": args.fact_check,
-            "steps": args.steps,
-        }
-    elif args.command == "frac-colour":
-        extra = {"slack_tsv": args.slack_tsv}
-    elif args.command == "dp-solve":
-        extra = {
-            "ell": args.ell,
-            "max_resamples": args.max_resamples,
-            "certify": args.certify,
-            "two_phase": args.two_phase,
-            "rounds": args.rounds,
-        }
-    elif args.command == "construct":
-        extra = {
-            "delta": args.delta,
-            "level": args.level,
-            "size_cap": args.size_cap,
-            "budget": args.budget,
-            "out_graph": args.out_graph,
-            "out_lists": args.out_lists,
-        }
-    return RunConfig(
-        command=args.command,
-        input=getattr(args, "input", None) or getattr(args, "cover", None),
-        lam=getattr(args, "lam", None),
-        epsilon=getattr(args, "epsilon", None),
-        seed=getattr(args, "seed", 0),
-        trials=getattr(args, "trials", 32),
-        cutoff=_resolve_cutoff(getattr(args, "cutoff", None)),
-        output=getattr(args, "output", None),
-        fmt=getattr(args, "format", "json"),
-        threads=getattr(args, "threads", 1),
-        extra=extra,
-    )
-
-
-_DISPATCH = {
-    "hardcore-stats": cmd_hardcore_stats,
-    "frac-colour": cmd_frac_colour,
-    "dp-solve": cmd_dp_solve,
-    "construct": cmd_construct,
-    "semibip": cmd_semibip,
-}
-
-
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _DISPATCH[cfg.command](cfg)
+        return args.run(args)
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

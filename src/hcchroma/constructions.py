@@ -118,6 +118,8 @@ def necessary_construction(
         raise InputError("level must be non-negative")
     if level > delta - 1:
         raise InputError("level must be at most delta - 1")
+    if delta + 1 > size_cap:
+        raise SizeError(f"level 0 needs {delta + 1} vertices, above the cap {size_cap}")
     centre_list = frozenset((i, 0) for i in range(1, delta + 1))
     lists: list[frozenset] = [centre_list] + [frozenset({(i, 0)}) for i in range(1, delta + 1)]
     inst = NecessaryInstance(
@@ -347,25 +349,24 @@ def semi_bipartite_extract(
     seed: int = 0,
     cutoff: int = hardcore.DEFAULT_CUTOFF,
     steps: int | None = None,
-    threads: int = 1,
 ) -> tuple[VertexSet, VertexSet, float]:
     """Independent set A maximising the boundary edge count, with complement.
 
     Every edge leaving an independent set A crosses into the complement,
     so the number of edges of the semi-bipartite subgraph on (A, V - A) is
     the degree sum over A.  Below the cutoff every independent set is
-    scored exactly; above it, ``trials`` seeded Glauber samples are scored
-    instead (chains run per trial seed, possibly across ``threads``, and
-    are reduced in trial order, so the result is identical for any thread
-    count).  Ties break towards the lexicographically smallest A.
-    Returns (A, B, average degree 2 e(A, B) / n).
+    scored exactly, so ``lam`` is only checked, not used: the result is the
+    lexicographically first independent set of maximum degree sum.  Above
+    it, ``trials`` Glauber samples at fugacity ``lam`` (seeds ``seed``,
+    ``seed + 1``, ...) are scored instead.  Ties break towards the
+    lexicographically smallest A.  Returns (A, B, average degree
+    2 e(A, B) / n).
     """
     if not is_triangle_free(g):
         raise HypothesisError("semi_bipartite_extract requires a triangle-free graph")
     if lam == "auto":
         lam = auto_fugacity(g)
-    if not lam > 0:
-        raise InputError("fugacity must be positive")
+    hardcore._check_fugacity(lam)
     if g.n == 0:
         return (), (), 0.0
     best: VertexSet | None = None
@@ -380,21 +381,8 @@ def semi_bipartite_extract(
         if trials < 1:
             raise InputError("trials must be at least 1")
         n_steps = steps if steps is not None else max(10_000, 50 * g.n)
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                samples = list(
-                    pool.map(
-                        lambda t: hardcore.glauber_sample(g, lam, n_steps, seed + t),
-                        range(trials),
-                    )
-                )
-        else:
-            samples = [
-                hardcore.glauber_sample(g, lam, n_steps, seed + t) for t in range(trials)
-            ]
-        for members in samples:
+        for t in range(trials):
+            members = hardcore.glauber_sample(g, lam, n_steps, seed + t)
             score = _boundary_score(g, members)
             if score > best_score or (score == best_score and (best is None or members < best)):
                 best, best_score = members, score

@@ -383,7 +383,8 @@ class ValidationReport:
 def validate_colouring(g: Graph, col: FractionalColouring, bound) -> ValidationReport:
     """Check every colouring invariant plus containment w(v) in [0, bound(v)).
 
-    ``bound`` is a scalar or a per-vertex sequence.  The report lists every
+    ``bound`` is a scalar or a per-vertex sequence; a NaN bound is an
+    InputError, and a non-finite total is reported.  The report lists every
     violation found; the bound check tolerates 1e-9 of floating-point
     slack, so callers wanting a strict comparison can tighten the bound
     themselves.  Slack per vertex is bound(v) minus the largest endpoint
@@ -407,7 +408,11 @@ def validate_colouring(g: Graph, col: FractionalColouring, bound) -> ValidationR
         bounds = [float(b) for b in bound]
         if len(bounds) != n:
             raise InputError("need one bound per vertex")
+    if any(math.isnan(b) for b in bounds):
+        raise InputError("bound must not be NaN")
     failures: list[str] = []
+    if not math.isfinite(col.total):
+        failures.append(f"total {col.total!r} is not finite")
     adj_masks = g.adjacency_masks
     flat: list[Interval] = []
     # per vertex: the interval lengths of its parts, and each part's

@@ -30,6 +30,11 @@ def _check_fugacity(lam) -> None:
         raise InputError(f"fugacity must be positive and finite, not {lam!r}")
 
 
+def _check_max_distance(max_distance: int) -> None:
+    if max_distance < 1:
+        raise InputError("max_distance must be at least 1")
+
+
 def _check_cutoff(g: Graph, cutoff: int) -> None:
     if g.n > cutoff:
         raise SizeError(
@@ -44,10 +49,11 @@ class OccupancyStats:
 
     ``occupancy[v]`` is Pr(v in I) and ``neighbour_occupancy[j][v]`` is the
     expected number of occupied vertices at distance exactly j from v.
+    ``log_partition`` is None when the occupancies are sampled estimates.
     """
 
     lam: float
-    log_partition: float
+    log_partition: float | None
     occupancy: tuple
     neighbour_occupancy: Mapping[int, tuple]
 
@@ -122,8 +128,7 @@ def enumerate_stats(
     for graphs near the cutoff.
     """
     _check_fugacity(lam)
-    if max_distance < 1:
-        raise InputError("max_distance must be at least 1")
+    _check_max_distance(max_distance)
     _check_cutoff(g, cutoff)
     n = g.n
     pw = [1.0]
@@ -154,14 +159,27 @@ def enumerate_stats(
             f"partition function overflows a float at fugacity {lam!r}"
         )
     occupancy = tuple(occ_s[v] / z for v in range(n))
-    nbr = {
+    nbr = neighbour_occupancy(g, occupancy, max_distance)
+    return OccupancyStats(float(lam), math.log(z), occupancy, nbr)
+
+
+def neighbour_occupancy(
+    g: Graph, occupancy, max_distance: int
+) -> dict[int, tuple[float, ...]]:
+    """Expected occupied vertices at distance exactly j from each vertex.
+
+    Maps each j in 1..max_distance to the per-vertex sums of ``occupancy``
+    over the vertices at distance j, whether the occupancies are exact or
+    sampled estimates.
+    """
+    _check_max_distance(max_distance)
+    return {
         j: tuple(
             math.fsum(occupancy[u] for u in neighbourhood_at_distance(g, v, j))
-            for v in range(n)
+            for v in range(g.n)
         )
         for j in range(1, max_distance + 1)
     }
-    return OccupancyStats(float(lam), math.log(z), occupancy, nbr)
 
 
 def enumerate_stats_rational(
@@ -175,8 +193,7 @@ def enumerate_stats_rational(
     """
     lam = Fraction(lam)
     _check_fugacity(lam)
-    if max_distance < 1:
-        raise InputError("max_distance must be at least 1")
+    _check_max_distance(max_distance)
     _check_cutoff(g, cutoff)
     n = g.n
     pw = [Fraction(1)]
@@ -314,6 +331,8 @@ def conditional_fact_check(
     for v in range(n):
         res1 = max(res1, abs(occupied_w[v] / uncovered_w[v] - p_occ))
         for j, tw in total_by_j[v].items():
+            if tw == 0.0:  # every set with this j underflowed to weight 0
+                continue
             cond = uncov_by_j[v].get(j, 0.0) / tw
             res2 = max(res2, abs(cond - (1.0 + lam) ** (-j)))
     return FactCheckReport(float(lam), res1, res2)

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hcchroma.cli import main
-from hcchroma.graph import complete, cycle, star, write_edge_list
+from hcchroma.graph import complete, cycle, edgeless, petersen, star, write_edge_list
 
 
 def _reject_constant(name):
@@ -14,6 +18,14 @@ def _reject_constant(name):
 def _strict_json(text):
     """``json.loads`` that refuses NaN, Infinity and -Infinity."""
     return json.loads(text, parse_constant=_reject_constant)
+
+
+def _exit_code(argv):
+    """``main``'s return code, with argparse's usage-error exit counted too."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.fixture()
@@ -289,3 +301,133 @@ def test_dp_solve_rejects_cross_edge_between_non_adjacent_lists(tmp_path, capsys
     )
     assert main(["dp-solve", "--cover", str(cover)]) == 2
     assert "non-adjacent" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def petersen_file(tmp_path):
+    p = tmp_path / "pet.edges"
+    write_edge_list(petersen(), p)
+    return p
+
+
+def test_hardcore_stats_tiny_fugacity_fact_check(petersen_file, capsys):
+    code = main(["hardcore-stats", "--input", str(petersen_file), "--lam", "1e-300",
+                 "--fact-check"])
+    assert code == 0
+    data = _strict_json(capsys.readouterr().out)
+    assert data["fact_check"]["fact2_residual"] <= 1e-12
+
+
+def test_hardcore_stats_sampled_mode_honours_max_distance(c5_file, capsys):
+    argv = ["hardcore-stats", "--input", str(c5_file), "--lam", "1.0",
+            "--cutoff", "3", "--trials", "4", "--steps", "50"]
+    assert main(argv + ["--max-distance", "2"]) == 0
+    data = _strict_json(capsys.readouterr().out)
+    assert set(data["neighbour_occupancy"]) == {"1", "2"}
+    assert main(argv + ["--max-distance", "0"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_hardcore_stats_tsv_fact_check_is_usage_error(c5_file, capsys):
+    code = main(["hardcore-stats", "--input", str(c5_file), "--lam", "1.0",
+                 "--format", "tsv", "--fact-check"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("lam", ["abc", "inf", "nan"])
+def test_semibip_rejects_bad_fugacity(tmp_path, lam, capsys):
+    p = tmp_path / "empty0.edges"
+    p.write_text("0 0\n")
+    assert _exit_code(["semibip", "--input", str(p), "--lam", lam]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_construct_size_cap_applies_at_level0():
+    assert main(["construct", "--delta", "5", "--level", "0", "--size-cap", "4"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["frac-colour", "--input", "g.edges", "--epsilon", "1", "--seed", "1"],
+    ["frac-colour", "--input", "g.edges", "--epsilon", "1", "--threads", "2"],
+    ["hardcore-stats", "--input", "g.edges", "--lam", "1", "--threads", "2"],
+    ["semibip", "--input", "g.edges", "--threads", "2"],
+    ["dp-solve", "--cover", "c.json", "--threads", "2"],
+    ["construct", "--delta", "3", "--level", "0", "--threads", "2"],
+], ids=["frac-seed", "frac-threads", "stats-threads", "semibip-threads",
+        "dp-threads", "construct-threads"])
+def test_removed_flags_are_usage_errors(argv):
+    assert _exit_code(argv) == 2
+
+
+def test_cutoff_is_resolved_only_by_subcommands_that_use_it(c5_file, tmp_path, monkeypatch):
+    monkeypatch.setenv("HCCHROMA_CUTOFF", "abc")
+    assert main(["hardcore-stats", "--input", str(c5_file), "--lam", "1"]) == 2
+    assert main(["construct", "--delta", "3", "--level", "0",
+                 "--output", str(tmp_path / "r.json")]) == 0
+    monkeypatch.setenv("HCCHROMA_CUTOFF", "0")
+    assert main(["semibip", "--input", str(c5_file)]) == 2
+
+
+FUZZ_VALUES = ["0", "-1", "1", "3", "nan", "inf", "1e300", "1e-300", "abc"]
+
+# (required flags, optional flags) per subcommand
+FUZZ_FLAGS = {
+    "hardcore-stats": (["--lam"], ["--cutoff", "--seed", "--max-distance", "--trials",
+                                   "--steps", "--fact-check", "--format"]),
+    "frac-colour": (["--epsilon"], ["--cutoff"]),
+    "semibip": ([], ["--lam", "--cutoff", "--seed", "--trials"]),
+    "dp-solve": ([], ["--seed", "--ell", "--max-resamples", "--rounds", "--certify",
+                      "--two-phase"]),
+    "construct": (["--delta", "--level"], ["--size-cap", "--budget"]),
+}
+SWITCHES = {"--fact-check", "--certify", "--two-phase"}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    for name, g in (("c5", cycle(5)), ("k3", complete(3)), ("empty0", edgeless(0)),
+                    ("pet", petersen())):
+        write_edge_list(g, d / f"{name}.edges")
+    (d / "bad.edges").write_text("3 2\n0 1\n1 x\n")
+    (d / "list.json").write_text(json.dumps(
+        {"graph": "c5.edges", "lists": {str(v): [1, 2, 3] for v in range(5)}}))
+    owner = [v for v in range(5) for _ in range(3)]
+    cross = [[3 * u + i, 3 * ((u + 1) % 5) + i] for u in range(5) for i in range(3)]
+    (d / "general.json").write_text(json.dumps(
+        {"graph": "c5.edges", "owner": owner, "cross_edges": cross}))
+    graphs = [str(d / f) for f in ("c5.edges", "k3.edges", "empty0.edges", "pet.edges",
+                                   "bad.edges", "list.json")]
+    covers = [str(d / f) for f in ("list.json", "general.json", "c5.edges")]
+    return graphs, covers
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_fuzz(fuzz_files, data):
+    command = data.draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    required, optional = FUZZ_FLAGS[command]
+    argv = [command]
+    graphs, covers = fuzz_files
+    if command == "dp-solve":
+        argv += ["--cover", data.draw(st.sampled_from(covers))]
+    elif command != "construct":
+        argv += ["--input", data.draw(st.sampled_from(graphs))]
+    for flag in required + [f for f in optional if data.draw(st.booleans())]:
+        if flag in SWITCHES:
+            argv.append(flag)
+        elif flag == "--format":
+            argv += [flag, data.draw(st.sampled_from(["json", "tsv"]))]
+        else:
+            argv += [flag, data.draw(st.sampled_from(FUZZ_VALUES))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = _exit_code(argv)
+    assert code in (0, 1, 2, 3), argv
+    text = out.getvalue()
+    if text and "tsv" not in argv:
+        _strict_json(text)

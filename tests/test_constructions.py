@@ -11,7 +11,6 @@ from hcchroma import (
     cycle,
     edgeless,
     petersen,
-    random_triangle_free,
     star,
 )
 from hcchroma.constructions import (
@@ -92,6 +91,12 @@ def test_level2_exceeds_cap():
         necessary_construction(3, 2)
 
 
+def test_size_cap_applies_at_level0():
+    with pytest.raises(SizeError):
+        necessary_construction(5, 0, size_cap=5)
+    assert necessary_construction(5, 0, size_cap=6).graph.n == 6
+
+
 def test_larger_delta_levels_materialise():
     # ceil(e^4 / 4) = 14 copies of K_{1,4} plus the universal vertex
     inst = necessary_construction(4, 1)
@@ -154,13 +159,17 @@ def test_semi_bipartite_sampled_mode():
     assert again[0] == a
 
 
-def test_semi_bipartite_thread_count_does_not_change_result():
-    g = random_triangle_free(40, 0.15, 9)
-    one = semi_bipartite_extract(g, lam=1.0, trials=8, seed=5, cutoff=10, steps=2000)
-    four = semi_bipartite_extract(
-        g, lam=1.0, trials=8, seed=5, cutoff=10, steps=2000, threads=4
-    )
-    assert one == four
+@pytest.mark.parametrize("lam", [math.inf, math.nan, 0.0])
+def test_semi_bipartite_rejects_bad_fugacity(lam):
+    for g in (cycle(5), edgeless(0)):
+        with pytest.raises(InputError):
+            semi_bipartite_extract(g, lam=lam)
+
+
+def test_semi_bipartite_exact_mode_ignores_fugacity():
+    g = petersen()
+    results = {semi_bipartite_extract(g, lam=lam) for lam in (1e-6, 1.0, 1e6)}
+    assert len(results) == 1
 
 
 def test_expected_crossing_edges_examples():

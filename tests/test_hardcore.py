@@ -26,6 +26,7 @@ from hcchroma.hardcore import (
     hcm_lower_bound,
     independent_set_masks,
     mask_to_vertex_set,
+    neighbour_occupancy,
 )
 
 import helpers
@@ -147,6 +148,21 @@ def test_fact_check_examples():
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
 def test_fact_check_c5(lam):
     assert conditional_fact_check(cycle(5), lam).max_residual <= 1e-12
+
+
+def test_fact_check_skips_distances_whose_weight_underflows():
+    # at lam = 1e-300 every set of two or more vertices has weight 0.0, so
+    # some uncovered-neighbour counts j have total weight 0.0
+    report = conditional_fact_check(petersen(), 1e-300)
+    assert report.max_residual <= 1e-12
+
+
+def test_neighbour_occupancy_distances():
+    stats = enumerate_stats(cycle(5), 1.0, max_distance=2)
+    assert neighbour_occupancy(cycle(5), stats.occupancy, 2) == stats.neighbour_occupancy
+    for bad in (0, -1):
+        with pytest.raises(InputError):
+            neighbour_occupancy(cycle(5), stats.occupancy, bad)
 
 
 def test_fact_check_requires_triangle_free():

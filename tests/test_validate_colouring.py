@@ -8,11 +8,13 @@ independence and interval disjointness; the per-edge sweep in
 colouring here a failure it finds must also fail the validator.
 """
 
+import math
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hcchroma import cycle, edgeless, random_triangle_free
+from hcchroma import InputError, cycle, edgeless, random_triangle_free
 from hcchroma.fractional import (
     FractionalColouring,
     LocalWeights,
@@ -168,3 +170,17 @@ def test_repeated_member_is_not_counted_twice():
     report = validate_colouring(g, col, 2.0)
     assert not report.ok
     assert report.vertex_measure == (0.0,)
+
+
+def test_non_finite_total_is_a_failure():
+    col = FractionalColouring({(0,): ((0.0, math.inf),)}, math.inf)
+    report = validate_colouring(edgeless(1), col, math.inf)
+    assert not report.ok
+    assert any("not finite" in f for f in report.failures)
+
+
+@pytest.mark.parametrize("bound", [math.nan, [1.0, math.nan]], ids=["scalar", "per-vertex"])
+def test_nan_bound_is_rejected(bound):
+    col = FractionalColouring({(0, 1): ((0.0, 1.0),)}, 1.0)
+    with pytest.raises(InputError):
+        validate_colouring(edgeless(2), col, bound)
