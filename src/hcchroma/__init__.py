@@ -76,5 +76,6 @@ from .constructions import (
     necessary_construction,
     semi_bipartite_extract,
     structural_not_colourable,
+    verify_construction,
     verify_not_colourable,
 )

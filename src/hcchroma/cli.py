@@ -66,6 +66,7 @@ def cmd_hardcore_stats(args: argparse.Namespace) -> int:
     if args.fact_check and args.format == "tsv":
         raise InputError("--fact-check needs --format json; tsv has no place for the residuals")
     g = read_edge_list(args.input)
+    hardcore._check_max_distance(g, args.max_distance)
     lam = args.lam
     if g.n <= cutoff:
         stats = hardcore.enumerate_stats(g, lam, max_distance=args.max_distance, cutoff=cutoff)
@@ -188,8 +189,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         args.delta, args.level, size_cap=args.size_cap
     )
     properties = constructions.check_recursive_properties(inst)
-    not_col = constructions.verify_not_colourable(inst, budget=args.budget)
-    structural = constructions.structural_not_colourable(inst, budget=args.budget)
+    not_col, structural = constructions.verify_construction(inst, budget=args.budget)
     if args.out_graph:
         with open(args.out_graph, "w", encoding="utf-8") as fh:
             fh.write(format_edge_list(inst.graph))

@@ -189,16 +189,20 @@ def necessary_construction(
 def _list_colourable(g: Graph, lists, budget: int, counter: list[int]) -> bool:
     """Exhaustive backtracking with unit propagation; True iff colourable."""
     domains = [set(l) for l in lists]
-    return _search(g, domains, [False] * g.n, g.n, budget, counter)
+    forced = [v for v in range(g.n) if len(domains[v]) == 1]
+    return _search(g, domains, [False] * g.n, g.n, forced, budget, counter)
 
 
-def _search(g, domains, done, remaining, budget, counter) -> bool:
+def _search(g, domains, done, remaining, forced, budget, counter) -> bool:
+    """One search node.  ``forced`` lists every unfixed vertex whose domain
+    is a singleton: the initial ones at the root, and in a child the
+    neighbours the branching colour shrank to one colour (after the
+    parent's propagation no other unfixed vertex has a singleton domain)."""
     counter[0] += 1
     if counter[0] > budget:
         raise SizeError(f"colourability search exceeded budget {budget}")
     # unit propagation on singleton lists
     trail: list[tuple[int, object]] = []
-    forced: list[int] = [v for v in range(g.n) if not done[v] and len(domains[v]) == 1]
     fixed: list[int] = []
     ok = True
     while forced and ok:
@@ -229,26 +233,36 @@ def _search(g, domains, done, remaining, budget, counter) -> bool:
                 (u for u in range(g.n) if not done[u]),
                 key=lambda u: len(domains[u]) / max(1, g.degree(u)),
             )
+            saved = domains[v]
+            # the unfixed neighbours holding each colour of v, in adjacency
+            # order; every branch restores the domains, so one pass serves all
+            holders = {colour: [] for colour in saved}
+            for u in g.adjacency[v]:
+                if not done[u]:
+                    for colour in domains[u] & saved:
+                        holders[colour].append(u)
             result = False
             done[v] = True
-            for colour in sorted(domains[v]):
-                saved = domains[v]
+            for colour in sorted(saved):
                 domains[v] = {colour}
-                sub_trail = []
+                sub_forced = []
                 wipe = False
-                for u in g.adjacency[v]:
-                    if not done[u] and colour in domains[u]:
-                        domains[u].discard(colour)
-                        sub_trail.append((u, colour))
-                        if not domains[u]:
-                            wipe = True
-                if not wipe and _search(g, domains, done, remaining - 1, budget, counter):
+                for u in holders[colour]:
+                    dom = domains[u]
+                    dom.discard(colour)
+                    if not dom:
+                        wipe = True
+                    elif len(dom) == 1:
+                        sub_forced.append(u)
+                if not wipe and _search(
+                    g, domains, done, remaining - 1, sub_forced, budget, counter
+                ):
                     result = True
-                for u, col in sub_trail:
-                    domains[u].add(col)
-                domains[v] = saved
+                for u in holders[colour]:
+                    domains[u].add(colour)
                 if result:
                     break
+            domains[v] = saved
             done[v] = False
     else:
         result = False
@@ -259,20 +273,32 @@ def _search(g, domains, done, remaining, budget, counter) -> bool:
     return result
 
 
-def verify_not_colourable(inst: NecessaryInstance, budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff the instance admits no proper list colouring.
+def verify_construction(
+    inst: NecessaryInstance, budget: int = DEFAULT_BUDGET
+) -> tuple[bool, bool | None]:
+    """Exhaustive verdict and structural cross-check, each computed once.
 
-    Exhaustive backtracking over the list assignment with unit propagation
-    on singleton lists; the structural recursion is run alongside as a
-    cross-check whenever it applies (it refutes colourability copy by
-    copy), and disagreement with the search is an internal error.
+    Returns ``(not_colourable, structural)``: the first from exhaustive
+    backtracking over the list assignment with unit propagation on
+    singleton lists, the second from `structural_not_colourable` (None
+    where it does not apply).  A structural refutation of an instance the
+    search colours is an internal error.
     """
     counter = [0]
     colourable = _list_colourable(inst.graph, inst.lists, budget, counter)
     structural = structural_not_colourable(inst, budget)
     if structural is True and colourable:
         raise InternalError("structural argument and exhaustive search disagree")
-    return not colourable
+    return not colourable, structural
+
+
+def verify_not_colourable(inst: NecessaryInstance, budget: int = DEFAULT_BUDGET) -> bool:
+    """True iff the instance admits no proper list colouring.
+
+    The verdict of `verify_construction`, which also runs the structural
+    cross-check.
+    """
+    return verify_construction(inst, budget)[0]
 
 
 def structural_not_colourable(
@@ -285,7 +311,9 @@ def structural_not_colourable(
     vertex must be a copy colour (j, level) whose copy, with that colour
     removed, is itself not colourable.  Returns True only when every
     branch is refuted; a modified instance (extra colours, missing
-    metadata) yields False or None rather than a wrong claim.
+    metadata) yields False or None rather than a wrong claim.  Each copy's
+    subgraph is read off its own vertices' adjacency, numbered in block
+    order.
     """
     g = inst.graph
     if inst.level == 0:
@@ -309,8 +337,9 @@ def structural_not_colourable(
         sub_lists = [inst.lists[v] - {colour} for v in block]
         sub_edges = [
             (local[u], local[v])
-            for u, v in g.edges()
-            if u in local and v in local
+            for u in local
+            for v in g.adjacency[u]
+            if v > u and v in local
         ]
         sub_g = Graph.from_edges(len(block), sub_edges)
         if _list_colourable(sub_g, sub_lists, budget, counter):

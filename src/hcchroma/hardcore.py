@@ -30,9 +30,10 @@ def _check_fugacity(lam) -> None:
         raise InputError(f"fugacity must be positive and finite, not {lam!r}")
 
 
-def _check_max_distance(max_distance: int) -> None:
-    if max_distance < 1:
-        raise InputError("max_distance must be at least 1")
+def _check_max_distance(g: Graph, max_distance: int) -> None:
+    limit = max(1, g.n)  # no vertex is at distance n or more: only zero rows lie beyond
+    if not 1 <= max_distance <= limit:
+        raise InputError(f"max_distance must be between 1 and {limit}, not {max_distance}")
 
 
 def _check_cutoff(g: Graph, cutoff: int) -> None:
@@ -128,7 +129,7 @@ def enumerate_stats(
     for graphs near the cutoff.
     """
     _check_fugacity(lam)
-    _check_max_distance(max_distance)
+    _check_max_distance(g, max_distance)
     _check_cutoff(g, cutoff)
     n = g.n
     pw = [1.0]
@@ -170,9 +171,10 @@ def neighbour_occupancy(
 
     Maps each j in 1..max_distance to the per-vertex sums of ``occupancy``
     over the vertices at distance j, whether the occupancies are exact or
-    sampled estimates.
+    sampled estimates.  ``max_distance`` may not exceed max(1, n), since
+    no vertex is at distance n or more.
     """
-    _check_max_distance(max_distance)
+    _check_max_distance(g, max_distance)
     return {
         j: tuple(
             math.fsum(occupancy[u] for u in neighbourhood_at_distance(g, v, j))
@@ -193,7 +195,7 @@ def enumerate_stats_rational(
     """
     lam = Fraction(lam)
     _check_fugacity(lam)
-    _check_max_distance(max_distance)
+    _check_max_distance(g, max_distance)
     _check_cutoff(g, cutoff)
     n = g.n
     pw = [Fraction(1)]

@@ -2,11 +2,17 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import hcchroma
+from hcchroma import hardcore
 from hcchroma.cli import main
 from hcchroma.graph import complete, cycle, edgeless, petersen, star, write_edge_list
 
@@ -191,6 +197,27 @@ def test_construct_level1(tmp_path):
     assert len(lists["lists"]) == 29
 
 
+def test_construct_delta8_level1(capsys):
+    assert main(["construct", "--delta", "8", "--level", "1"]) == 0
+    report = _strict_json(capsys.readouterr().out)
+    assert report["n"] == 373 * 9 + 1
+    assert report["not_colourable"] is True
+    assert report["structural_cross_check"] is True
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(hcchroma.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hcchroma", "construct", "--delta", "3", "--level", "0"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = _strict_json(proc.stdout)
+    assert report["not_colourable"] is True
+    assert report["n"] == 4
+
+
 def test_construct_delta2_is_precondition_error():
     assert main(["construct", "--delta", "2", "--level", "0"]) == 2
 
@@ -326,6 +353,31 @@ def test_hardcore_stats_sampled_mode_honours_max_distance(c5_file, capsys):
     assert set(data["neighbour_occupancy"]) == {"1", "2"}
     assert main(argv + ["--max-distance", "0"]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_hardcore_stats_max_distance_is_at_most_the_vertex_count(c5_file, capsys):
+    argv = ["hardcore-stats", "--input", str(c5_file), "--lam", "1.0"]
+    assert main(argv + ["--max-distance", "5"]) == 0
+    assert set(_strict_json(capsys.readouterr().out)["neighbour_occupancy"]) == {
+        "1", "2", "3", "4", "5"}
+    assert main(argv + ["--max-distance", "6"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "max_distance" in err
+
+
+def test_hardcore_stats_sampled_mode_checks_max_distance_before_sampling(
+    c5_file, capsys, monkeypatch
+):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking --max-distance")
+
+    monkeypatch.setattr(hardcore, "glauber_sample", no_sampling)
+    argv = ["hardcore-stats", "--input", str(c5_file), "--lam", "1.0",
+            "--cutoff", "3", "--trials", "4", "--steps", "50"]
+    for bad in ("0", "6"):
+        assert main(argv + ["--max-distance", bad]) == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_hardcore_stats_tsv_fact_check_is_usage_error(c5_file, capsys):

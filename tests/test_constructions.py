@@ -14,6 +14,7 @@ from hcchroma import (
     star,
 )
 from hcchroma.constructions import (
+    _list_colourable,
     auto_fugacity,
     check_recursive_properties,
     expected_crossing_edges,
@@ -21,6 +22,7 @@ from hcchroma.constructions import (
     semi_bipartite_extract,
     semi_bipartite_lower_bound,
     structural_not_colourable,
+    verify_construction,
     verify_not_colourable,
     with_extra_colour,
 )
@@ -188,3 +190,47 @@ def test_semi_bipartite_lower_bound_holds():
         assert f1 >= semi_bipartite_lower_bound(g, lam, lam) - 1e-9
     with pytest.raises(InputError):
         semi_bipartite_lower_bound(star(0), 1.0, 1.0)
+
+
+def _search_nodes(g, lists, budget=10**6):
+    counter = [0]
+    colourable = _list_colourable(g, lists, budget, counter)
+    return colourable, counter[0]
+
+
+@pytest.mark.parametrize(
+    "delta, nodes", [(3, 8), (4, 15), (5, 31), (6, 69), (7, 158), (8, 374)]
+)
+def test_search_node_counts_are_pinned(delta, nodes):
+    inst = necessary_construction(delta, 1)
+    assert _search_nodes(inst.graph, inst.lists) == (False, nodes)
+
+
+@pytest.mark.parametrize("colour, nodes", [((1, 0), 23), ((2, 0), 17), ((99, 99), 30)])
+def test_search_node_counts_with_extra_colour_are_pinned(colour, nodes):
+    inst = necessary_construction(3, 1)
+    extra = with_extra_colour(inst, inst.special_vertex, colour)
+    assert _search_nodes(extra.graph, extra.lists) == (True, nodes)
+
+
+def test_smallest_sufficient_budget_is_pinned():
+    inst = necessary_construction(3, 1)
+    with pytest.raises(SizeError):
+        verify_not_colourable(inst, budget=7)
+    assert verify_not_colourable(inst, budget=8)
+
+
+def test_verify_construction_returns_both_verdicts():
+    inst = necessary_construction(4, 1)
+    assert verify_construction(inst) == (True, True)
+    extra = with_extra_colour(inst, inst.special_vertex, (99, 99))
+    assert verify_construction(extra) == (False, False)
+    assert verify_construction(necessary_construction(3, 0)) == (True, True)
+
+
+def test_delta8_level1_verifies():
+    inst = necessary_construction(8, 1)
+    # ceil(e^8 / 8) = 373 copies of K_{1,8} plus the universal vertex
+    assert inst.graph.n == 373 * 9 + 1
+    assert verify_not_colourable(inst)
+    assert structural_not_colourable(inst) is True

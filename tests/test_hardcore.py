@@ -280,3 +280,16 @@ def test_occupancy_bound_property(n, p, seed, lam, ab):
     for v in range(g.n):
         lhs = alpha * stats.occupancy[v] + beta * stats.neighbour_occupancy[1][v]
         assert lhs >= bound - 1e-10
+
+
+def test_max_distance_is_at_most_the_vertex_count():
+    g = cycle(5)
+    assert set(enumerate_stats(g, 1.0, max_distance=5).neighbour_occupancy) == {1, 2, 3, 4, 5}
+    with pytest.raises(InputError):
+        enumerate_stats(g, 1.0, max_distance=6)
+    with pytest.raises(InputError):
+        enumerate_stats_rational(g, 1, max_distance=6)
+    with pytest.raises(InputError):
+        neighbour_occupancy(g, (0.5,) * 5, 6)
+    # an empty graph still accepts distance 1
+    assert enumerate_stats(edgeless(0), 1.0).neighbour_occupancy == {1: ()}
