@@ -9,9 +9,9 @@ materialisable; non-colourability is verified by exhaustive backtracking
 plus a structural cross-check.
 
 `semi_bipartite_extract` finds an induced subgraph consisting of all edges
-between an independent set A and its complement with large average degree,
-by scoring hard-core samples (exact enumeration below the cutoff) by their
-boundary-edge count.
+between an independent set A and its complement with large average degree:
+below the cutoff an exact (max, +) search for the largest boundary-edge
+count, above it the best of several hard-core samples.
 """
 
 from __future__ import annotations
@@ -371,6 +371,33 @@ def _boundary_score(g: Graph, members: Iterable[int]) -> int:
     return sum(g.degree(v) for v in members)
 
 
+def _max_degree_sum_set(g: Graph) -> tuple[VertexSet, int]:
+    """The lexicographically first independent set of maximum degree sum.
+
+    The (max, +) form of the independence-polynomial recurrence (Aji &
+    McEliece, "The generalized distributive law", 2000), branching on the
+    lowest vertex v of S: M(S) = max(M(S - v), deg(v) + M(S - N[v])),
+    memoised by bitmask.  Each state keeps its best (-score, members) key,
+    so among equal scores the smaller member tuple wins, which is the first
+    maximum in canonical enumeration order.
+    """
+    adj = g.adjacency_masks
+    memo = {0: (0, ())}
+
+    def best(s: int) -> tuple[int, VertexSet]:
+        key = memo.get(s)
+        if key is None:
+            low = s & -s
+            v = low.bit_length() - 1
+            neg, members = best(s & ~adj[v] & ~low)
+            key = min(best(s ^ low), (neg - g.degree(v), (v,) + members))
+            memo[s] = key
+        return key
+
+    neg, members = best((1 << g.n) - 1)
+    return members, -neg
+
+
 def semi_bipartite_extract(
     g: Graph,
     lam="auto",
@@ -383,13 +410,13 @@ def semi_bipartite_extract(
 
     Every edge leaving an independent set A crosses into the complement,
     so the number of edges of the semi-bipartite subgraph on (A, V - A) is
-    the degree sum over A.  Below the cutoff every independent set is
-    scored exactly, so ``lam`` is only checked, not used: the result is the
-    lexicographically first independent set of maximum degree sum.  Above
-    it, ``trials`` Glauber samples at fugacity ``lam`` (seeds ``seed``,
-    ``seed + 1``, ...) are scored instead.  Ties break towards the
-    lexicographically smallest A.  Returns (A, B, average degree
-    2 e(A, B) / n).
+    the degree sum over A.  Below the cutoff the maximum is found exactly
+    by `_max_degree_sum_set`, so ``lam`` is only checked, not used: the
+    result is the lexicographically first independent set of maximum
+    degree sum.  Above it, ``trials`` Glauber samples at fugacity ``lam``
+    (seeds ``seed``, ``seed + 1``, ...) are scored instead.  Ties break
+    towards the lexicographically smallest A.  Returns (A, B, average
+    degree 2 e(A, B) / n).
     """
     if not is_triangle_free(g):
         raise HypothesisError("semi_bipartite_extract requires a triangle-free graph")
@@ -401,11 +428,7 @@ def semi_bipartite_extract(
     best: VertexSet | None = None
     best_score = -1
     if g.n <= cutoff:
-        for mask in hardcore.independent_set_masks(g):
-            members = hardcore.mask_to_vertex_set(mask)
-            score = _boundary_score(g, members)
-            if score > best_score:
-                best, best_score = members, score
+        best, best_score = _max_degree_sum_set(g)
     else:
         if trials < 1:
             raise InputError("trials must be at least 1")

@@ -60,7 +60,13 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from an edge list, rejecting loops and duplicates."""
+        """Build a graph from an edge list, rejecting loops and duplicates.
+
+        The adjacency built here is sorted, symmetric, in range and
+        loop-free by construction, so it skips the constructor's checks.
+        """
+        if n < 0:
+            raise InputError("vertex count must be non-negative")
         adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -71,7 +77,10 @@ class Graph:
                 raise InputError(f"duplicate edge ({u},{v})")
             adj[u].add(v)
             adj[v].add(u)
-        return Graph(n, tuple(tuple(sorted(s)) for s in adj))
+        g = object.__new__(Graph)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adjacency", tuple(tuple(sorted(s)) for s in adj))
+        return g
 
     @cached_property
     def m(self) -> int:

@@ -1,9 +1,11 @@
 """Shared test machinery: brute-force oracles and instance generators.
 
-The oracles here deliberately avoid the package's enumeration kernels so
-they can serve as independent references: independent sets come from
-itertools subsets, triangles from a full triple scan, distances from
-networkx.
+The oracles here deliberately avoid the package's exact kernels so they
+can serve as independent references: independent sets come from itertools
+subsets or from the package's set enumerator (itself checked against
+itertools), triangles from a full triple scan, distances from networkx.
+The `reference_*` functions are the enumerating implementations that the
+independence-polynomial kernel replaced.
 """
 
 from __future__ import annotations
@@ -16,8 +18,15 @@ from fractions import Fraction
 import networkx as nx
 
 from hcchroma import Graph
-from hcchroma.graph import random_triangle_free
+from hcchroma.graph import neighbourhood_at_distance, random_triangle_free
 from hcchroma.dpcolor import Cover, finishing_blow_hypothesis, from_list_assignment
+from hcchroma.hardcore import (
+    FactCheckReport,
+    OccupancyStats,
+    independent_set_masks,
+    mask_to_vertex_set,
+    neighbour_occupancy,
+)
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -67,8 +76,6 @@ def connected_triangle_free_family(max_n: int) -> dict[int, list[Graph]]:
     one), deduplicating with a Weisfeiler-Lehman hash bucket plus exact
     isomorphism checks.
     """
-    from hcchroma.hardcore import independent_set_masks, mask_to_vertex_set
-
     levels: dict[int, list[Graph]] = {1: [Graph.from_edges(1, [])]}
     for n in range(2, max_n + 1):
         buckets: dict[str, list[nx.Graph]] = {}
@@ -212,3 +219,115 @@ def reference_edge_failures(g: Graph, col) -> list[str]:
             else:
                 j += 1
     return failures
+
+
+def reference_enumerate_stats(g: Graph, lam: float, max_distance: int = 1) -> OccupancyStats:
+    """Occupancy statistics by enumerating every independent set.
+
+    Weights are accumulated with Kahan compensation, so the result is
+    accurate to a few ulps.
+    """
+    n = g.n
+    pw = [1.0]
+    for _ in range(n):
+        pw.append(pw[-1] * lam)
+    z_s = 0.0
+    z_c = 0.0
+    occ_s = [0.0] * n
+    occ_c = [0.0] * n
+    for mask in independent_set_masks(g):
+        w = pw[mask.bit_count()]
+        y = w - z_c
+        t = z_s + y
+        z_c = (t - z_s) - y
+        z_s = t
+        m = mask
+        while m:
+            b = m & -m
+            m ^= b
+            v = b.bit_length() - 1
+            y = w - occ_c[v]
+            t = occ_s[v] + y
+            occ_c[v] = (t - occ_s[v]) - y
+            occ_s[v] = t
+    occupancy = tuple(occ_s[v] / z_s for v in range(n))
+    nbr = neighbour_occupancy(g, occupancy, max_distance)
+    return OccupancyStats(float(lam), math.log(z_s), occupancy, nbr)
+
+
+def reference_enumerate_stats_rational(g: Graph, lam, max_distance: int = 1) -> OccupancyStats:
+    """Exact-rational occupancy statistics by enumerating every independent set."""
+    lam = Fraction(lam)
+    n = g.n
+    z = Fraction(0)
+    occ = [Fraction(0)] * n
+    for mask in independent_set_masks(g):
+        w = lam ** mask.bit_count()
+        z += w
+        for v in mask_to_vertex_set(mask):
+            occ[v] += w
+    occupancy = tuple(occ[v] / z for v in range(n))
+    nbr = {
+        j: tuple(
+            sum((occupancy[u] for u in neighbourhood_at_distance(g, v, j)), Fraction(0))
+            for v in range(n)
+        )
+        for j in range(1, max_distance + 1)
+    }
+    return OccupancyStats(float(lam), math.log(z), occupancy, nbr)
+
+
+def reference_conditional_fact_check(g: Graph, lam: float) -> FactCheckReport:
+    """The two triangle-free conditional identities, by enumerating every set.
+
+    For every independent set, adds its weight to the total and, when v is
+    uncovered, to the uncovered weight of each vertex v, both by the count j
+    of uncovered neighbours of v.  A count j whose total weight underflows to
+    0.0 is skipped.
+    """
+    n = g.n
+    adj = g.adjacency_masks
+    pw = [1.0]
+    for _ in range(n):
+        pw.append(pw[-1] * lam)
+    occupied_w = [0.0] * n
+    uncovered_w = [0.0] * n
+    total_by_j = [dict() for _ in range(n)]
+    uncov_by_j = [dict() for _ in range(n)]
+    full = (1 << n) - 1
+    for mask in independent_set_masks(g):
+        w = pw[mask.bit_count()]
+        covered = 0
+        for u in mask_to_vertex_set(mask):
+            covered |= adj[u]
+        uncovered_mask = full & ~covered
+        for v in range(n):
+            j = (adj[v] & uncovered_mask).bit_count()
+            total_by_j[v][j] = total_by_j[v].get(j, 0.0) + w
+            if uncovered_mask >> v & 1:
+                uncovered_w[v] += w
+                uncov_by_j[v][j] = uncov_by_j[v].get(j, 0.0) + w
+                if mask >> v & 1:
+                    occupied_w[v] += w
+    p_occ = lam / (1.0 + lam)
+    res1 = 0.0
+    res2 = 0.0
+    for v in range(n):
+        res1 = max(res1, abs(occupied_w[v] / uncovered_w[v] - p_occ))
+        for j, tw in total_by_j[v].items():
+            if tw == 0.0:
+                continue
+            cond = uncov_by_j[v].get(j, 0.0) / tw
+            res2 = max(res2, abs(cond - (1.0 + lam) ** (-j)))
+    return FactCheckReport(float(lam), res1, res2)
+
+
+def reference_max_degree_sum_set(g: Graph) -> tuple[tuple[int, ...], int]:
+    """First independent set of maximum degree sum in canonical enumeration order."""
+    best, best_score = (), -1
+    for mask in independent_set_masks(g):
+        members = mask_to_vertex_set(mask)
+        score = sum(g.degree(v) for v in members)
+        if score > best_score:
+            best, best_score = members, score
+    return best, best_score

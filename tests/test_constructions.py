@@ -2,8 +2,11 @@ import itertools
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hcchroma import (
+    Graph,
     HypothesisError,
     InputError,
     SizeError,
@@ -11,6 +14,7 @@ from hcchroma import (
     cycle,
     edgeless,
     petersen,
+    random_triangle_free,
     star,
 )
 from hcchroma.constructions import (
@@ -166,6 +170,23 @@ def test_semi_bipartite_rejects_bad_fugacity(lam):
     for g in (cycle(5), edgeless(0)):
         with pytest.raises(InputError):
             semi_bipartite_extract(g, lam=lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=14), st.integers(min_value=0, max_value=3),
+       st.floats(min_value=0.0, max_value=0.6), st.integers(min_value=0, max_value=10_000))
+@example(0, 0, 0.0, 0)
+@example(1, 1, 0.0, 0)
+@example(6, 2, 0.5, 3)
+def test_semi_bipartite_exact_mode_matches_enumeration(n, isolated, p, seed):
+    isolated = min(isolated, n)
+    g = Graph.from_edges(n, list(random_triangle_free(n - isolated, p, seed).edges()))
+    a, b, avg = semi_bipartite_extract(g, lam=1.0)
+    if g.n:
+        members, score = helpers.reference_max_degree_sum_set(g)
+        assert a == members
+        assert avg == 2.0 * score / g.n
+    assert b == tuple(v for v in range(g.n) if v not in a)
 
 
 def test_semi_bipartite_exact_mode_ignores_fugacity():

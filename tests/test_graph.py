@@ -45,6 +45,48 @@ def test_construction_validates():
         Graph.from_edges(2, [(0, 5)])
 
 
+@pytest.mark.parametrize(
+    "n, adjacency",
+    [
+        (2, ((5,), ())),  # out of range
+        (2, ((-1,), ())),  # out of range
+        (1, ((0,),)),  # loop
+        (3, ((2, 1), (0,), (0,))),  # unsorted
+        (2, ((1, 1), (0, 0))),  # duplicate
+        (2, ((1,), ())),  # asymmetric
+        (3, ((1,), (0, 2), (1, 0))),  # unsorted and asymmetric
+        (-1, ()),  # negative vertex count
+        (2, ((1,),)),  # too few rows
+    ],
+)
+def test_constructor_rejects_malformed_adjacency(n, adjacency):
+    with pytest.raises(InputError):
+        Graph(n, adjacency)
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (2, [(0, 5)]),  # out of range
+        (2, [(-1, 0)]),  # out of range
+        (2, [(1, 1)]),  # loop
+        (3, [(0, 1), (0, 1)]),  # duplicate
+        (3, [(0, 1), (1, 0)]),  # duplicate, reversed
+        (-1, []),  # negative vertex count
+    ],
+)
+def test_from_edges_rejects_bad_edges(n, edges):
+    with pytest.raises(InputError):
+        Graph.from_edges(n, edges)
+
+
+def test_from_edges_builds_a_valid_graph():
+    g = Graph.from_edges(4, [(2, 0), (3, 1), (0, 1)])
+    assert g.adjacency == ((1, 2), (0, 3), (0,), (1,))
+    assert g == Graph(4, g.adjacency)  # the constructor's checks accept it
+    assert hash(g) == hash(Graph(4, g.adjacency))
+
+
 def test_basic_counts():
     c5 = cycle(5)
     assert c5.n == 5 and c5.m == 5

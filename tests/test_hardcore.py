@@ -2,10 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hcchroma import (
+    Graph,
     HypothesisError,
     InputError,
     SizeError,
@@ -151,8 +152,9 @@ def test_fact_check_c5(lam):
 
 
 def test_fact_check_skips_distances_whose_weight_underflows():
-    # at lam = 1e-300 every set of two or more vertices has weight 0.0, so
-    # some uncovered-neighbour counts j have total weight 0.0
+    # at lam = 1e-300 every set of two or more vertices has a weight below
+    # the smallest float, so some uncovered-neighbour counts j have a float
+    # weight of 0.0
     report = conditional_fact_check(petersen(), 1e-300)
     assert report.max_residual <= 1e-12
 
@@ -293,3 +295,77 @@ def test_max_distance_is_at_most_the_vertex_count():
         neighbour_occupancy(g, (0.5,) * 5, 6)
     # an empty graph still accepts distance 1
     assert enumerate_stats(edgeless(0), 1.0).neighbour_occupancy == {1: ()}
+
+
+@st.composite
+def triangle_free_graphs(draw, max_n=14):
+    """Triangle-free graphs on 0..max_n vertices; up to three of the
+    highest-numbered vertices are kept isolated."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    isolated = draw(st.integers(min_value=0, max_value=min(n, 3)))
+    core = random_triangle_free(
+        n - isolated,
+        draw(st.floats(min_value=0.0, max_value=0.6)),
+        draw(st.integers(min_value=0, max_value=10_000)),
+    )
+    return Graph.from_edges(n, list(core.edges()))
+
+
+GADGET = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (2, 4), (3, 5), (4, 5)])
+
+
+def _close(a, b):
+    return math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(triangle_free_graphs(), st.sampled_from([0.25, 0.7, 1.0, 2.0, 3.3]))
+@example(edgeless(0), 0.7)
+@example(edgeless(1), 0.7)
+@example(Graph.from_edges(5, [(0, 1), (1, 2)]), 1.0)
+def test_kernel_stats_match_enumeration(g, lam):
+    depth = min(2, max(1, g.n))
+    ours = enumerate_stats(g, lam, max_distance=depth)
+    ref = helpers.reference_enumerate_stats(g, lam, max_distance=depth)
+    if lam == 1.0:  # integer counts on both sides, divided once
+        assert ours == ref
+    assert _close(math.exp(ours.log_partition), math.exp(ref.log_partition))
+    assert all(map(_close, ours.occupancy, ref.occupancy))
+    for j in ref.neighbour_occupancy:
+        assert all(map(_close, ours.neighbour_occupancy[j], ref.neighbour_occupancy[j]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    triangle_free_graphs(),
+    st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(7, 5), Fraction(3)]),
+)
+@example(edgeless(0), Fraction(2))
+@example(edgeless(1), Fraction(2))
+def test_kernel_rational_stats_match_enumeration(g, lam):
+    depth = min(2, max(1, g.n))
+    ours = enumerate_stats_rational(g, lam, max_distance=depth, cutoff=14)
+    assert ours == helpers.reference_enumerate_stats_rational(g, lam, max_distance=depth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(triangle_free_graphs(), st.sampled_from([0.5, 1.0, 2.0, 0.7, 3.3]))
+@example(edgeless(0), 0.7)
+@example(edgeless(1), 0.7)
+@example(GADGET, 0.7)
+def test_kernel_fact_check_matches_enumeration(g, lam):
+    ours = conditional_fact_check(g, lam)
+    if lam in (0.5, 1.0, 2.0):
+        # every weight is a short dyadic number, so the enumerating sums are
+        # exact too and both sides round the same quotients
+        assert ours == helpers.reference_conditional_fact_check(g, lam)
+    assert ours.max_residual <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [1e-10, 0.3, 0.7, 1e3])
+def test_fact_check_skips_counts_of_probability_zero(lam):
+    # star(8) leaves 0 or 8 leaves uncovered, never 1..7; GADGET never leaves
+    # exactly one neighbour of vertex 0 uncovered, though every term of that
+    # inclusion-exclusion sum is a different subgraph
+    for g in (star(8), GADGET):
+        assert conditional_fact_check(g, lam).max_residual <= 1e-12
