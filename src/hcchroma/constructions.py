@@ -379,7 +379,8 @@ def _max_degree_sum_set(g: Graph) -> tuple[VertexSet, int]:
     lowest vertex v of S: M(S) = max(M(S - v), deg(v) + M(S - N[v])),
     memoised by bitmask.  Each state keeps its best (-score, members) key,
     so among equal scores the smaller member tuple wins, which is the first
-    maximum in canonical enumeration order.
+    maximum in canonical enumeration order.  SizeError when the recursion,
+    one level per vertex, passes the interpreter's limit.
     """
     adj = g.adjacency_masks
     memo = {0: (0, ())}
@@ -394,7 +395,10 @@ def _max_degree_sum_set(g: Graph) -> tuple[VertexSet, int]:
             memo[s] = key
         return key
 
-    neg, members = best((1 << g.n) - 1)
+    try:
+        neg, members = best((1 << g.n) - 1)
+    except RecursionError:
+        raise hardcore._recursion_limit_error(g) from None
     return members, -neg
 
 

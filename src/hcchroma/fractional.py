@@ -39,9 +39,9 @@ def interval_measure(intervals: Iterable[Interval]) -> float:
 class SetDistribution:
     """Explicit probability distribution on independent sets of a subgraph.
 
-    ``sets`` holds local vertex ids of the subgraph handed to the oracle,
-    strictly increasing in the canonical (lexicographic) order, and
-    ``probs`` the matching probabilities.
+    ``sets`` holds subsets of the live vertices, in the global ids of the
+    ambient graph, strictly increasing in the canonical (lexicographic)
+    order, and ``probs`` the matching probabilities.
     """
 
     sets: tuple[VertexSet, ...]
@@ -67,15 +67,49 @@ class SetDistribution:
 
 
 DistributionOracle = Callable[[Graph, tuple[int, ...]], SetDistribution]
+"""``oracle(g, live)``: a distribution on the independent sets of g[live].
+
+``g`` is the ambient graph and ``live`` the sorted tuple of unsaturated
+vertices; the sets come back in g's vertex ids.  The greedy calls the
+oracle once per round with a live tuple that shrinks from round to round,
+so an oracle may list g's sets once and filter them per round, as
+`hard_core_oracle` does.
+"""
 
 
 def hard_core_oracle(lam: float, cutoff: int = hardcore.DEFAULT_CUTOFF) -> DistributionOracle:
-    """Oracle serving the exact hard-core distribution at fugacity ``lam``."""
+    """Oracle serving the exact hard-core distribution at fugacity ``lam``.
 
-    def oracle(h: Graph, old_ids: tuple[int, ...]) -> SetDistribution:
-        masks, probs = hardcore.exact_distribution(h, lam, cutoff=cutoff)
-        sets = tuple(hardcore.mask_to_vertex_set(m) for m in masks)
-        return SetDistribution(sets, tuple(probs))
+    The independent sets of g[live] are the independent sets of g that
+    avoid every vertex outside ``live``.  So the first call on a graph lists
+    g's sets once, each with its member tuple (global ids) and weight
+    lam^|I|, and every call keeps the rows that avoid the dead vertices, in
+    canonical order, and divides by their fsum.  Cost: one enumeration of g
+    plus one filter of its sets per round.  A call on another graph lists
+    that graph's sets instead.
+    """
+    served: Graph | None = None
+    rows: list[tuple[int, VertexSet, float]] = []
+
+    def oracle(g: Graph, live: tuple[int, ...]) -> SetDistribution:
+        nonlocal served, rows
+        if g is not served:
+            hardcore._check_fugacity(lam)
+            hardcore._check_cutoff(g, cutoff)
+            pw = [1.0]
+            for _ in range(g.n):
+                pw.append(pw[-1] * lam)
+            rows = [
+                (m, hardcore.mask_to_vertex_set(m), pw[m.bit_count()])
+                for m in hardcore.independent_set_masks(g)
+            ]
+            served = g
+        dead = ((1 << g.n) - 1) & ~sum(1 << v for v in live)
+        kept = [row for row in rows if not row[0] & dead]
+        z = math.fsum(row[2] for row in kept)
+        return SetDistribution(
+            tuple(row[1] for row in kept), tuple(row[2] / z for row in kept)
+        )
 
     return oracle
 
@@ -83,8 +117,8 @@ def hard_core_oracle(lam: float, cutoff: int = hardcore.DEFAULT_CUTOFF) -> Distr
 def table_oracle(table: Mapping[VertexSet, float]) -> DistributionOracle:
     """Oracle from an explicit weight table on independent sets of G.
 
-    On a subgraph the distribution is the push-forward under intersection
-    with the surviving vertices; weights of sets with equal restriction
+    On the live vertices the distribution is the push-forward under
+    intersection with ``live``; weights of sets with equal restriction
     merge.  Weights are normalised, so any positive table works.
     """
     entries = [(vertex_set(s), float(w)) for s, w in table.items()]
@@ -92,11 +126,11 @@ def table_oracle(table: Mapping[VertexSet, float]) -> DistributionOracle:
     if not total > 0:
         raise InputError("table weights must have positive total")
 
-    def oracle(h: Graph, old_ids: tuple[int, ...]) -> SetDistribution:
-        local = {old: new for new, old in enumerate(old_ids)}
+    def oracle(g: Graph, live: tuple[int, ...]) -> SetDistribution:
+        alive = set(live)
         merged: dict[VertexSet, float] = {}
         for s, w in entries:
-            restricted = tuple(local[v] for v in s if v in local)
+            restricted = tuple(v for v in s if v in alive)
             merged[restricted] = merged.get(restricted, 0.0) + w / total
         sets = tuple(sorted(merged))
         return SetDistribution(sets, tuple(merged[s] for s in sets))
@@ -245,8 +279,8 @@ def greedy_fractional_colouring(
 ) -> FractionalColouring:
     """Run the greedy measure-spreading loop until every vertex saturates.
 
-    Each iteration queries the oracle on the induced subgraph H of the
-    unsaturated vertices, checks the hypothesis
+    Each iteration queries the oracle with G and the unsaturated vertices,
+    checks on their induced subgraph H the hypothesis
     sum_j alpha_j(v) * E|N^j_H(v) /\\ I_H| >= 1 for every v in H, takes
 
         tau = min( min_v (1 - w(v)) / Pr(v in I_H),
@@ -265,7 +299,7 @@ def greedy_fractional_colouring(
     w_total = 0.0
     w_vertex = [0.0] * n
     taus: list[float] = []
-    live = [v for v in range(n)]
+    live = tuple(range(n))
     iterations = 0
     while live:
         iterations += 1
@@ -274,44 +308,42 @@ def greedy_fractional_colouring(
                 "greedy colouring exceeded |V(G)| iterations; termination "
                 "argument violated"
             )
-        h, _ = induced_subgraph(g, live)
-        old_ids = tuple(live)
-        dist = oracle(h, old_ids)
-        occ = dist.occupancy(h.n)
-        alpha_rows = [weights.alpha[v] for v in old_ids]
-        scores = _oracle_scores(h, occ, alpha_rows, weights.r)
-        for i, s in enumerate(scores):
+        dist = oracle(g, live)
+        occ = dist.occupancy(n)
+        h, _ = induced_subgraph(g, live)  # the score reads distances within H
+        scores = _oracle_scores(
+            h, [occ[v] for v in live], [weights.alpha[v] for v in live], weights.r
+        )
+        for v, s in zip(live, scores):
             if s < 1.0 - HYPOTHESIS_TOL:
                 raise HypothesisError(
                     f"oracle distribution violates the weight hypothesis at "
-                    f"vertex {old_ids[i]}: score {s!r} < 1"
+                    f"vertex {v}: score {s!r} < 1"
                 )
         tau_list = min(
-            (1.0 - w_vertex[old]) / occ[i] if occ[i] > 0.0 else math.inf
-            for i, old in enumerate(old_ids)
+            (1.0 - w_vertex[v]) / occ[v] if occ[v] > 0.0 else math.inf for v in live
         )
-        tau_gamma = min(weights.gamma[old] - w_total for old in old_ids)
+        tau_gamma = min(weights.gamma[v] - w_total for v in live)
         tau = min(tau_list, tau_gamma)
         if not math.isfinite(tau) or tau <= 0.0:
             raise InternalError(f"degenerate measure increment tau={tau!r}")
         start = w_total
-        for s_local, p in zip(dist.sets, dist.probs):
+        for s, p in zip(dist.sets, dist.probs):
             length = p * tau
             if length <= 0.0:
                 continue
             end = start + length
-            global_set = tuple(old_ids[i] for i in s_local)
-            parts.setdefault(global_set, []).append((start, end))
+            parts.setdefault(s, []).append((start, end))
             start = end
         w_total = start
-        for i, old in enumerate(old_ids):
-            w_vertex[old] += occ[i] * tau
-            if w_vertex[old] > 1.0 + CAP_TOL:
+        for v in live:
+            w_vertex[v] += occ[v] * tau
+            if w_vertex[v] > 1.0 + CAP_TOL:
                 raise InternalError(
-                    f"vertex {old} accumulated measure {w_vertex[old]!r} > 1"
+                    f"vertex {v} accumulated measure {w_vertex[v]!r} > 1"
                 )
         taus.append(tau)
-        live = [v for v in live if w_vertex[v] < 1.0 - SATURATE_TOL]
+        live = tuple(v for v in live if w_vertex[v] < 1.0 - SATURATE_TOL)
     return FractionalColouring(
         {s: tuple(ivs) for s, ivs in parts.items()}, w_total, tuple(taus)
     )

@@ -8,9 +8,9 @@ that computes the independence polynomial of induced subgraphs by the
 recurrence Z(S) = Z(S - v) + x Z(S - N[v]), with integer coefficients, so
 per-vertex occupation probabilities, expected neighbourhood intersections
 and the two conditional-law identities that hold on triangle-free graphs
-are all exact quotients of polynomials evaluated at lambda; nothing
-enumerates independent sets except `exact_distribution`, which lists them
-for the fractional colouring's parts.  The module also provides a
+are all exact quotients of polynomials evaluated at lambda.  Only
+frac-colour's oracle enumerates independent sets: it lists G's sets once
+per run, for the fractional colouring's parts.  The module also provides a
 Glauber-dynamics sampler for graphs above the exact cutoff and the
 occupancy lower bound used by the fractional-colouring weight
 optimisation.
@@ -39,6 +39,15 @@ def _check_max_distance(g: Graph, max_distance: int) -> None:
     limit = max(1, g.n)  # no vertex is at distance n or more: only zero rows lie beyond
     if not 1 <= max_distance <= limit:
         raise InputError(f"max_distance must be between 1 and {limit}, not {max_distance}")
+
+
+def _recursion_limit_error(g: Graph) -> SizeError:
+    """The error an exact kernel raises when its recursion, about one level
+    per vertex, passes the interpreter's recursion limit."""
+    return SizeError(
+        f"exact computation on a {g.n}-vertex graph recurses past the "
+        f"interpreter's recursion limit"
+    )
 
 
 def _check_cutoff(g: Graph, cutoff: int) -> None:
@@ -97,6 +106,8 @@ def independent_set_masks(g: Graph) -> list[int]:
     first; this is the canonical enumeration order used by the fractional
     colouring when it slices measure into per-set interval blocks.  The
     exact statistics do not enumerate; see `_independence_polynomial`.
+    The recursion goes one level per member of the set being extended;
+    SizeError when it passes the interpreter's limit.
     """
     adj = g.adjacency_masks
     out = [0]
@@ -112,7 +123,10 @@ def independent_set_masks(g: Graph) -> list[int]:
             append(child)
             rec(child, m & ~adj[v])
 
-    rec(0, (1 << g.n) - 1)
+    try:
+        rec(0, (1 << g.n) - 1)
+    except RecursionError:
+        raise _recursion_limit_error(g) from None
     return out
 
 
@@ -137,7 +151,8 @@ def _independence_polynomial(g: Graph):
     on a vertex v of largest degree in S:
     Z(S) = Z(S - v) + x Z(S - N[v]) (Levit & Mandrescu, "The independence
     polynomial of a graph - a survey", 2005).  The memo lives as long as
-    the returned function.
+    the returned function, which raises SizeError when the recursion passes
+    the interpreter's limit.
     """
     bits = g.n + 1
     adj = g.adjacency_masks
@@ -170,7 +185,13 @@ def _independence_polynomial(g: Graph):
         memo[s] = value
         return value
 
-    return poly, bits
+    def query(s: int) -> int:
+        try:
+            return poly(s)
+        except RecursionError:
+            raise _recursion_limit_error(g) from None
+
+    return query, bits
 
 
 def _ratio(num: int, den: int, bits: int, lam):
@@ -269,21 +290,6 @@ def neighbour_occupancy(
         )
         for j in range(1, max_distance + 1)
     }
-
-
-def exact_distribution(
-    g: Graph, lam: float, cutoff: int = DEFAULT_CUTOFF
-) -> tuple[list[int], list[float]]:
-    """Independent sets (as bitmasks, canonical order) with probabilities."""
-    _check_fugacity(lam)
-    _check_cutoff(g, cutoff)
-    masks = independent_set_masks(g)
-    pw = [1.0]
-    for _ in range(g.n):
-        pw.append(pw[-1] * lam)
-    weights = [pw[m.bit_count()] for m in masks]
-    z = math.fsum(weights)
-    return masks, [w / z for w in weights]
 
 
 def glauber_sample(

@@ -5,7 +5,8 @@ can serve as independent references: independent sets come from itertools
 subsets or from the package's set enumerator (itself checked against
 itertools), triangles from a full triple scan, distances from networkx.
 The `reference_*` functions are the enumerating implementations that the
-independence-polynomial kernel replaced.
+independence-polynomial kernel and the once-per-run hard-core oracle
+replaced.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ import random
 from fractions import Fraction
 
 import networkx as nx
+from hypothesis import strategies as st
 
 from hcchroma import Graph
-from hcchroma.graph import neighbourhood_at_distance, random_triangle_free
+from hcchroma.graph import induced_subgraph, neighbourhood_at_distance, random_triangle_free
 from hcchroma.dpcolor import Cover, finishing_blow_hypothesis, from_list_assignment
+from hcchroma.fractional import SetDistribution
 from hcchroma.hardcore import (
     FactCheckReport,
     OccupancyStats,
@@ -66,6 +69,20 @@ def brute_has_triangle(g: Graph) -> bool:
         if v in adj[u] and w in adj[u] and w in adj[v]:
             return True
     return False
+
+
+@st.composite
+def triangle_free_graphs(draw, max_n=14):
+    """Triangle-free graphs on 0..max_n vertices; up to three of the
+    highest-numbered vertices are kept isolated."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    isolated = draw(st.integers(min_value=0, max_value=min(n, 3)))
+    core = random_triangle_free(
+        n - isolated,
+        draw(st.floats(min_value=0.0, max_value=0.6)),
+        draw(st.integers(min_value=0, max_value=10_000)),
+    )
+    return Graph.from_edges(n, list(core.edges()))
 
 
 def connected_triangle_free_family(max_n: int) -> dict[int, list[Graph]]:
@@ -331,3 +348,25 @@ def reference_max_degree_sum_set(g: Graph) -> tuple[tuple[int, ...], int]:
         if score > best_score:
             best, best_score = members, score
     return best, best_score
+
+
+def reference_hard_core_oracle(lam: float):
+    """Hard-core oracle that enumerates the live subgraph afresh every round.
+
+    Builds H = g[live], lists H's independent sets in canonical order,
+    weights each by lam^|I| from a repeated-multiplication power table,
+    divides by the fsum and maps the sets back to g's vertex ids.
+    """
+
+    def oracle(g: Graph, live: tuple[int, ...]) -> SetDistribution:
+        h, _ = induced_subgraph(g, live)
+        masks = independent_set_masks(h)
+        pw = [1.0]
+        for _ in range(h.n):
+            pw.append(pw[-1] * lam)
+        weights = [pw[m.bit_count()] for m in masks]
+        z = math.fsum(weights)
+        sets = tuple(tuple(live[i] for i in mask_to_vertex_set(m)) for m in masks)
+        return SetDistribution(sets, tuple(w / z for w in weights))
+
+    return oracle

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -14,7 +15,16 @@ from hypothesis import strategies as st
 import hcchroma
 from hcchroma import hardcore
 from hcchroma.cli import main
-from hcchroma.graph import complete, cycle, edgeless, petersen, star, write_edge_list
+from hcchroma.graph import (
+    complete,
+    cycle,
+    edgeless,
+    path,
+    petersen,
+    random_triangle_free,
+    star,
+    write_edge_list,
+)
 
 
 def _reject_constant(name):
@@ -250,6 +260,52 @@ def test_semibip_auto_mode(tmp_path):
 
 def test_semibip_triangle_is_hypothesis_error(k3_file):
     assert main(["semibip", "--input", str(k3_file), "--lam", "1.0"]) == 2
+
+
+# sha256 of frac-colour's output, recorded with an oracle that enumerated
+# each round's live subgraph afresh; any change to the bytes fails here.
+# random_triangle_free(16, 0.35, seed 0) has no isolated vertex.
+GOLDEN_FRAC_COLOUR = {
+    ("c5", "1"): "e2dab427522902a8bb35b66a9fd7ab7a9bfa2716913deb9eebc408f935aba83b",
+    ("c5", "2"): "922a5d725b847ab74b4adee6f5a981be9d3dd89cd5970b7ec960ce2822a62b35",
+    ("c5", "4"): "fb6dce408a750e0c3d8a92d81972d9f44c9e9f5636731c702b1af2760b88082f",
+    ("petersen", "1"): "15714399fedca4171289c6be9fae8789bd285c9996edab5c089623a31ec5e378",
+    ("petersen", "2"): "770d2988b175689a67161d08bd21ba0596dd2c70e008040b433f03260145cc35",
+    ("petersen", "4"): "ae08b31fefba7777b4a1c980255712288fea1f656b2f8c3a166fca7ed296daa6",
+    ("rtf16", "1"): "0775fb11e9e3dbc9f73261e1e5f756c02fec07693910fd955a995f629b79ec75",
+    ("rtf16", "2"): "7060574e0f4ab2a33c2f237158a3f5c27dddbcccfd9700513ea9ba5009a8b4db",
+    ("rtf16", "4"): "698df8e4f5f13f5f9c82dbfe23680133d190e0e40325a29e47dc262c6b5f8787",
+}
+GOLDEN_GRAPHS = {
+    "c5": lambda: cycle(5),
+    "petersen": petersen,
+    "rtf16": lambda: random_triangle_free(16, 0.35, 0),
+}
+
+
+@pytest.mark.parametrize("name, eps", sorted(GOLDEN_FRAC_COLOUR))
+def test_frac_colour_output_bytes_are_golden(tmp_path, name, eps):
+    p = tmp_path / f"{name}.edges"
+    write_edge_list(GOLDEN_GRAPHS[name](), p)
+    out = tmp_path / "col.json"
+    assert main(["frac-colour", "--input", str(p), "--epsilon", eps,
+                 "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_FRAC_COLOUR[name, eps]
+
+
+@pytest.mark.parametrize("argv, g", [
+    (["hardcore-stats", "--lam", "1.0"], edgeless(1500)),
+    (["hardcore-stats", "--lam", "1.0"], path(1500)),
+    (["semibip"], path(1500)),
+    (["frac-colour", "--epsilon", "2.0"], edgeless(1500)),
+], ids=["stats-edgeless", "stats-path", "semibip-path", "frac-colour-edgeless"])
+def test_exact_kernel_past_the_recursion_limit_is_resource_error(tmp_path, capsys, argv, g):
+    p = tmp_path / "big.edges"
+    write_edge_list(g, p)
+    assert main(argv + ["--input", str(p), "--cutoff", "2000"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_byte_identical_reruns(c5_file, tmp_path):

@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hcchroma import (
@@ -33,6 +33,8 @@ from hcchroma.fractional import (
 )
 from hcchroma.hardcore import enumerate_stats, hcm_lower_bound
 
+import helpers
+
 K1 = edgeless(1)
 K2 = complete_bipartite(1, 1)
 C5_MAX_SETS = [(0, 2), (1, 3), (2, 4), (0, 3), (1, 4)]
@@ -40,6 +42,10 @@ C5_MAX_SETS = [(0, 2), (1, 3), (2, 4), (0, 3), (1, 4)]
 
 def weights_alpha0(g, a0):
     return LocalWeights.from_alpha(g, [(a0, 0.0)] * g.n)
+
+
+def _same_colouring(a, b):
+    return a.parts == b.parts and a.total == b.total and a.taus == b.taus
 
 
 def test_hand_trace_k1():
@@ -179,14 +185,49 @@ def test_set_distribution_validation():
 
 
 def test_table_oracle_restricts_by_intersection():
-    from hcchroma import induced_subgraph, path
+    from hcchroma import path
 
     g = path(3)
     oracle = table_oracle({(0, 2): 1.0, (1,): 1.0})
-    sub, _ = induced_subgraph(g, [0, 1])
-    dist = oracle(sub, (0, 1))
+    dist = oracle(g, (0, 1))
     assert dist.sets == ((0,), (1,))
     assert dist.probs == (0.5, 0.5)
+    # restricted sets keep their global ids on a live set that is not a prefix
+    dist = oracle(g, (1, 2))
+    assert dist.sets == ((1,), (2,))
+    assert dist.probs == (0.5, 0.5)
+    dist = oracle(g, (2,))
+    assert dist.sets == ((), (2,))
+    assert dist.probs == (0.5, 0.5)
+
+
+def test_table_oracle_greedy_past_round_one():
+    # Hand trace on the path 0-1-2 with weights 3/8, 1/8, 2/8, 2/8 on
+    # (0,), (0, 2), (1,), (2,) and alpha = (8, 0), so gamma = 8 never binds.
+    # Round 1, live (0, 1, 2): occupancies 1/2, 1/4, 3/8, tau = 2; vertex 0
+    # saturates alone.  Round 2, live (1, 2): the table restricts to
+    # () 3/8, (1,) 1/4, (2,) 3/8 (from (0, 2) and (2,)); measures so far
+    # 1/2 and 3/4, tau = min(2, 2/3) = 2/3; vertex 2 saturates.  Round 3,
+    # live (1,): () 3/4, (1,) 1/4; vertex 1 still needs 1/3, tau = 4/3.
+    from hcchroma import path
+
+    g = path(3)
+    oracle = table_oracle({(0,): 3.0, (0, 2): 1.0, (1,): 2.0, (2,): 2.0})
+    col = greedy_fractional_colouring(g, weights_alpha0(g, 8.0), oracle)
+    expected = {
+        (): [(2, 9 / 4), (8 / 3, 11 / 3)],
+        (0,): [(0, 3 / 4)],
+        (0, 2): [(3 / 4, 1)],
+        (1,): [(1, 3 / 2), (9 / 4, 29 / 12), (11 / 3, 4)],
+        (2,): [(3 / 2, 2), (29 / 12, 8 / 3)],
+    }
+    assert sorted(col.parts) == sorted(expected)
+    for s, ivs in expected.items():
+        assert len(col.parts[s]) == len(ivs)
+        for got, want in zip(col.parts[s], ivs):
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
+    assert col.taus == pytest.approx((2, 2 / 3, 4 / 3), rel=0, abs=1e-12)
+    assert col.total == pytest.approx(4, rel=0, abs=1e-12)
 
 
 def test_general_r_weights_run_end_to_end():
@@ -200,6 +241,8 @@ def test_general_r_weights_run_end_to_end():
     col = greedy_fractional_colouring(g, weights, hard_core_oracle(1.0))
     assert validate_colouring(g, col, list(weights.gamma)).ok
     assert len(col.taus) <= g.n
+    ref = greedy_fractional_colouring(g, weights, helpers.reference_hard_core_oracle(1.0))
+    assert _same_colouring(col, ref)
 
 
 def test_local_weights_gamma_recomputable():
@@ -297,3 +340,15 @@ def test_pipeline_property_small(n, p, seed, eps):
     assert len(col.taus) <= g.n
     bounds = [vertex_interval_bound(lam, g.degree(v)) for v in range(g.n)]
     assert validate_colouring(g, col, bounds).ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(helpers.triangle_free_graphs(), st.sampled_from([1.0, 2.0, 4.0]))
+@example(edgeless(0), 2.0)
+@example(edgeless(1), 2.0)
+def test_hard_core_oracle_matches_per_round_enumeration(g, eps):
+    # eps = 2 lam covers lam in {0.5, 1, 2}; equality is exact, not approximate
+    lam, weights = choose_local_weights(g, eps)
+    ours = greedy_fractional_colouring(g, weights, hard_core_oracle(lam))
+    ref = greedy_fractional_colouring(g, weights, helpers.reference_hard_core_oracle(lam))
+    assert _same_colouring(ours, ref)

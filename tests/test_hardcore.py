@@ -14,15 +14,16 @@ from hcchroma import (
     complete_bipartite,
     cycle,
     edgeless,
+    path,
     petersen,
     random_triangle_free,
     star,
 )
+from hcchroma.fractional import hard_core_oracle
 from hcchroma.hardcore import (
     conditional_fact_check,
     enumerate_stats,
     enumerate_stats_rational,
-    exact_distribution,
     glauber_sample,
     hcm_lower_bound,
     independent_set_masks,
@@ -190,11 +191,19 @@ def test_fugacity_must_be_finite_and_z_representable():
     assert math.isfinite(enumerate_stats(cycle(5), 1e100).log_partition)
 
 
-def test_exact_distribution_sums_to_one():
-    masks, probs = exact_distribution(cycle(5), 1.0)
-    assert len(masks) == 11
-    assert abs(math.fsum(probs) - 1.0) <= 1e-12
-    assert all(p > 0 for p in probs)
+def test_hard_core_oracle_serves_the_live_sets_in_global_ids():
+    g = cycle(5)
+    oracle = hard_core_oracle(1.0)
+    dist = oracle(g, (0, 1, 2, 3, 4))
+    assert len(dist.sets) == 11
+    assert abs(math.fsum(dist.probs) - 1.0) <= 1e-12
+    assert all(p > 0 for p in dist.probs)
+    # a live set that is not a prefix: C5 keeps only the edge 3-4 on it
+    dist = oracle(g, (1, 3, 4))
+    assert dist.sets == ((), (1,), (1, 3), (1, 4), (3,), (4,))
+    assert dist.probs == (1 / 6,) * 6
+    # the same oracle called on another graph lists that graph's sets
+    assert oracle(path(3), (0, 1, 2)).sets == ((), (0,), (0, 2), (1,), (2,))
 
 
 def test_glauber_stays_independent_and_deterministic():
@@ -297,20 +306,6 @@ def test_max_distance_is_at_most_the_vertex_count():
     assert enumerate_stats(edgeless(0), 1.0).neighbour_occupancy == {1: ()}
 
 
-@st.composite
-def triangle_free_graphs(draw, max_n=14):
-    """Triangle-free graphs on 0..max_n vertices; up to three of the
-    highest-numbered vertices are kept isolated."""
-    n = draw(st.integers(min_value=0, max_value=max_n))
-    isolated = draw(st.integers(min_value=0, max_value=min(n, 3)))
-    core = random_triangle_free(
-        n - isolated,
-        draw(st.floats(min_value=0.0, max_value=0.6)),
-        draw(st.integers(min_value=0, max_value=10_000)),
-    )
-    return Graph.from_edges(n, list(core.edges()))
-
-
 GADGET = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (2, 4), (3, 5), (4, 5)])
 
 
@@ -319,7 +314,7 @@ def _close(a, b):
 
 
 @settings(max_examples=60, deadline=None)
-@given(triangle_free_graphs(), st.sampled_from([0.25, 0.7, 1.0, 2.0, 3.3]))
+@given(helpers.triangle_free_graphs(), st.sampled_from([0.25, 0.7, 1.0, 2.0, 3.3]))
 @example(edgeless(0), 0.7)
 @example(edgeless(1), 0.7)
 @example(Graph.from_edges(5, [(0, 1), (1, 2)]), 1.0)
@@ -337,7 +332,7 @@ def test_kernel_stats_match_enumeration(g, lam):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    triangle_free_graphs(),
+    helpers.triangle_free_graphs(),
     st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(7, 5), Fraction(3)]),
 )
 @example(edgeless(0), Fraction(2))
@@ -349,7 +344,7 @@ def test_kernel_rational_stats_match_enumeration(g, lam):
 
 
 @settings(max_examples=40, deadline=None)
-@given(triangle_free_graphs(), st.sampled_from([0.5, 1.0, 2.0, 0.7, 3.3]))
+@given(helpers.triangle_free_graphs(), st.sampled_from([0.5, 1.0, 2.0, 0.7, 3.3]))
 @example(edgeless(0), 0.7)
 @example(edgeless(1), 0.7)
 @example(GADGET, 0.7)
