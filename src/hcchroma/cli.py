@@ -75,7 +75,7 @@ def cmd_hardcore_stats(args: argparse.Namespace) -> int:
     else:
         steps = args.steps
         if steps is None:
-            steps = max(10_000, 50 * g.n)
+            steps = hardcore.default_glauber_steps(g.n)
         if args.trials < 1 or steps < 1:
             raise InputError("sampled mode needs --trials and --steps of at least 1")
         counts = [0] * g.n
@@ -230,9 +230,10 @@ def cmd_semibip(args: argparse.Namespace) -> int:
     a_side, b_side, avg_degree = constructions.semi_bipartite_extract(
         g, lam=lam, trials=args.trials, seed=args.seed, cutoff=cutoff
     )
-    for i, u in enumerate(a_side):
-        for v in a_side[i + 1:]:
-            if v in g.adjacency[u]:
+    a_set = set(a_side)
+    for u in a_side:
+        for v in g.adjacency[u]:
+            if v in a_set:
                 raise HcchromaError(f"extracted part is not independent: edge {u}-{v}")
     boundary = sum(g.degree(v) for v in a_side)
     if g.n and abs(avg_degree - 2.0 * boundary / g.n) > 1e-9:

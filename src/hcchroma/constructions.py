@@ -436,14 +436,15 @@ def semi_bipartite_extract(
     else:
         if trials < 1:
             raise InputError("trials must be at least 1")
-        n_steps = steps if steps is not None else max(10_000, 50 * g.n)
+        n_steps = steps if steps is not None else hardcore.default_glauber_steps(g.n)
         for t in range(trials):
             members = hardcore.glauber_sample(g, lam, n_steps, seed + t)
             score = _boundary_score(g, members)
             if score > best_score or (score == best_score and (best is None or members < best)):
                 best, best_score = members, score
     assert best is not None
-    b_side = tuple(v for v in range(g.n) if v not in set(best))
+    a_set = set(best)
+    b_side = tuple(v for v in range(g.n) if v not in a_set)
     avg_degree = 2.0 * best_score / g.n
     return best, b_side, avg_degree
 

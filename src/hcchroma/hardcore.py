@@ -11,8 +11,9 @@ and the two conditional-law identities that hold on triangle-free graphs
 are all exact quotients of polynomials evaluated at lambda.  Only
 frac-colour's oracle enumerates independent sets: it lists G's sets once
 per run, for the fractional colouring's parts.  The module also provides a
-Glauber-dynamics sampler for graphs above the exact cutoff and the
-occupancy lower bound used by the fractional-colouring weight
+Glauber-dynamics sampler for graphs above the exact cutoff, whose steps
+cost O(1) each plus O(deg v) when the chosen vertex v changes state, and
+the occupancy lower bound used by the fractional-colouring weight
 optimisation.
 """
 
@@ -292,6 +293,12 @@ def neighbour_occupancy(
     }
 
 
+def default_glauber_steps(n: int) -> int:
+    """Glauber steps per chain when the caller gives none: 50 per vertex,
+    and at least 10,000."""
+    return max(10_000, 50 * n)
+
+
 def glauber_sample(
     g: Graph, lam: float, steps: int, seed: int, check_each_step: bool = False
 ) -> VertexSet:
@@ -300,39 +307,57 @@ def glauber_sample(
     Each step picks a uniform vertex; if it has no occupied neighbour it
     becomes occupied with probability lambda / (1 + lambda) and unoccupied
     otherwise, while a vertex with an occupied neighbour always becomes
-    unoccupied.  The stationary law is the hard-core model.  Deterministic
-    for a fixed seed; ``check_each_step`` asserts that the state stays an
-    independent set.
+    unoccupied (Dyer & Greenhill, "On Markov chains for independent sets",
+    2000).  The stationary law is the hard-core model.
+
+    Random stream: ``random.Random(seed)``; each step draws its vertex as
+    ``randrange(n)`` does (``getrandbits(n.bit_length())`` until the value
+    is below n) and then calls ``random()`` once, only if the vertex has no
+    occupied neighbour.  The draws are those of a loop that calls
+    ``randrange(n)``, and the result is deterministic for a fixed seed.
+
+    Cost: the state is a flag per vertex plus a count of its occupied
+    neighbours, so a step costs O(1), plus O(deg v) when v changes state.
+    ``check_each_step`` asserts after every step, from the adjacency
+    bitmasks rather than the counts, that the state is an independent set.
     """
     import random
 
     _check_fugacity(lam)
     if steps < 1:
         raise InputError("steps must be at least 1")
-    if g.n == 0:
+    n = g.n
+    if n == 0:
         return ()
     rng = random.Random(seed)
-    adj = g.adjacency_masks
+    getrandbits = rng.getrandbits
+    uniform = rng.random
+    k = n.bit_length()
+    adjacency = g.adjacency
     p_occ = lam / (1.0 + lam)
-    state = 0
-    n = g.n
+    occupied = bytearray(n)
+    blocked = [0] * n  # occupied neighbours; an occupied vertex has none
     for _ in range(steps):
-        v = rng.randrange(n)
-        bit = 1 << v
-        if adj[v] & state:
-            state &= ~bit
-        elif rng.random() < p_occ:
-            state |= bit
-        else:
-            state &= ~bit
+        v = getrandbits(k)
+        while v >= n:
+            v = getrandbits(k)
+        if blocked[v]:
+            continue  # v is unoccupied and stays so
+        if uniform() < p_occ:
+            if not occupied[v]:
+                occupied[v] = 1
+                for u in adjacency[v]:
+                    blocked[u] += 1
+        elif occupied[v]:
+            occupied[v] = 0
+            for u in adjacency[v]:
+                blocked[u] -= 1
         if check_each_step:
-            m = state
-            while m:
-                b = m & -m
-                m ^= b
-                if adj[b.bit_length() - 1] & state:
-                    raise AssertionError("Glauber state left the independent sets")
-    return mask_to_vertex_set(state)
+            members = [u for u in range(n) if occupied[u]]
+            state = sum(1 << u for u in members)
+            if any(g.adjacency_masks[u] & state for u in members):
+                raise AssertionError("Glauber state left the independent sets")
+    return tuple(v for v in range(n) if occupied[v])
 
 
 def conditional_fact_check(

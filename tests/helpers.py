@@ -4,9 +4,9 @@ The oracles here deliberately avoid the package's exact kernels so they
 can serve as independent references: independent sets come from itertools
 subsets or from the package's set enumerator (itself checked against
 itertools), triangles from a full triple scan, distances from networkx.
-The `reference_*` functions are the enumerating implementations that the
-independence-polynomial kernel and the once-per-run hard-core oracle
-replaced.
+The `reference_*` functions are the implementations that the
+independence-polynomial kernel, the once-per-run hard-core oracle and the
+counter-based Glauber sampler replaced.
 """
 
 from __future__ import annotations
@@ -204,6 +204,29 @@ def glauber_empirical_occupancy(g, lam, chains, steps, seed0):
         for v in glauber_sample(g, lam, steps, seed0 + t):
             counts[v] += 1
     return [c / chains for c in counts]
+
+
+def reference_glauber_sample(g: Graph, lam: float, steps: int, seed: int):
+    """Glauber dynamics on one bitmask state, drawing each vertex with
+    ``randrange(n)`` and testing ``adj[v] & state`` every step: the sampler
+    `glauber_sample` must return exactly this tuple."""
+    if g.n == 0:
+        return ()
+    rng = random.Random(seed)
+    adj = g.adjacency_masks
+    p_occ = lam / (1.0 + lam)
+    state = 0
+    n = g.n
+    for _ in range(steps):
+        v = rng.randrange(n)
+        bit = 1 << v
+        if adj[v] & state:
+            state &= ~bit
+        elif rng.random() < p_occ:
+            state |= bit
+        else:
+            state &= ~bit
+    return mask_to_vertex_set(state)
 
 
 def reference_edge_failures(g: Graph, col) -> list[str]:

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hcchroma
-from hcchroma import hardcore
+from hcchroma import constructions, hardcore
 from hcchroma.cli import main
 from hcchroma.graph import (
     complete,
@@ -262,6 +262,27 @@ def test_semibip_triangle_is_hypothesis_error(k3_file):
     assert main(["semibip", "--input", str(k3_file), "--lam", "1.0"]) == 2
 
 
+@pytest.mark.parametrize("a_side, code", [
+    ((), 0),
+    ((2,), 0),
+    ((0, 2, 3), 2),  # the edge 2-3 is the last pair of A
+    ((0, 2, 4), 2),  # the edge 0-4 joins the first and the last member
+])
+def test_semibip_rejects_a_dependent_part(c5_file, capsys, monkeypatch, a_side, code):
+    def extract(g, **kwargs):
+        b_side = tuple(v for v in range(g.n) if v not in a_side)
+        return a_side, b_side, 2.0 * sum(g.degree(v) for v in a_side) / g.n
+
+    monkeypatch.setattr(constructions, "semi_bipartite_extract", extract)
+    assert main(["semibip", "--input", str(c5_file)]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == ""
+        assert "not independent" in err
+    else:
+        assert _strict_json(out)["A"] == list(a_side)
+
+
 # sha256 of frac-colour's output, recorded with an oracle that enumerated
 # each round's live subgraph afresh; any change to the bytes fails here.
 # random_triangle_free(16, 0.35, seed 0) has no isolated vertex.
@@ -291,6 +312,35 @@ def test_frac_colour_output_bytes_are_golden(tmp_path, name, eps):
     assert main(["frac-colour", "--input", str(p), "--epsilon", eps,
                  "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_FRAC_COLOUR[name, eps]
+
+
+# sha256 of sampled-mode output (four Glauber chains from seed 3), recorded
+# with the bitmask sampler that drew each vertex by randrange(n); any change
+# to the random stream or the chain fails here.  C5 is sampled by a cutoff
+# below its order.
+GOLDEN_SAMPLED = {
+    ("c5", "hardcore-stats"): "3ef7ca47cf1816311c194bea44bd666ae64cc13156b7832ffc0b63fb57e4437f",
+    ("c5", "semibip"): "a88a331de60aa877545cd8eaa5988392b7a96660a695da1829d64d84e79d64b4",
+    ("rtf40", "hardcore-stats"): "bf77c434ec7790cc145c33bf0a77f18c79c283d7baf3b0dfbb0a519aa7724c3c",
+    ("rtf40", "semibip"): "8095676eb96895bf633c968ddc0e48dcc2ce31c26781c75dcd3ccd827e973461",
+}
+SAMPLED_GRAPHS = {
+    "c5": (lambda: cycle(5), "4"),
+    "rtf40": (lambda: random_triangle_free(40, 0.15, 0), "10"),
+}
+
+
+@pytest.mark.parametrize("name, command", sorted(GOLDEN_SAMPLED))
+def test_sampled_output_bytes_are_golden(tmp_path, name, command):
+    make, cutoff = SAMPLED_GRAPHS[name]
+    p = tmp_path / f"{name}.edges"
+    write_edge_list(make(), p)
+    out = tmp_path / "out.json"
+    lam = ["--lam", "1.0"] if command == "hardcore-stats" else []
+    assert main([command, "--input", str(p), *lam, "--cutoff", cutoff, "--trials", "4",
+                 "--seed", "3", "--output", str(out)]) == 0
+    assert _strict_json(out.read_text())["mode"] == "sampled"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SAMPLED[name, command]
 
 
 @pytest.mark.parametrize("argv, g", [

@@ -217,6 +217,33 @@ def test_glauber_stays_independent_and_deterministic():
         glauber_sample(g, 1.5, 0, seed=1)
 
 
+def _power_of_two_order_graphs():
+    # n = 2^j needs j + 1 random bits per draw, so about half the draws are
+    # rejected; j = 0 is the one-vertex graph
+    return st.builds(
+        random_triangle_free,
+        st.integers(min_value=0, max_value=5).map(lambda j: 2 ** j),
+        st.floats(min_value=0.0, max_value=0.6),
+        st.integers(min_value=0, max_value=10_000),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    g=st.one_of(helpers.triangle_free_graphs(max_n=40), _power_of_two_order_graphs()),
+    lam=st.sampled_from((1e-300, 0.37, 1.0, 1e300)),
+    steps=st.sampled_from((1, 7, 500)),
+    seed=st.integers(min_value=0, max_value=2 ** 32),
+)
+@example(g=edgeless(1), lam=1.0, steps=500, seed=0)
+@example(g=random_triangle_free(32, 0.2, 1), lam=0.37, steps=500, seed=3)
+@example(g=petersen(), lam=1e300, steps=500, seed=5)
+def test_glauber_matches_reference_sampler(g, lam, steps, seed):
+    expected = helpers.reference_glauber_sample(g, lam, steps, seed)
+    assert glauber_sample(g, lam, steps, seed) == expected
+    assert glauber_sample(g, lam, steps, seed, check_each_step=True) == expected
+
+
 def test_glauber_edgeless_high_fugacity():
     # independent coordinates: empirical frequency near lambda/(1+lambda)
     g = edgeless(4)
