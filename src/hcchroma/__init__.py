@@ -61,12 +61,10 @@ from .fractional import (
 )
 from .dpcolor import (
     Cover,
-    PartialDpState,
     finishing_blow_hypothesis,
     from_list_assignment,
     lll_certify,
     solve,
-    star_degree,
     two_phase_colour,
     validate_cover,
     verify_dp_colouring,

@@ -141,7 +141,9 @@ def cmd_dp_solve(args: argparse.Namespace) -> int:
     cover, labels = dpcolor.load_cover(args.cover)
     ell = args.ell
     payload: dict = {}
-    if ell is not None and args.certify:
+    if args.certify:
+        if ell is None:
+            raise InputError("--certify needs --ell")
         cert = dpcolor.lll_certify(cover, ell)
         payload["certificate"] = {
             "certified": cert.certified,
@@ -153,7 +155,6 @@ def cmd_dp_solve(args: argparse.Namespace) -> int:
         if ell is None:
             raise InputError("--two-phase needs --ell")
         result = dpcolor.two_phase_colour(
-            cover.base,
             cover,
             ell,
             rounds=args.rounds,
@@ -299,11 +300,12 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, default=None, help="truncate lists to this size")
     p.add_argument("--max-resamples", type=int, default=dpcolor.DEFAULT_MAX_RESAMPLES)
     p.add_argument("--certify", action="store_true",
-                   help="require a local-lemma certificate before solving")
+                   help="report the local-lemma certificate of the ell-truncated cover "
+                        "(needs --ell; exit 2 if the finishing-blow hypothesis fails)")
     p.add_argument("--two-phase", action="store_true",
                    help="random partial colouring first, then the certified finisher")
     p.add_argument("--rounds", type=int, default=10,
-                   help="restarts for --two-phase")
+                   help="restarts for --two-phase, at least 1")
 
     p = sub.add_parser("construct", help="build and verify the lower-bound instance")
     p.set_defaults(run=cmd_construct)

@@ -99,13 +99,6 @@ class Cover:
         return tuple(tuple(sorted(lst)) for lst in out)
 
 
-def star_degree(c: Cover, node: int) -> int:
-    """Number of cross edges at a colour node (same-list edges excluded)."""
-    if not 0 <= node < c.num_colour_nodes:
-        raise InputError(f"colour node {node} out of range")
-    return len(c.star_adjacency[node])
-
-
 @dataclass(frozen=True)
 class CoverReport:
     ok: bool
@@ -226,14 +219,23 @@ def truncate_lists(c: Cover, ell) -> tuple[Cover, tuple[int, ...]]:
             raise InputError(f"list of vertex {u} shorter than ell({u})")
         keep.extend(lst[: ell_v[u]])
     keep.sort()
+    return _restrict(c, c.base, range(c.base.n), keep), tuple(keep)
+
+
+def _restrict(c: Cover, base: Graph, base_map, keep: list[int]) -> Cover:
+    """The cover over ``base`` on the sorted colour nodes ``keep`` of ``c``.
+
+    Node ``keep[i]`` becomes node i, owned by ``base_map[old owner]``; the
+    cross edges with both ends kept carry over.
+    """
     new_id = {old: new for new, old in enumerate(keep)}
-    owner = tuple(c.owner[old] for old in keep)
+    owner = tuple(base_map[c.owner[old]] for old in keep)
     cross = frozenset(
         (new_id[a], new_id[b])
         for a, b in c.cross_edges
         if a in new_id and b in new_id
     )
-    return Cover(c.base, owner, cross), tuple(keep)
+    return Cover(base, owner, cross)
 
 
 @dataclass(frozen=True)
@@ -255,22 +257,16 @@ class LllReport:
     num_bad_events: int
 
 
-def lll_certify(c: Cover, ell, enforce_hypothesis: bool = True) -> LllReport:
+def lll_certify(c: Cover, ell) -> LllReport:
     """Verify the local-lemma hypothesis edge by edge on the truncated cover.
 
-    With ``enforce_hypothesis`` (the default) a failing finishing-blow
-    check is a precondition error; passing False skips only the
-    star-degree part, so the numeric inequality can be evaluated on
-    instances the coarse degree condition rejects (it may still certify
-    them, list sizes permitting).
+    Raises HypothesisError when the finishing-blow hypothesis fails.
     """
     report = finishing_blow_hypothesis(c, ell)
     if not report.ok:
-        star_only = all("star degree" in v for v in report.violations)
-        if enforce_hypothesis or not star_only:
-            raise HypothesisError(
-                "finishing-blow hypothesis fails: " + "; ".join(report.violations[:3])
-            )
+        raise HypothesisError(
+            "finishing-blow hypothesis fails: " + "; ".join(report.violations[:3])
+        )
     ell_v = _normalise_ell(c, ell)
     trunc, _ = truncate_lists(c, ell_v)
     edges = sorted(trunc.cross_edges)
@@ -390,47 +386,21 @@ def solve(
     return choice
 
 
-class PartialDpState:
-    """Partial correspondence colouring with maintained residual lists.
+def _random_partial(c: Cover, rng: random.Random) -> dict[int, int]:
+    """Phase 1: one uniform draw per non-empty list, in vertex order.
 
-    ``chosen`` maps coloured base vertices to their colour node; the
-    residual list of an uncoloured vertex is its list minus the cross
-    partners of every chosen node.
+    A draw is kept unless it is a cross partner of an earlier kept draw;
+    returns the kept draws as base vertex -> colour node.  O(sum of deg*).
     """
-
-    def __init__(self, cover: Cover):
-        self.cover = cover
-        self.chosen: dict[int, int] = {}
-        self.residual: list[set[int]] = [set(lst) for lst in cover.lists]
-
-    def domain(self) -> tuple[int, ...]:
-        return tuple(sorted(self.chosen))
-
-    def residual_list(self, u: int) -> tuple[int, ...]:
-        return tuple(sorted(self.residual[u]))
-
-    def conflicts(self, node: int) -> bool:
-        """True if ``node`` is H-adjacent to an already chosen node."""
-        u = self.cover.owner[node]
-        if u in self.chosen:
-            return True
-        chosen_nodes = set(self.chosen.values())
-        return any(p in chosen_nodes for p in self.cover.star_adjacency[node])
-
-    def choose(self, node: int) -> None:
-        u = self.cover.owner[node]
-        if u in self.chosen:
-            raise InputError(f"vertex {u} already coloured")
-        self.chosen[u] = node
-        for p in self.cover.star_adjacency[node]:
-            self.residual[self.cover.owner[p]].discard(p)
-
-    def recomputed_residual(self, u: int) -> tuple[int, ...]:
-        """Residual list of ``u`` recomputed from scratch (test oracle)."""
-        banned = set()
-        for node in self.chosen.values():
-            banned.update(self.cover.star_adjacency[node])
-        return tuple(sorted(set(self.cover.lists[u]) - banned))
+    chosen: dict[int, int] = {}
+    banned: set[int] = set()
+    for u, lst in enumerate(c.lists):
+        if lst:
+            node = rng.choice(lst)
+            if node not in banned:
+                chosen[u] = node
+                banned.update(c.star_adjacency[node])
+    return chosen
 
 
 def residual_cover(c: Cover, chosen: Mapping[int, int]):
@@ -451,14 +421,7 @@ def residual_cover(c: Cover, chosen: Mapping[int, int]):
         for node in range(c.num_colour_nodes)
         if c.owner[node] not in chosen and node not in banned
     ]
-    node_new = {old: new for new, old in enumerate(keep_nodes)}
-    owner = tuple(base_map[c.owner[old]] for old in keep_nodes)
-    cross = frozenset(
-        (node_new[a], node_new[b])
-        for a, b in c.cross_edges
-        if a in node_new and b in node_new
-    )
-    return Cover(sub_base, owner, cross), tuple(keep_nodes), base_map
+    return _restrict(c, sub_base, base_map, keep_nodes), tuple(keep_nodes), base_map
 
 
 @dataclass(frozen=True)
@@ -470,7 +433,6 @@ class TwoPhaseResult:
 
 
 def two_phase_colour(
-    g: Graph,
     c: Cover,
     ell,
     rounds: int = 10,
@@ -486,33 +448,27 @@ def two_phase_colour(
     hypothesis fails, a bounded uncertified solve of the residual instance
     is still attempted before restarting, so small instances succeed even
     without a certificate.  No asymptotic list-size guarantee is promised;
-    after ``rounds`` failed restarts a diagnostic report is returned.
-    Every colouring produced is verified against the original cover.
+    after ``rounds`` (at least 1) failed restarts a diagnostic report is
+    returned.  Phase 1 and the residual cover cost O(sum of deg* + m) per
+    attempt, plus the solver.  Every colouring produced is verified
+    against the original cover.
     """
-    if g != c.base:
-        raise InputError("cover does not belong to the given graph")
-    if not is_triangle_free(g):
+    if rounds < 1:
+        raise InputError(f"rounds must be at least 1, got {rounds}")
+    if not is_triangle_free(c.base):
         raise HypothesisError("two_phase_colour requires a triangle-free base graph")
     ell_v = _normalise_ell(c, ell)
     diagnostics: dict = {}
-    certified = False
-    for attempt in range(max(1, rounds)):
-        rng = random.Random(seed * 1_000_003 + attempt)
-        state = PartialDpState(c)
-        draws = [rng.choice(c.lists[u]) if c.lists[u] else None for u in range(c.base.n)]
-        for u, node in enumerate(draws):
-            if node is not None and not state.conflicts(node):
-                state.choose(node)
-        residual, node_map, base_map = residual_cover(c, state.chosen)
-        remaining = [u for u in range(c.base.n) if u not in state.chosen]
+    for attempt in range(rounds):
+        chosen = _random_partial(c, random.Random(seed * 1_000_003 + attempt))
+        residual, node_map, _ = residual_cover(c, chosen)
+        remaining = [u for u in range(c.base.n) if u not in chosen]
         ell_res = [ell_v[u] for u in remaining]
         report = finishing_blow_hypothesis(residual, ell_res)
         diagnostics = {
             "attempt": attempt,
-            "phase1_coloured": len(state.chosen),
-            "residual_min_list": min(
-                (len(lst) for lst in residual.lists), default=0
-            ),
+            "phase1_coloured": len(chosen),
+            "residual_min_list": report.min_list_size,
             "residual_max_star": report.max_star_degree,
             "hypothesis_ok": report.ok,
             "violations": list(report.violations[:5]),
@@ -520,8 +476,7 @@ def two_phase_colour(
         sub_choice = None
         if report.ok:
             sub_choice = solve(residual, seed=seed * 7 + attempt, max_resamples=max_resamples, ell=ell_res)
-            certified = True
-        elif all(residual.lists[u] for u in range(residual.base.n)):
+        elif all(residual.lists):
             try:
                 sub_choice = solve(
                     residual, seed=seed * 7 + attempt, max_resamples=max_resamples
@@ -529,15 +484,14 @@ def two_phase_colour(
             except SizeError:
                 sub_choice = None
         if sub_choice is not None:
-            colouring = dict(state.chosen)
-            inv_base = {new: old for old, new in base_map.items()}
+            colouring = dict(chosen)
             for u_new, node_new in sub_choice.items():
-                colouring[inv_base[u_new]] = node_map[node_new]
+                colouring[remaining[u_new]] = node_map[node_new]
             ok, msg = verify_dp_colouring(c, colouring)
             if not ok:
                 raise InternalError(f"two-phase produced an invalid colouring: {msg}")
-            return TwoPhaseResult(colouring, attempt + 1, certified, diagnostics)
-    return TwoPhaseResult(None, max(1, rounds), False, diagnostics)
+            return TwoPhaseResult(colouring, attempt + 1, report.ok, diagnostics)
+    return TwoPhaseResult(None, rounds, False, diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -139,12 +139,15 @@ def neighbourhood_at_distance(g: Graph, v: int, j: int) -> VertexSet:
 
 
 def is_triangle_free(g: Graph) -> bool:
-    """True iff no three vertices are pairwise adjacent."""
-    masks = g.adjacency_masks
-    for u in range(g.n):
-        mu = masks[u]
-        for v in g.adjacency[u]:
-            if v > u and masks[v] & mu:
+    """True iff no three vertices are pairwise adjacent.
+
+    O(n + sum of deg^2) time and O(max deg) memory: each edge's endpoints
+    are checked for a common neighbour against a set of one of them.
+    """
+    for u, nbrs in enumerate(g.adjacency):
+        nu = set(nbrs)
+        for v in nbrs:
+            if v > u and not nu.isdisjoint(g.adjacency[v]):
                 return False
     return True
 

@@ -5,8 +5,8 @@ can serve as independent references: independent sets come from itertools
 subsets or from the package's set enumerator (itself checked against
 itertools), triangles from a full triple scan, distances from networkx.
 The `reference_*` functions are the implementations that the
-independence-polynomial kernel, the once-per-run hard-core oracle and the
-counter-based Glauber sampler replaced.
+independence-polynomial kernel, the once-per-run hard-core oracle, the
+counter-based Glauber sampler and the two-phase colouring's phase 1 replaced.
 """
 
 from __future__ import annotations
@@ -193,6 +193,40 @@ def random_list_instance(
         attempt += 1
         if attempt > 200:
             raise RuntimeError("could not draw a hypothesis-satisfying instance")
+
+
+def reference_random_partial(c: Cover, rng: random.Random) -> dict[int, int]:
+    """Phase 1 of two-phase colouring as the partial-state loop ran it.
+
+    Draws one node per non-empty list first, then keeps each draw in
+    vertex order unless its vertex is coloured or one of its cross partners
+    is among the chosen nodes, rebuilt per draw: `_random_partial` must
+    return exactly this dict and consume the same random draws.
+    """
+    draws = [rng.choice(lst) if lst else None for lst in c.lists]
+    chosen: dict[int, int] = {}
+    for node in draws:
+        if node is None:
+            continue
+        u = c.owner[node]
+        chosen_nodes = set(chosen.values())
+        if u in chosen or any(p in chosen_nodes for p in c.star_adjacency[node]):
+            continue
+        chosen[u] = node
+    return chosen
+
+
+def reference_residual_lists(c: Cover, chosen) -> dict[int, tuple[int, ...]]:
+    """Residual list of each uncoloured vertex, recomputed from scratch: its
+    list minus the cross partners of every chosen node."""
+    banned = set()
+    for node in chosen.values():
+        banned.update(c.star_adjacency[node])
+    return {
+        u: tuple(sorted(set(c.lists[u]) - banned))
+        for u in range(c.base.n)
+        if u not in chosen
+    }
 
 
 def glauber_empirical_occupancy(g, lam, chains, steps, seed0):

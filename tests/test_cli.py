@@ -25,6 +25,9 @@ from hcchroma.graph import (
     star,
     write_edge_list,
 )
+from hcchroma.dpcolor import dump_cover
+
+import helpers
 
 
 def _reject_constant(name):
@@ -187,6 +190,84 @@ def test_dp_solve_unsatisfiable_is_resource_error(tmp_path):
     cover.write_text(json.dumps({"graph": "k2.edges", "lists": {"0": [1], "1": [1]}}))
     code = main(["dp-solve", "--cover", str(cover), "--max-resamples", "10"])
     assert code == 3
+
+
+@pytest.fixture()
+def c5_cover(c5_file, tmp_path):
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({
+        "graph": "c5.edges",
+        "lists": {str(v): [1, 2, 3] for v in range(5)},
+    }))
+    return cover
+
+
+def test_dp_solve_certify_needs_ell(c5_cover, capsys):
+    assert main(["dp-solve", "--cover", str(c5_cover), "--certify"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--certify needs --ell" in err
+
+
+@pytest.mark.parametrize("rounds", ["0", "-3"])
+def test_dp_solve_rejects_rounds_below_one(c5_cover, rounds, capsys):
+    assert main(["dp-solve", "--cover", str(c5_cover), "--two-phase", "--ell", "3",
+                 "--rounds", rounds]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "rounds must be at least 1" in err
+
+
+def _write_dp_golden_covers(d):
+    general = helpers.random_cover(80, 8.0, 20, 2, seed=0)
+    write_edge_list(general.base, d / "g80.edges")
+    dump_cover(general, d / "general.json", d / "g80.edges")
+    g, lists, _, _ = helpers.random_list_instance(30, 3.0, 24, 400, 2)
+    write_edge_list(g, d / "l30.edges")
+    (d / "list.json").write_text(json.dumps(
+        {"graph": "l30.edges", "lists": {str(v): lists[v] for v in range(g.n)}}))
+    write_edge_list(cycle(5), d / "c5.edges")
+    (d / "c5.json").write_text(json.dumps(
+        {"graph": "c5.edges", "lists": {str(v): [1, 2, 3] for v in range(5)}}))
+    write_edge_list(complete(2), d / "k2.edges")
+    (d / "k2.json").write_text(json.dumps({"graph": "k2.edges", "lists": {"0": [1], "1": [1]}}))
+
+
+# sha256 of dp-solve's output, recorded with the partial-state phase 1 that
+# rebuilt the chosen set per draw.  general seed 2 colours 77 of 80 vertices
+# in phase 1 and certifies the residual; c5 finishes uncertified; k2 fails
+# both rounds and exits 3 after writing its diagnostics.
+GOLDEN_DP_SOLVE = {
+    ("general", "two-phase"): (
+        ["--ell", "16", "--two-phase", "--rounds", "3", "--seed", "2"], 0,
+        "f0574b4e570437bb1441d785485fe667dae4b7abf51462177f3abcad4e2533d0"),
+    ("general", "certify"): (
+        ["--ell", "16", "--certify", "--seed", "2"], 0,
+        "93e796898fb68488549d4f5f80644fbf638b4cf8e70134d5866456da888fee9d"),
+    ("list", "two-phase"): (
+        ["--ell", "24", "--two-phase", "--certify", "--seed", "1"], 0,
+        "ecf3c89ee5608daa76468b4e8f1ff37435e851cce15def94c10c89a613072049"),
+    ("c5", "two-phase"): (
+        ["--ell", "3", "--two-phase", "--rounds", "10", "--seed", "2"], 0,
+        "3fb3aeb5634829d55d9e7d8ccbe06e9e37cd402c1ed59370655568de7ea476fc"),
+    ("k2", "two-phase"): (
+        ["--ell", "3", "--two-phase", "--rounds", "2", "--max-resamples", "20"], 3,
+        "6a3d8a27ce6ac3f71e14059d59299fadd8b16f6f86591ce21714da87843d438e"),
+}
+
+
+@pytest.fixture(scope="module")
+def dp_golden_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("dp-golden")
+    _write_dp_golden_covers(d)
+    return d
+
+
+@pytest.mark.parametrize("name, mode", sorted(GOLDEN_DP_SOLVE))
+def test_dp_solve_output_bytes_are_golden(dp_golden_dir, tmp_path, name, mode):
+    flags, code, digest = GOLDEN_DP_SOLVE[name, mode]
+    out = tmp_path / "out.json"
+    assert main(["dp-solve", "--cover", str(dp_golden_dir / f"{name}.json"), *flags,
+                 "--output", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_construct_level1(tmp_path):

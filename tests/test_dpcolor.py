@@ -17,7 +17,7 @@ from hcchroma import (
     edgeless,
 )
 from hcchroma.dpcolor import (
-    PartialDpState,
+    _random_partial,
     dump_cover,
     finishing_blow_hypothesis,
     from_list_assignment,
@@ -25,7 +25,6 @@ from hcchroma.dpcolor import (
     load_cover,
     residual_cover,
     solve,
-    star_degree,
     truncate_lists,
     two_phase_colour,
     validate_cover,
@@ -52,16 +51,14 @@ def test_from_list_assignment_examples():
     cover3, _ = from_list_assignment(c5, [{1, 2, 3}] * 5)
     assert cover3.num_colour_nodes == 15
     assert len(cover3.cross_edges) == 15
-    assert all(star_degree(cover3, c) == 2 for c in range(15))
+    assert all(len(cover3.star_adjacency[c]) == 2 for c in range(15))
 
 
 def test_star_degree_examples():
     cover, labels = from_list_assignment(K2, [{1, 2}, {2, 3}])
     for node in range(4):
         expected = 1 if labels[node] == 2 else 0
-        assert star_degree(cover, node) == expected
-    with pytest.raises(InputError):
-        star_degree(cover, 99)
+        assert len(cover.star_adjacency[node]) == expected
 
 
 def test_validate_cover_detects_violations():
@@ -119,13 +116,15 @@ def test_lll_certify_vacuous_and_strict():
 
 
 def test_lll_certify_isolated_cross_edge():
-    cover = Cover(K2, (0, 0, 0, 1, 1, 1), frozenset({(0, 3)}))
-    report = lll_certify(cover, 3, enforce_hypothesis=False)
-    expected = (1 / 3) * math.exp(-1.4 * (1 / 3)) - 1 / 9
-    assert report.certified
+    # lists of 8 and star degree 1 <= 8/8: the hypothesis holds
+    cover = Cover(K2, (0,) * 8 + (1,) * 8, frozenset({(0, 8)}))
+    report = lll_certify(cover, 8)
+    x = 3 / 64
+    expected = x * math.exp(-1.4 * x) - 1 / 64
+    assert report.certified and report.num_bad_events == 1
     assert abs(report.proof_slack - expected) <= 1e-12
     # raw product form: x * (1 - x')^0 over the dependency set minus itself
-    assert abs(report.glll_slack - ((1 / 3) - 1 / 9)) <= 1e-12
+    assert abs(report.glll_slack - (x - 1 / 64)) <= 1e-12
 
 
 def test_lll_certify_random_cover():
@@ -180,34 +179,63 @@ def test_list_round_trip_proper_colouring():
 
 def test_partial_state_residual_consistency():
     cover = helpers.random_cover(15, 3.0, 6, 3, seed=2)
-    rng = random.Random(7)
-    state = PartialDpState(cover)
-    for u in range(0, cover.base.n, 2):
-        options = [c for c in state.residual_list(u) if not state.conflicts(c)]
-        if options and u not in state.chosen:
-            state.choose(rng.choice(options))
-    for u in range(cover.base.n):
-        if u not in state.chosen:
-            assert state.residual_list(u) == state.recomputed_residual(u)
+    for seed in range(20):
+        chosen = _random_partial(cover, random.Random(seed))
+        # a partial H-colouring: owned nodes, no cross edge inside
+        assert all(cover.owner[node] == u for u, node in chosen.items())
+        picked = set(chosen.values())
+        assert not any(a in picked and b in picked for a, b in cover.cross_edges)
+        residual, node_map, base_map = residual_cover(cover, chosen)
+        for old_u, expected in helpers.reference_residual_lists(cover, chosen).items():
+            assert tuple(node_map[c] for c in residual.lists[base_map[old_u]]) == expected
+
+
+@st.composite
+def covers(draw):
+    """General covers with equal lists, or list-assignment covers whose
+    lists may be empty."""
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    if draw(st.booleans()):
+        return helpers.random_cover(
+            draw(st.integers(min_value=0, max_value=25)),
+            draw(st.floats(min_value=0.0, max_value=6.0)),
+            draw(st.integers(min_value=1, max_value=6)),
+            draw(st.integers(min_value=1, max_value=3)),
+            seed,
+        )
+    g = draw(helpers.triangle_free_graphs())
+    palette = draw(st.integers(min_value=1, max_value=6))
+    lists = [draw(st.sets(st.integers(0, palette - 1))) for _ in range(g.n)]
+    return from_list_assignment(g, lists)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(covers(), st.integers(min_value=0, max_value=10**6))
+def test_random_partial_matches_reference(cover, seed):
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    assert _random_partial(cover, rng) == helpers.reference_random_partial(cover, ref_rng)
+    # the same random draws were consumed
+    assert rng.random() == ref_rng.random()
 
 
 def test_residual_cover_structure():
     cover = helpers.random_cover(12, 3.0, 5, 3, seed=4)
-    state = PartialDpState(cover)
-    state.choose(cover.lists[0][0])
-    state.choose(cover.lists[5][2])
-    residual, node_map, base_map = residual_cover(cover, state.chosen)
+    chosen = {0: cover.lists[0][0], 5: cover.lists[5][2]}
+    residual, node_map, base_map = residual_cover(cover, chosen)
     assert residual.base.n == 10
     assert validate_cover(residual).ok
     for new_node, old_node in enumerate(node_map):
-        assert cover.owner[old_node] not in state.chosen
-    # residual lists match the state's bookkeeping
-    for old_u in range(12):
-        if old_u in state.chosen:
-            continue
+        assert cover.owner[old_node] not in chosen
+        assert base_map[cover.owner[old_node]] == residual.owner[new_node]
+    # the cross edges kept are exactly those with both ends kept
+    kept = set(node_map)
+    assert {(node_map[a], node_map[b]) for a, b in residual.cross_edges} == {
+        e for e in cover.cross_edges if kept.issuperset(e)
+    }
+    # residual lists match a recomputation from scratch
+    for old_u, expected in helpers.reference_residual_lists(cover, chosen).items():
         new_u = base_map[old_u]
-        got = tuple(node_map[c] for c in residual.lists[new_u])
-        assert got == state.residual_list(old_u)
+        assert tuple(node_map[c] for c in residual.lists[new_u]) == expected
 
 
 def test_two_phase_on_c5():
@@ -220,7 +248,7 @@ def test_two_phase_on_c5():
         for pick in itertools.product(*lists)
     )
     assert exists
-    result = two_phase_colour(c5, cover, 3, rounds=10, seed=1)
+    result = two_phase_colour(cover, 3, rounds=10, seed=1)
     assert result.colouring is not None
     assert verify_dp_colouring(cover, result.colouring)[0]
 
@@ -229,12 +257,12 @@ def test_two_phase_requires_triangle_free():
     k3 = complete(3)
     cover, _ = from_list_assignment(k3, [{1, 2, 3}] * 3)
     with pytest.raises(HypothesisError):
-        two_phase_colour(k3, cover, 3, rounds=1, seed=0)
+        two_phase_colour(cover, 3, rounds=1, seed=0)
 
 
 def test_two_phase_certified_path():
     cover = helpers.random_cover(40, 4.0, 24, 3, seed=21)
-    result = two_phase_colour(cover.base, cover, 24, rounds=5, seed=3)
+    result = two_phase_colour(cover, 24, rounds=5, seed=3)
     assert result.colouring is not None
     assert verify_dp_colouring(cover, result.colouring)[0]
 
@@ -242,10 +270,17 @@ def test_two_phase_certified_path():
 def test_two_phase_failure_reports_diagnostics():
     # lists far too small and heavily matched: hypothesis can never pass
     cover, _ = from_list_assignment(K2, [{1}, {1}])
-    result = two_phase_colour(K2, cover, 3, rounds=2, seed=0, max_resamples=20)
+    result = two_phase_colour(cover, 3, rounds=2, seed=0, max_resamples=20)
     assert result.colouring is None
     assert result.rounds_used == 2
     assert "residual_min_list" in result.diagnostics
+
+
+@pytest.mark.parametrize("rounds", [0, -3])
+def test_two_phase_rejects_rounds_below_one(rounds):
+    cover, _ = from_list_assignment(cycle(5), [{1, 2, 3}] * 5)
+    with pytest.raises(InputError, match="rounds"):
+        two_phase_colour(cover, 3, rounds=rounds)
 
 
 def test_cover_file_round_trip(tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,21 @@ def test_triangle_free_examples():
 @given(graphs())
 def test_triangle_free_matches_brute_scan(g):
     assert is_triangle_free(g) == (not helpers.brute_has_triangle(g))
+    assert "adjacency_masks" not in g.__dict__
+
+
+@settings(max_examples=60, deadline=None)
+@given(helpers.triangle_free_graphs(), st.data())
+def test_triangle_check_on_triangle_free_graphs_with_one_triangle_added(g, data):
+    assert is_triangle_free(g) and not helpers.brute_has_triangle(g)
+    assert "adjacency_masks" not in g.__dict__
+    if g.n < 3:
+        return
+    tri = data.draw(st.lists(st.integers(0, g.n - 1), min_size=3, max_size=3, unique=True))
+    edges = set(g.edges()) | {(min(a, b), max(a, b)) for a, b in itertools.combinations(tri, 2)}
+    h = Graph.from_edges(g.n, sorted(edges))
+    assert not is_triangle_free(h) and helpers.brute_has_triangle(h)
+    assert "adjacency_masks" not in h.__dict__
 
 
 def test_induced_subgraph_examples():
