@@ -22,11 +22,11 @@ from .graph import (
     complete,
     complete_bipartite,
     cycle,
+    distance_layers,
     edgeless,
     format_edge_list,
     induced_subgraph,
     is_triangle_free,
-    neighbourhood_at_distance,
     parse_edge_list,
     path,
     petersen,

@@ -141,6 +141,8 @@ def cmd_dp_solve(args: argparse.Namespace) -> int:
     cover, labels = dpcolor.load_cover(args.cover)
     ell = args.ell
     payload: dict = {}
+    if args.rounds is not None and not args.two_phase:
+        raise InputError("--rounds needs --two-phase")
     if args.certify:
         if ell is None:
             raise InputError("--certify needs --ell")
@@ -157,7 +159,7 @@ def cmd_dp_solve(args: argparse.Namespace) -> int:
         result = dpcolor.two_phase_colour(
             cover,
             ell,
-            rounds=args.rounds,
+            rounds=10 if args.rounds is None else args.rounds,
             seed=args.seed,
             max_resamples=args.max_resamples,
         )
@@ -297,15 +299,15 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--cover", required=True, help="cover JSON file")
     p.add_argument("--output", help="output file (default: stdout)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ell", type=int, default=None, help="truncate lists to this size")
+    p.add_argument("--ell", type=int, default=None, help="truncate lists to this size, >= 1")
     p.add_argument("--max-resamples", type=int, default=dpcolor.DEFAULT_MAX_RESAMPLES)
     p.add_argument("--certify", action="store_true",
                    help="report the local-lemma certificate of the ell-truncated cover "
                         "(needs --ell; exit 2 if the finishing-blow hypothesis fails)")
     p.add_argument("--two-phase", action="store_true",
                    help="random partial colouring first, then the certified finisher")
-    p.add_argument("--rounds", type=int, default=10,
-                   help="restarts for --two-phase, at least 1")
+    p.add_argument("--rounds", type=int, default=None,
+                   help="restarts for --two-phase (needs it), at least 1; default 10")
 
     p = sub.add_parser("construct", help="build and verify the lower-bound instance")
     p.set_defaults(run=cmd_construct)

@@ -408,7 +408,6 @@ def semi_bipartite_extract(
     trials: int = 32,
     seed: int = 0,
     cutoff: int = hardcore.DEFAULT_CUTOFF,
-    steps: int | None = None,
 ) -> tuple[VertexSet, VertexSet, float]:
     """Independent set A maximising the boundary edge count, with complement.
 
@@ -418,9 +417,9 @@ def semi_bipartite_extract(
     by `_max_degree_sum_set`, so ``lam`` is only checked, not used: the
     result is the lexicographically first independent set of maximum
     degree sum.  Above it, ``trials`` Glauber samples at fugacity ``lam``
-    (seeds ``seed``, ``seed + 1``, ...) are scored instead.  Ties break
-    towards the lexicographically smallest A.  Returns (A, B, average
-    degree 2 e(A, B) / n).
+    (seeds ``seed``, ``seed + 1``, ..., `default_glauber_steps` steps each)
+    are scored instead.  Ties break towards the lexicographically smallest
+    A.  Returns (A, B, average degree 2 e(A, B) / n).
     """
     if not is_triangle_free(g):
         raise HypothesisError("semi_bipartite_extract requires a triangle-free graph")
@@ -436,7 +435,7 @@ def semi_bipartite_extract(
     else:
         if trials < 1:
             raise InputError("trials must be at least 1")
-        n_steps = steps if steps is not None else hardcore.default_glauber_steps(g.n)
+        n_steps = hardcore.default_glauber_steps(g.n)
         for t in range(trials):
             members = hardcore.glauber_sample(g, lam, n_steps, seed + t)
             score = _boundary_score(g, members)

@@ -43,6 +43,8 @@ def _normalise_ell(c: "Cover", ell) -> list[int]:
         out = [int(x) for x in ell]
         if len(out) != c.base.n:
             raise InputError("need one list-size target per base vertex")
+    if min(out, default=1) < 1:
+        raise InputError(f"ell must be at least 1, got {min(out)}")
     return out
 
 
@@ -348,8 +350,10 @@ def solve(
     ``ell`` is given), then repeatedly resamples both endpoints of the
     first violated cross edge in canonical edge order until no bad event
     holds.  Deterministic for a fixed seed.  Exceeding ``max_resamples``
-    raises a SizeError, which is never expected on certified instances.
+    (>= 0) raises a SizeError, never expected on certified instances.
     """
+    if max_resamples < 0:
+        raise InputError(f"max_resamples must be at least 0, got {max_resamples}")
     node_map = None
     work = c
     if ell is not None:
@@ -455,6 +459,8 @@ def two_phase_colour(
     """
     if rounds < 1:
         raise InputError(f"rounds must be at least 1, got {rounds}")
+    if max_resamples < 0:
+        raise InputError(f"max_resamples must be at least 0, got {max_resamples}")
     if not is_triangle_free(c.base):
         raise HypothesisError("two_phase_colour requires a triangle-free base graph")
     ell_v = _normalise_ell(c, ell)

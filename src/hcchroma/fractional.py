@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from . import hardcore
 from .errors import HypothesisError, InputError, InternalError, StateError
-from .graph import Graph, VertexSet, induced_subgraph, neighbourhood_at_distance, vertex_set
+from .graph import Graph, VertexSet, distance_layers, vertex_set
 from .numerics import lambert_w
 
 Interval = tuple[float, float]
@@ -174,8 +174,8 @@ class LocalWeights:
             raise InputError("all weight lists must share length r + 1")
         gamma = tuple(
             math.fsum(
-                alpha[v][j] * len(neighbourhood_at_distance(g, v, j))
-                for j in range(r + 1)
+                a * len(layer)
+                for a, layer in zip(alpha[v], ((v,),) + distance_layers(g, v, r))
             )
             for v in range(g.n)
         )
@@ -261,15 +261,17 @@ class FractionalColouring:
         return FractionalColouring(parts, float(data["total"]))
 
 
-def _oracle_scores(h: Graph, occ: Sequence[float], alpha_rows, r: int) -> list[float]:
-    """Per-vertex value of sum_j alpha_j(v) * E|N^j_H(v) /\\ I| on the subgraph."""
+def _oracle_scores(g: Graph, live, occ: Sequence[float], weights: LocalWeights) -> list[float]:
+    """Per live v, sum_j alpha_j(v) * E|N^j_H(v) /\\ I| on H = g[live], with
+    ``occ`` in g's ids; H is read through `distance_layers`' ``within``."""
+    alive = set(live)
     scores = []
-    for v in range(h.n):
-        s = alpha_rows[v][0] * occ[v]
-        for j in range(1, r + 1):
-            layer = h.adjacency[v] if j == 1 else neighbourhood_at_distance(h, v, j)
+    for v in live:
+        row = weights.alpha[v]
+        s = row[0] * occ[v]
+        for a, layer in zip(row[1:], distance_layers(g, v, weights.r, within=alive)):
             if layer:
-                s += alpha_rows[v][j] * math.fsum(occ[u] for u in layer)
+                s += a * math.fsum(occ[u] for u in layer)
         scores.append(s)
     return scores
 
@@ -280,8 +282,9 @@ def greedy_fractional_colouring(
     """Run the greedy measure-spreading loop until every vertex saturates.
 
     Each iteration queries the oracle with G and the unsaturated vertices,
-    checks on their induced subgraph H the hypothesis
-    sum_j alpha_j(v) * E|N^j_H(v) /\\ I_H| >= 1 for every v in H, takes
+    checks the hypothesis sum_j alpha_j(v) * E|N^j_H(v) /\\ I_H| >= 1 for
+    every v in their induced subgraph H, read through ``within`` and not
+    built, takes
 
         tau = min( min_v (1 - w(v)) / Pr(v in I_H),
                    min_v gamma(v) - w(G) ),
@@ -310,11 +313,7 @@ def greedy_fractional_colouring(
             )
         dist = oracle(g, live)
         occ = dist.occupancy(n)
-        h, _ = induced_subgraph(g, live)  # the score reads distances within H
-        scores = _oracle_scores(
-            h, [occ[v] for v in live], [weights.alpha[v] for v in live], weights.r
-        )
-        for v, s in zip(live, scores):
+        for v, s in zip(live, _oracle_scores(g, live, occ, weights)):
             if s < 1.0 - HYPOTHESIS_TOL:
                 raise HypothesisError(
                     f"oracle distribution violates the weight hypothesis at "
@@ -406,10 +405,6 @@ class ValidationReport:
     failures: tuple[str, ...]
     vertex_measure: tuple[float, ...]
     vertex_slack: tuple[float, ...]
-
-    @property
-    def worst_slack(self) -> float:
-        return min(self.vertex_slack) if self.vertex_slack else math.inf
 
 
 def validate_colouring(g: Graph, col: FractionalColouring, bound) -> ValidationReport:

@@ -101,9 +101,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def neighbours(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges (u, v) with u < v in lexicographic order."""
         for u in range(self.n):
@@ -112,30 +109,33 @@ class Graph:
                     yield (u, v)
 
 
-def neighbourhood_at_distance(g: Graph, v: int, j: int) -> VertexSet:
-    """Vertices at distance exactly ``j`` from ``v``, by breadth-first layers.
+def distance_layers(g: Graph, v: int, r: int, within=None) -> tuple[VertexSet, ...]:
+    """Layers N^1(v)..N^r(v) of one breadth-first search from ``v``.
 
-    Distance 0 is the vertex itself and distance 1 its neighbourhood.
+    Layer j is the sorted tuple of vertices at distance exactly j; layers
+    past v's eccentricity are empty.  With ``within``, a vertex set holding
+    v, distances are those of the subgraph it induces, still in g's ids.
+    One search answers every j, so a call costs O(n + m + r).
     """
     if not 0 <= v < g.n:
         raise InputError(f"vertex id {v} out of range")
-    if j < 0:
+    if r < 0:
         raise InputError("distance must be non-negative")
-    if j == 0:
-        return (v,)
+    if within is not None and v not in within:
+        raise InputError(f"vertex {v} is not in the set searched within")
     seen = {v}
     layer = [v]
-    for _ in range(j):
+    layers: list[VertexSet] = []
+    while layer and len(layers) < r:
         nxt = []
         for u in layer:
             for w in g.adjacency[u]:
-                if w not in seen:
+                if w not in seen and (within is None or w in within):
                     seen.add(w)
                     nxt.append(w)
+        layers.append(tuple(sorted(nxt)))
         layer = nxt
-        if not layer:
-            break
-    return tuple(sorted(layer))
+    return tuple(layers) + ((),) * (r - len(layers))
 
 
 def is_triangle_free(g: Graph) -> bool:

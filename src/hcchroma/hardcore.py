@@ -22,10 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Mapping
 
 from .errors import HypothesisError, InputError, SizeError
-from .graph import Graph, VertexSet, is_triangle_free, neighbourhood_at_distance
+from .graph import Graph, VertexSet, distance_layers, is_triangle_free
 
 DEFAULT_CUTOFF = 30
 RATIONAL_CUTOFF = 12
@@ -260,16 +261,7 @@ def _exact_stats(g: Graph, lam, max_distance: int, cutoff: int) -> OccupancyStat
         _ratio(poly(full & ~adj[v] & ~(1 << v)) << bits, total, bits, lam)
         for v in range(g.n)
     )
-    if isinstance(lam, Fraction):
-        nbr = {
-            j: tuple(
-                sum((occupancy[u] for u in neighbourhood_at_distance(g, v, j)), Fraction(0))
-                for v in range(g.n)
-            )
-            for j in range(1, max_distance + 1)
-        }
-    else:
-        nbr = neighbour_occupancy(g, occupancy, max_distance)
+    nbr = neighbour_occupancy(g, occupancy, max_distance)
     return OccupancyStats(float(lam), math.log(z), occupancy, nbr)
 
 
@@ -280,16 +272,20 @@ def neighbour_occupancy(
 
     Maps each j in 1..max_distance to the per-vertex sums of ``occupancy``
     over the vertices at distance j, whether the occupancies are exact or
-    sampled estimates.  ``max_distance`` may not exceed max(1, n), since
-    no vertex is at distance n or more.
+    sampled estimates: Fractions are summed exactly, floats with fsum.
+    ``max_distance`` may not exceed max(1, n), since no vertex is at
+    distance n or more.  One breadth-first search per vertex, so the cost
+    is O(n (n + m)) whatever ``max_distance`` is.
     """
     _check_max_distance(g, max_distance)
+    exact = bool(occupancy) and isinstance(occupancy[0], Fraction)
+    add = partial(sum, start=Fraction(0)) if exact else math.fsum
+    by_vertex = [
+        [add(occupancy[u] for u in layer) for layer in distance_layers(g, v, max_distance)]
+        for v in range(g.n)
+    ]
     return {
-        j: tuple(
-            math.fsum(occupancy[u] for u in neighbourhood_at_distance(g, v, j))
-            for v in range(g.n)
-        )
-        for j in range(1, max_distance + 1)
+        j: tuple(sums[j - 1] for sums in by_vertex) for j in range(1, max_distance + 1)
     }
 
 

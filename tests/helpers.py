@@ -6,7 +6,9 @@ subsets or from the package's set enumerator (itself checked against
 itertools), triangles from a full triple scan, distances from networkx.
 The `reference_*` functions are the implementations that the
 independence-polynomial kernel, the once-per-run hard-core oracle, the
-counter-based Glauber sampler and the two-phase colouring's phase 1 replaced.
+counter-based Glauber sampler, the two-phase colouring's phase 1 and the
+greedy's scores on a built induced subgraph replaced; they read distances
+from networkx, not from `distance_layers`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import networkx as nx
 from hypothesis import strategies as st
 
 from hcchroma import Graph
-from hcchroma.graph import induced_subgraph, neighbourhood_at_distance, random_triangle_free
+from hcchroma.graph import induced_subgraph, random_triangle_free
 from hcchroma.dpcolor import Cover, finishing_blow_hypothesis, from_list_assignment
 from hcchroma.fractional import SetDistribution
 from hcchroma.hardcore import (
@@ -28,7 +30,6 @@ from hcchroma.hardcore import (
     OccupancyStats,
     independent_set_masks,
     mask_to_vertex_set,
-    neighbour_occupancy,
 )
 
 
@@ -37,6 +38,50 @@ def to_nx(g: Graph) -> nx.Graph:
     G.add_nodes_from(range(g.n))
     G.add_edges_from(g.edges())
     return G
+
+
+def nx_layers(G: nx.Graph, v: int, r: int) -> list[list[int]]:
+    """Sorted vertex lists at distance 1..r from v in the networkx graph G."""
+    by_dist: dict[int, list[int]] = {}
+    for u, d in nx.single_source_shortest_path_length(G, v, cutoff=r).items():
+        by_dist.setdefault(d, []).append(u)
+    return [sorted(by_dist.get(j, [])) for j in range(1, r + 1)]
+
+
+def reference_neighbour_occupancy(g: Graph, occupancy, max_distance: int) -> dict:
+    """Per distance j, per vertex, the sum of ``occupancy`` at distance j.
+
+    Fractions are summed exactly, floats with fsum.
+    """
+    G = to_nx(g)
+    exact = bool(occupancy) and isinstance(occupancy[0], Fraction)
+    rows = {j: [] for j in range(1, max_distance + 1)}
+    for v in range(g.n):
+        for j, layer in enumerate(nx_layers(G, v, max_distance), 1):
+            terms = [occupancy[u] for u in layer]
+            rows[j].append(sum(terms, Fraction(0)) if exact else math.fsum(terms))
+    return {j: tuple(row) for j, row in rows.items()}
+
+
+def reference_oracle_scores(g: Graph, live, occ, weights) -> list[float]:
+    """The greedy's per-vertex scores on H = g[live], built as a graph.
+
+    Builds H with `induced_subgraph`, reads its distance layers from
+    networkx and scores each vertex in H's ids, adding the j terms in
+    ascending order and skipping empty layers.
+    """
+    h, _ = induced_subgraph(g, live)
+    H = to_nx(h)
+    occ_h = [occ[v] for v in live]
+    scores = []
+    for i, v in enumerate(live):
+        row = weights.alpha[v]
+        s = row[0] * occ_h[i]
+        for j, layer in enumerate(nx_layers(H, i, weights.r), 1):
+            if layer:
+                s += row[j] * math.fsum(occ_h[u] for u in layer)
+        scores.append(s)
+    return scores
 
 
 def brute_independent_sets(g: Graph) -> list[tuple[int, ...]]:
@@ -325,7 +370,7 @@ def reference_enumerate_stats(g: Graph, lam: float, max_distance: int = 1) -> Oc
             occ_c[v] = (t - occ_s[v]) - y
             occ_s[v] = t
     occupancy = tuple(occ_s[v] / z_s for v in range(n))
-    nbr = neighbour_occupancy(g, occupancy, max_distance)
+    nbr = reference_neighbour_occupancy(g, occupancy, max_distance)
     return OccupancyStats(float(lam), math.log(z_s), occupancy, nbr)
 
 
@@ -341,13 +386,7 @@ def reference_enumerate_stats_rational(g: Graph, lam, max_distance: int = 1) -> 
         for v in mask_to_vertex_set(mask):
             occ[v] += w
     occupancy = tuple(occ[v] / z for v in range(n))
-    nbr = {
-        j: tuple(
-            sum((occupancy[u] for u in neighbourhood_at_distance(g, v, j)), Fraction(0))
-            for v in range(n)
-        )
-        for j in range(1, max_distance + 1)
-    }
+    nbr = reference_neighbour_occupancy(g, occupancy, max_distance)
     return OccupancyStats(float(lam), math.log(z), occupancy, nbr)
 
 

@@ -216,6 +216,30 @@ def test_dp_solve_rejects_rounds_below_one(c5_cover, rounds, capsys):
     assert out == "" and "rounds must be at least 1" in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--ell", "-1"], "ell must be at least 1"),
+    (["--ell", "0", "--certify"], "ell must be at least 1"),
+    (["--ell", "-1", "--two-phase"], "ell must be at least 1"),
+    (["--max-resamples", "-5"], "max_resamples must be at least 0"),
+    (["--ell", "3", "--two-phase", "--max-resamples", "-5"], "max_resamples must be at least 0"),
+    (["--rounds", "-3"], "--rounds needs --two-phase"),
+    (["--rounds", "3", "--ell", "3"], "--rounds needs --two-phase"),
+], ids=["ell-negative", "ell-zero-certify", "ell-negative-two-phase", "resamples-negative",
+        "resamples-negative-two-phase", "rounds-negative-alone", "rounds-without-two-phase"])
+def test_dp_solve_rejects_bad_budgets_before_solving(c5_cover, flags, message, capsys):
+    assert main(["dp-solve", "--cover", str(c5_cover), *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err and err.count("\n") == 1
+
+
+def test_dp_solve_zero_max_resamples_is_legal(tmp_path):
+    write_edge_list(complete(2), tmp_path / "k2.edges")
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"graph": "k2.edges", "lists": {"0": [1], "1": [2]}}))
+    assert main(["dp-solve", "--cover", str(cover), "--max-resamples", "0",
+                 "--output", str(tmp_path / "out.json")]) == 0
+
+
 def _write_dp_golden_covers(d):
     general = helpers.random_cover(80, 8.0, 20, 2, seed=0)
     write_edge_list(general.base, d / "g80.edges")

@@ -283,6 +283,34 @@ def test_two_phase_rejects_rounds_below_one(rounds):
         two_phase_colour(cover, 3, rounds=rounds)
 
 
+@pytest.mark.parametrize("ell", [0, -1, [3, 3, 0, 3, 3]], ids=["zero", "negative", "one-zero"])
+def test_every_ell_consumer_rejects_ell_below_one(ell):
+    cover, _ = from_list_assignment(cycle(5), [{1, 2, 3}] * 5)
+    for call in (
+        lambda: truncate_lists(cover, ell),
+        lambda: finishing_blow_hypothesis(cover, ell),
+        lambda: lll_certify(cover, ell),
+        lambda: solve(cover, seed=0, ell=ell),
+        lambda: two_phase_colour(cover, ell),
+    ):
+        with pytest.raises(InputError, match="ell must be at least 1"):
+            call()
+
+
+def test_solve_and_two_phase_reject_negative_max_resamples():
+    cover, _ = from_list_assignment(cycle(5), [{1, 2, 3}] * 5)
+    with pytest.raises(InputError, match="max_resamples"):
+        solve(cover, seed=0, max_resamples=-1)
+    with pytest.raises(InputError, match="max_resamples"):
+        two_phase_colour(cover, 3, max_resamples=-5)
+    # 0 stays legal: a draw needing no resample is returned, any other gives up
+    disjoint, _ = from_list_assignment(K2, [{1}, {2}])
+    assert solve(disjoint, seed=0, max_resamples=0) == {0: 0, 1: 1}
+    clash, _ = from_list_assignment(K2, [{1}, {1}])
+    with pytest.raises(SizeError):
+        solve(clash, seed=0, max_resamples=0)
+
+
 def test_cover_file_round_trip(tmp_path):
     g = cycle(5)
     gpath = tmp_path / "c5.edges"

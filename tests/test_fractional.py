@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hcchroma import (
@@ -20,6 +20,7 @@ from hcchroma.fractional import (
     FractionalColouring,
     LocalWeights,
     SetDistribution,
+    _oracle_scores,
     alpha_from_beta,
     choose_local_weights,
     extract_independent_set,
@@ -243,6 +244,24 @@ def test_general_r_weights_run_end_to_end():
     assert len(col.taus) <= g.n
     ref = greedy_fractional_colouring(g, weights, helpers.reference_hard_core_oracle(1.0))
     assert _same_colouring(col, ref)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    g=helpers.triangle_free_graphs(max_n=10),
+    r=st.sampled_from((0, 1, 2, 3)),
+    data=st.data(),
+)
+def test_oracle_scores_equal_scores_on_the_built_induced_subgraph(g, r, data):
+    assume(g.n > 0)
+    live = tuple(sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))))
+    occ = data.draw(st.lists(st.floats(0.0, 1.0), min_size=g.n, max_size=g.n))
+    alpha = data.draw(st.lists(
+        st.lists(st.floats(0.0, 10.0), min_size=r + 1, max_size=r + 1),
+        min_size=g.n, max_size=g.n))
+    weights = LocalWeights.from_alpha(g, alpha)
+    assert _oracle_scores(g, live, occ, weights) == helpers.reference_oracle_scores(
+        g, live, occ, weights)
 
 
 def test_local_weights_gamma_recomputable():

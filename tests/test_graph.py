@@ -12,11 +12,11 @@ from hcchroma import (
     complete,
     complete_bipartite,
     cycle,
+    distance_layers,
     edgeless,
     format_edge_list,
     induced_subgraph,
     is_triangle_free,
-    neighbourhood_at_distance,
     parse_edge_list,
     path,
     petersen,
@@ -99,35 +99,55 @@ def test_basic_counts():
     assert edgeless(4).m == 0
 
 
-def test_neighbourhood_examples():
+def test_distance_layers_examples():
     p3 = path(3)
-    assert neighbourhood_at_distance(p3, 0, 2) == (2,)
-    assert neighbourhood_at_distance(p3, 1, 0) == (1,)
-    assert neighbourhood_at_distance(cycle(5), 0, 2) == (2, 3)
+    assert distance_layers(p3, 0, 2) == ((1,), (2,))
+    assert distance_layers(p3, 1, 3) == ((0, 2), (), ())
+    assert distance_layers(p3, 1, 0) == ()
+    assert distance_layers(cycle(5), 0, 2) == ((1, 4), (2, 3))
+    # inside {0, 1, 2, 3} of C5 the edge 4-0 is gone, so C5 becomes a path
+    assert distance_layers(cycle(5), 0, 4, within={0, 1, 2, 3}) == ((1,), (2,), (3,), ())
+    assert distance_layers(cycle(5), 1, 2, within={1}) == ((), ())
+
+
+@pytest.mark.parametrize("v, r, within", [
+    (7, 1, None), (-1, 1, None), (3, 1, None), (0, -1, None), (0, 1, {1, 2}),
+])
+def test_distance_layers_rejects_bad_arguments(v, r, within):
     with pytest.raises(InputError):
-        neighbourhood_at_distance(p3, 7, 1)
+        distance_layers(path(3), v, r, within=within)
+
+
+def _layers_by_networkx(G, v, r):
+    return tuple(map(tuple, helpers.nx_layers(G, v, r)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(graphs())
-def test_neighbourhood_matches_networkx(g):
-    lengths = dict(nx.all_pairs_shortest_path_length(helpers.to_nx(g)))
+def test_distance_layers_match_networkx(g):
+    G = helpers.to_nx(g)
     for v in range(g.n):
-        by_dist = {}
-        for u, d in lengths[v].items():
-            by_dist.setdefault(d, []).append(u)
-        for j in range(g.n + 1):
-            assert neighbourhood_at_distance(g, v, j) == tuple(sorted(by_dist.get(j, [])))
+        for r in (0, 1, g.n):
+            assert distance_layers(g, v, r) == _layers_by_networkx(G, v, r)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(), st.data())
+def test_distance_layers_within_match_networkx_on_the_induced_subgraph(g, data):
+    v = data.draw(st.integers(0, g.n - 1))
+    rest = data.draw(st.sets(st.integers(0, g.n - 1)))
+    within = rest | {v}
+    sub = helpers.to_nx(g).subgraph(within)
+    assert distance_layers(g, v, g.n, within=within) == _layers_by_networkx(sub, v, g.n)
 
 
 @settings(max_examples=60, deadline=None)
 @given(graphs())
 def test_layers_disjoint_and_cover_component(g):
     for v in range(g.n):
-        seen = set()
-        total = 0
-        for j in range(g.n + 1):
-            layer = neighbourhood_at_distance(g, v, j)
+        seen = {v}
+        total = 1
+        for layer in distance_layers(g, v, g.n):
             assert not (set(layer) & seen)
             seen.update(layer)
             total += len(layer)

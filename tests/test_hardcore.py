@@ -168,6 +168,19 @@ def test_neighbour_occupancy_distances():
             neighbour_occupancy(cycle(5), stats.occupancy, bad)
 
 
+@pytest.mark.parametrize("g", [path(9), cycle(9), cycle(8)], ids=["path9", "cycle9", "cycle8"])
+def test_neighbour_occupancy_at_every_distance_matches_networkx(g):
+    # max_distance = n reaches past the eccentricity, where rows are zero
+    stats = enumerate_stats(g, 0.7, max_distance=g.n)
+    assert stats.neighbour_occupancy == helpers.reference_neighbour_occupancy(
+        g, stats.occupancy, g.n)
+    assert stats.neighbour_occupancy[g.n] == (0.0,) * g.n
+    exact = enumerate_stats_rational(g, Fraction(7, 10), max_distance=g.n)
+    assert exact.neighbour_occupancy == helpers.reference_neighbour_occupancy(
+        g, exact.occupancy, g.n)
+    assert all(type(x) is Fraction for row in exact.neighbour_occupancy.values() for x in row)
+
+
 def test_fact_check_requires_triangle_free():
     with pytest.raises(HypothesisError):
         conditional_fact_check(complete(3), 1.0)
