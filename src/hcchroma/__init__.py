@@ -36,13 +36,12 @@ from .graph import (
     vertex_set,
     write_edge_list,
 )
-from .numerics import Tolerance, lambert_w
+from .numerics import lambert_w
 from .hardcore import (
     FactCheckReport,
     OccupancyStats,
     conditional_fact_check,
     enumerate_stats,
-    enumerate_stats_rational,
     glauber_sample,
     hcm_lower_bound,
 )

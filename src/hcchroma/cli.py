@@ -33,15 +33,13 @@ EXIT_IO = 1
 EXIT_HYPOTHESIS = 2
 EXIT_RESOURCE = 3
 
-DEFAULT_CUTOFF = hardcore.DEFAULT_CUTOFF
-
 
 def _resolve_cutoff(value: int | None) -> int:
     """The exact-enumeration cutoff: --cutoff, else HCCHROMA_CUTOFF, else 30."""
     if value is None:
         env = os.environ.get("HCCHROMA_CUTOFF")
         try:
-            value = DEFAULT_CUTOFF if env is None else int(env)
+            value = hardcore.DEFAULT_CUTOFF if env is None else int(env)
         except ValueError as exc:
             raise InputError(f"bad HCCHROMA_CUTOFF value {env!r}") from exc
     if value < 1:

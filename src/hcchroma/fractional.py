@@ -196,17 +196,6 @@ class FractionalColouring:
     total: float
     taus: tuple[float, ...] = field(default=(), compare=False)
 
-    def vertex_intervals(self, v: int) -> list[Interval]:
-        out = [iv for s, ivs in self.parts.items() if v in s for iv in ivs]
-        out.sort()
-        return out
-
-    def vertex_measure(self, v: int) -> float:
-        return interval_measure(self.vertex_intervals(v))
-
-    def set_measure(self, s: Iterable[int]) -> float:
-        return interval_measure(self.parts.get(vertex_set(s), ()))
-
     def to_json_dict(self) -> dict:
         return {
             "total": self.total,
@@ -251,14 +240,6 @@ class FractionalColouring:
         if "inf" in text or "nan" in text:
             return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
         return text
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "FractionalColouring":
-        parts = {
-            tuple(entry["set"]): tuple((a, b) for a, b in entry["intervals"])
-            for entry in data["parts"]
-        }
-        return FractionalColouring(parts, float(data["total"]))
 
 
 def _oracle_scores(g: Graph, live, occ: Sequence[float], weights: LocalWeights) -> list[float]:

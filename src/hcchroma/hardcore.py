@@ -8,7 +8,9 @@ that computes the independence polynomial of induced subgraphs by the
 recurrence Z(S) = Z(S - v) + x Z(S - N[v]), with integer coefficients, so
 per-vertex occupation probabilities, expected neighbourhood intersections
 and the two conditional-law identities that hold on triangle-free graphs
-are all exact quotients of polynomials evaluated at lambda.  Only
+are all exact quotients of polynomials evaluated at lambda: floats
+correctly rounded, or exact Fractions from `enumerate_stats(g,
+Fraction(lam))`, for every positive finite lambda.  Only
 frac-colour's oracle enumerates independent sets: it lists G's sets once
 per run, for the fractional colouring's parts.  The module also provides a
 Glauber-dynamics sampler for graphs above the exact cutoff, whose steps
@@ -29,7 +31,6 @@ from .errors import HypothesisError, InputError, SizeError
 from .graph import Graph, VertexSet, distance_layers, is_triangle_free
 
 DEFAULT_CUTOFF = 30
-RATIONAL_CUTOFF = 12
 
 
 def _check_fugacity(lam) -> None:
@@ -73,9 +74,6 @@ class OccupancyStats:
     log_partition: float | None
     occupancy: tuple
     neighbour_occupancy: Mapping[int, tuple]
-
-    def expected_set_size(self):
-        return math.fsum(self.occupancy)
 
     def to_json_dict(self) -> dict:
         return {
@@ -221,29 +219,16 @@ def _ratio(num: int, den: int, bits: int, lam):
 
 
 def enumerate_stats(
-    g: Graph, lam: float, max_distance: int = 1, cutoff: int = DEFAULT_CUTOFF
+    g: Graph, lam, max_distance: int = 1, cutoff: int = DEFAULT_CUTOFF
 ) -> OccupancyStats:
     """Exact occupancy statistics from the independence polynomial.
 
     Pr(v in I) = lam Z(V - N[v]) / Z, each the float nearest to the exact
-    quotient; at lam = 1 these are the independent-set counts divided once.
+    quotient, or the exact Fraction when ``lam`` is a Fraction; at lam = 1
+    the floats are the independent-set counts divided once.
+    ``log_partition`` is a float either way; when Z exceeds every float it
+    is log(numerator) - log(denominator) of Z as an exact Fraction.
     """
-    return _exact_stats(g, lam, max_distance, cutoff)
-
-
-def enumerate_stats_rational(
-    g: Graph, lam, max_distance: int = 1, cutoff: int = RATIONAL_CUTOFF
-) -> OccupancyStats:
-    """Exact-rational occupancy statistics, for validating the float path.
-
-    Only intended for tiny graphs (default cutoff 12 vertices).  ``lam``
-    is converted to a Fraction; the returned occupancy values are exact
-    Fractions while ``log_partition`` is a float.
-    """
-    return _exact_stats(g, Fraction(lam), max_distance, cutoff)
-
-
-def _exact_stats(g: Graph, lam, max_distance: int, cutoff: int) -> OccupancyStats:
     _check_fugacity(lam)
     _check_max_distance(g, max_distance)
     _check_cutoff(g, cutoff)
@@ -252,17 +237,16 @@ def _exact_stats(g: Graph, lam, max_distance: int, cutoff: int) -> OccupancyStat
     adj = g.adjacency_masks
     total = poly(full)
     try:
-        z = _ratio(total, 1, bits, lam)
-    except OverflowError:
-        raise InputError(
-            f"partition function overflows a float at fugacity {lam!r}"
-        ) from None
+        log_z = math.log(_ratio(total, 1, bits, lam))
+    except OverflowError:  # Z exceeds every float; log Z from the exact integers
+        z = _ratio(total, 1, bits, Fraction(lam))
+        log_z = math.log(z.numerator) - math.log(z.denominator)
     occupancy = tuple(
         _ratio(poly(full & ~adj[v] & ~(1 << v)) << bits, total, bits, lam)
         for v in range(g.n)
     )
     nbr = neighbour_occupancy(g, occupancy, max_distance)
-    return OccupancyStats(float(lam), math.log(z), occupancy, nbr)
+    return OccupancyStats(float(lam), log_z, occupancy, nbr)
 
 
 def neighbour_occupancy(

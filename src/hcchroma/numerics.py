@@ -8,36 +8,21 @@ which is never negative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InputError, NumericError
 
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Convergence control for iterative scalar solvers."""
-
-    abs_tol: float = 1e-12
-    max_iter: int = 100
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise InputError("abs_tol must be positive")
-        if self.max_iter < 1:
-            raise InputError("max_iter must be at least 1")
+ABS_TOL = 1e-12
+MAX_ITER = 100
 
 
-DEFAULT_TOLERANCE = Tolerance()
-
-
-def lambert_w(x: float, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+def lambert_w(x: float) -> float:
     """Principal-branch Lambert W on x >= 0: the w >= 0 with w * e^w = x.
 
     Halley's method from the initial guess log(1 + x), which is globally
     convergent on the non-negative axis.  Returns the first iterate whose
-    residual satisfies |w * e^w - x| <= abs_tol * (1 + x); because the
+    residual satisfies |w * e^w - x| <= ABS_TOL * (1 + x); because the
     iteration converges cubically this is accurate to near machine
-    precision in practice.
+    precision in practice.  NumericError after MAX_ITER iterations.
     """
     x = float(x)
     if math.isnan(x) or x < 0:
@@ -45,10 +30,10 @@ def lambert_w(x: float, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     if x == 0.0:
         return 0.0
     w = math.log1p(x)
-    for _ in range(tol.max_iter):
+    for _ in range(MAX_ITER):
         ew = math.exp(w)
         f = w * ew - x
-        if abs(f) <= tol.abs_tol * (1.0 + x):
+        if abs(f) <= ABS_TOL * (1.0 + x):
             return w
         wp1 = w + 1.0
         w -= f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))

@@ -13,6 +13,7 @@ from networkx, not from `distance_layers`.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 import random
@@ -387,7 +388,12 @@ def reference_enumerate_stats_rational(g: Graph, lam, max_distance: int = 1) -> 
             occ[v] += w
     occupancy = tuple(occ[v] / z for v in range(n))
     nbr = reference_neighbour_occupancy(g, occupancy, max_distance)
-    return OccupancyStats(float(lam), math.log(z), occupancy, nbr)
+    try:
+        log_z = math.log(z)
+    except OverflowError:  # Z exceeds every float: its logarithm in decimal
+        with decimal.localcontext(decimal.Context(prec=40)):
+            log_z = float(decimal.Decimal(z.numerator).ln() - decimal.Decimal(z.denominator).ln())
+    return OccupancyStats(float(lam), log_z, occupancy, nbr)
 
 
 def reference_conditional_fact_check(g: Graph, lam: float) -> FactCheckReport:

@@ -33,6 +33,7 @@ from hcchroma.fractional import (
     extract_independent_set,
     greedy_fractional_colouring,
     hard_core_oracle,
+    interval_measure,
     uniform_set_oracle,
     validate_colouring,
     vertex_interval_bound,
@@ -97,8 +98,8 @@ def test_criterion_03_greedy_hand_traces():
     )
     assert len(col.taus) == 1 and abs(col.taus[0] - 2.0) <= 1e-9
     assert abs(col.total - 2.0) <= 1e-9
-    assert abs(col.set_measure(()) - 1.0) <= 1e-9
-    assert abs(col.set_measure((0,)) - 1.0) <= 1e-9
+    assert abs(interval_measure(col.parts.get((), ())) - 1.0) <= 1e-9
+    assert abs(interval_measure(col.parts.get((0,), ())) - 1.0) <= 1e-9
 
     k2 = complete_bipartite(1, 1)
     col = greedy_fractional_colouring(
@@ -107,7 +108,7 @@ def test_criterion_03_greedy_hand_traces():
     assert len(col.taus) == 1 and abs(col.taus[0] - 3.0) <= 1e-9
     assert abs(col.total - 3.0) <= 1e-9
     for s in ((), (0,), (1,)):
-        assert abs(col.set_measure(s) - 1.0) <= 1e-9
+        assert abs(interval_measure(col.parts.get(s, ())) - 1.0) <= 1e-9
 
     c5 = cycle(5)
     max_sets = [(0, 2), (1, 3), (2, 4), (0, 3), (1, 4)]
@@ -117,7 +118,7 @@ def test_criterion_03_greedy_hand_traces():
     assert len(col.taus) == 1 and abs(col.taus[0] - 2.5) <= 1e-9
     assert abs(col.total - 2.5) <= 1e-9
     for s in max_sets:
-        assert abs(col.set_measure(s) - 0.5) <= 1e-9
+        assert abs(interval_measure(col.parts.get(s, ())) - 0.5) <= 1e-9
     print("CRITERION 3: PASS hand-simulated traces reproduced (K1, K2, C5; total C5 = 5/2)")
 
 

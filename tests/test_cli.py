@@ -479,7 +479,7 @@ def test_byte_identical_reruns(c5_file, tmp_path):
     assert s1.read_bytes() == s2.read_bytes()
 
 
-@pytest.mark.parametrize("lam", ["inf", "nan", "1e300"])
+@pytest.mark.parametrize("lam", ["inf", "nan"])
 def test_hardcore_stats_rejects_unrepresentable_fugacity(c5_file, lam, capsys):
     code = main(["hardcore-stats", "--input", str(c5_file), "--lam", lam])
     assert code == 2
@@ -492,6 +492,21 @@ def test_hardcore_stats_large_finite_fugacity_is_valid_json(c5_file, capsys):
     assert code == 0
     data = _strict_json(capsys.readouterr().out)
     assert abs(data["occupancy"][0] - 0.4) <= 1e-12
+
+
+@pytest.mark.parametrize("argv", [["hardcore-stats", "--fact-check"], ["semibip"]],
+                         ids=["hardcore-stats", "semibip"])
+def test_fugacity_whose_partition_function_overflows_runs_exact(c5_file, argv, capsys):
+    # Z ~ 5e600 on C5 exceeds every float; the statistics and log Z do not
+    code = main(argv + ["--input", str(c5_file), "--lam", "1e300"])
+    assert code == 0
+    data = _strict_json(capsys.readouterr().out)
+    assert data["mode"] == "exact"
+    if argv[0] == "semibip":
+        assert abs(data["expected_boundary_edges"] - 4.0) <= 1e-12
+    else:
+        assert abs(data["log_Z"] - 1383.16) <= 0.01
+        assert all(abs(p - 0.4) <= 1e-12 for p in data["occupancy"])
 
 
 @pytest.mark.parametrize("flag", ["--trials", "--steps"])

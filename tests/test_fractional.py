@@ -53,11 +53,10 @@ def test_hand_trace_k1():
     col = greedy_fractional_colouring(K1, LocalWeights.from_alpha(K1, [(2.0,)]), hard_core_oracle(1.0))
     assert col.taus == (2.0,)
     assert abs(col.total - 2.0) <= 1e-9
-    assert abs(col.set_measure(()) - 1.0) <= 1e-9
-    assert abs(col.set_measure((0,)) - 1.0) <= 1e-9
-    assert abs(col.vertex_measure(0) - 1.0) <= 1e-9
+    assert abs(interval_measure(col.parts.get((), ())) - 1.0) <= 1e-9
     # the vertex is coloured by one unit-length block inside [0, 2)
-    ivs = col.vertex_intervals(0)
+    ivs = col.parts[(0,)]
+    assert abs(interval_measure(ivs) - 1.0) <= 1e-9
     assert len(ivs) == 1 and 0.0 <= ivs[0][0] and ivs[0][1] <= 2.0
 
 
@@ -66,10 +65,11 @@ def test_hand_trace_k2():
     assert col.taus == (3.0,)
     assert abs(col.total - 3.0) <= 1e-9
     for s in ((), (0,), (1,)):
-        assert abs(col.set_measure(s) - 1.0) <= 1e-9
-    # adjacent vertices never share measure
-    i0 = col.vertex_intervals(0)
-    i1 = col.vertex_intervals(1)
+        assert abs(interval_measure(col.parts.get(s, ())) - 1.0) <= 1e-9
+    # adjacent vertices never share measure; each lies in one part only
+    assert set(col.parts) == {(), (0,), (1,)}
+    i0 = col.parts[(0,)]
+    i1 = col.parts[(1,)]
     for a1, b1 in i0:
         for a2, b2 in i1:
             assert min(b1, b2) <= max(a1, a2)
@@ -83,9 +83,10 @@ def test_hand_trace_c5_uniform():
     assert col.taus == (2.5,)
     assert abs(col.total - 2.5) <= 1e-9
     for s in C5_MAX_SETS:
-        assert abs(col.set_measure(s) - 0.5) <= 1e-9
+        assert abs(interval_measure(col.parts.get(s, ())) - 0.5) <= 1e-9
     for v in range(5):
-        assert abs(col.vertex_measure(v) - 1.0) <= 1e-9
+        mv = math.fsum(interval_measure(ivs) for s, ivs in col.parts.items() if v in s)
+        assert abs(mv - 1.0) <= 1e-9
 
 
 def test_validate_examples():
@@ -286,7 +287,7 @@ def test_measure_accounting_and_cap():
         assert len(col.taus) <= g.n
         assert abs(col.total - math.fsum(col.taus)) <= 1e-9
         for v in range(g.n):
-            mv = col.vertex_measure(v)
+            mv = math.fsum(b - a for s, ivs in col.parts.items() if v in s for a, b in ivs)
             assert mv <= 1.0 + 1e-7
             assert mv >= 1.0 - 1e-9
         # interval blocks tile [0, total) without overlap
@@ -295,17 +296,6 @@ def test_measure_accounting_and_cap():
         for (a1, b1), (a2, b2) in zip(flat, flat[1:]):
             assert abs(a2 - b1) <= 1e-9
         assert abs(flat[-1][1] - col.total) <= 1e-9
-
-
-def test_json_round_trip():
-    g = cycle(5)
-    col = greedy_fractional_colouring(
-        g, weights_alpha0(g, 2.5), uniform_set_oracle(C5_MAX_SETS)
-    )
-    data = col.to_json_dict()
-    back = FractionalColouring.from_json_dict(data)
-    assert back.parts == col.parts
-    assert back.total == col.total
 
 
 def pipeline_colouring(g, eps):

@@ -23,7 +23,6 @@ from hcchroma.fractional import hard_core_oracle
 from hcchroma.hardcore import (
     conditional_fact_check,
     enumerate_stats,
-    enumerate_stats_rational,
     glauber_sample,
     hcm_lower_bound,
     independent_set_masks,
@@ -83,7 +82,7 @@ def test_cutoff_error_directs_to_sampler():
 def test_stats_match_rational_mode():
     for g in (K2, cycle(5), star(3), random_triangle_free(11, 0.3, 8)):
         for lam in (Fraction(1, 2), Fraction(1), Fraction(2)):
-            exact = enumerate_stats_rational(g, lam)
+            exact = enumerate_stats(g, lam)
             fl = enumerate_stats(g, float(lam))
             for v in range(g.n):
                 assert abs(fl.occupancy[v] - float(exact.occupancy[v])) <= 1e-13
@@ -114,7 +113,7 @@ def test_expected_size_identity():
     zprime = sum(len(s) * lam ** (len(s) - 1) for s in sets if s)
     expected = float(lam * zprime / z)
     stats = enumerate_stats(g, float(lam))
-    assert abs(stats.expected_set_size() - expected) <= 1e-12
+    assert abs(math.fsum(stats.occupancy) - expected) <= 1e-12
 
 
 def test_occupancy_capped_by_fugacity_ratio():
@@ -175,7 +174,7 @@ def test_neighbour_occupancy_at_every_distance_matches_networkx(g):
     assert stats.neighbour_occupancy == helpers.reference_neighbour_occupancy(
         g, stats.occupancy, g.n)
     assert stats.neighbour_occupancy[g.n] == (0.0,) * g.n
-    exact = enumerate_stats_rational(g, Fraction(7, 10), max_distance=g.n)
+    exact = enumerate_stats(g, Fraction(7, 10), max_distance=g.n)
     assert exact.neighbour_occupancy == helpers.reference_neighbour_occupancy(
         g, exact.occupancy, g.n)
     assert all(type(x) is Fraction for row in exact.neighbour_occupancy.values() for x in row)
@@ -199,9 +198,23 @@ def test_fugacity_must_be_finite_and_z_representable():
             enumerate_stats(K2, lam)
         with pytest.raises(InputError):
             glauber_sample(K2, lam, 10, 0)
-    with pytest.raises(InputError, match="overflows"):
-        enumerate_stats(cycle(5), 1e300)
     assert math.isfinite(enumerate_stats(cycle(5), 1e100).log_partition)
+
+
+@pytest.mark.parametrize("lam", [1e-300, 1e300])
+@pytest.mark.parametrize("g", [cycle(5), petersen()], ids=["C5", "petersen"])
+def test_extreme_fugacity_matches_rational_reference(g, lam):
+    # at 1e300, Z exceeds every float; log Z and the occupancies do not
+    ref = helpers.reference_enumerate_stats_rational(g, lam, max_distance=2)
+    exact = enumerate_stats(g, Fraction(lam), max_distance=2)
+    assert exact.occupancy == ref.occupancy
+    assert exact.neighbour_occupancy == ref.neighbour_occupancy
+    fl = enumerate_stats(g, lam, max_distance=2)
+    assert fl.occupancy == tuple(map(float, ref.occupancy))  # both correctly rounded
+    for j, row in ref.neighbour_occupancy.items():
+        assert all(map(_close, fl.neighbour_occupancy[j], map(float, row)))
+    for stats in (exact, fl):
+        assert math.isclose(stats.log_partition, ref.log_partition, rel_tol=1e-15)
 
 
 def test_hard_core_oracle_serves_the_live_sets_in_global_ids():
@@ -339,7 +352,7 @@ def test_max_distance_is_at_most_the_vertex_count():
     with pytest.raises(InputError):
         enumerate_stats(g, 1.0, max_distance=6)
     with pytest.raises(InputError):
-        enumerate_stats_rational(g, 1, max_distance=6)
+        enumerate_stats(g, Fraction(1), max_distance=6)
     with pytest.raises(InputError):
         neighbour_occupancy(g, (0.5,) * 5, 6)
     # an empty graph still accepts distance 1
@@ -379,7 +392,7 @@ def test_kernel_stats_match_enumeration(g, lam):
 @example(edgeless(1), Fraction(2))
 def test_kernel_rational_stats_match_enumeration(g, lam):
     depth = min(2, max(1, g.n))
-    ours = enumerate_stats_rational(g, lam, max_distance=depth, cutoff=14)
+    ours = enumerate_stats(g, lam, max_distance=depth, cutoff=14)
     assert ours == helpers.reference_enumerate_stats_rational(g, lam, max_distance=depth)
 
 

@@ -5,7 +5,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcchroma import InputError, NumericError, Tolerance, lambert_w
+from hcchroma import InputError, NumericError, lambert_w, numerics
 
 
 def test_trivial_values():
@@ -60,11 +60,9 @@ def test_domain_error():
         lambert_w(float("nan"))
 
 
-def test_tolerance_validation():
-    with pytest.raises(InputError):
-        Tolerance(abs_tol=0.0)
-    with pytest.raises(InputError):
-        Tolerance(max_iter=0)
+def test_unreachable_tolerance_fails_loudly(monkeypatch):
+    # an unreachable tolerance must raise after MAX_ITER steps, not loop forever
+    monkeypatch.setattr(numerics, "ABS_TOL", 1e-300)
+    monkeypatch.setattr(numerics, "MAX_ITER", 3)
     with pytest.raises(NumericError):
-        # unreachable tolerance must fail loudly, not loop forever
-        lambert_w(5.0, Tolerance(abs_tol=1e-300, max_iter=3))
+        lambert_w(5.0)
