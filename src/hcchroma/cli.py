@@ -14,6 +14,7 @@ the subcommands that have --cutoff (hardcore-stats, frac-colour, semibip).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -47,12 +48,16 @@ def _resolve_cutoff(value: int | None) -> int:
     return value
 
 
-def _emit(text: str, output: str | None) -> None:
+def _open_output(output: str | None):
+    """The --output file opened for writing, or stdout (left open) without it."""
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return open(output, "w", encoding="utf-8")
+    return contextlib.nullcontext(sys.stdout)
+
+
+def _emit(text: str, output: str | None) -> None:
+    with _open_output(output) as fh:
+        fh.write(text)
 
 
 def _json_text(obj) -> str:
@@ -111,18 +116,22 @@ def cmd_frac_colour(args: argparse.Namespace) -> int:
             f"graph has {g.n} vertices, above the exact-oracle cutoff {cutoff}"
         )
     if g.n == 0:
-        _emit(fractional.FractionalColouring({}, 0.0).to_json_text(), args.output)
+        with _open_output(args.output) as fh:
+            fractional.FractionalColouring({}, 0.0).write_json(fh)
         return EXIT_OK
     lam, weights = fractional.choose_local_weights(g, args.epsilon)
-    oracle = fractional.hard_core_oracle(lam, cutoff=cutoff)
-    colouring = fractional.greedy_fractional_colouring(g, weights, oracle)
+    # no name holds the oracle, so its rows go when the greedy returns
+    colouring = fractional.greedy_fractional_colouring(
+        g, weights, fractional.hard_core_oracle(lam, cutoff=cutoff)
+    )
     bounds = [fractional.vertex_interval_bound(lam, g.degree(v)) for v in range(g.n)]
     report = fractional.validate_colouring(g, colouring, bounds)
     if not report.ok:
         raise HcchromaError(
             "colouring failed validation: " + "; ".join(report.failures[:3])
         )
-    _emit(colouring.to_json_text(), args.output)
+    with _open_output(args.output) as fh:
+        colouring.write_json(fh)
     if args.slack_tsv:
         rows = ["vertex\tdegree\tmeasure\tbound\tslack"]
         for v in range(g.n):

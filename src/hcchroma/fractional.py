@@ -14,10 +14,12 @@ colours every vertex v of a triangle-free graph inside
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import chain, pairwise
+from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 from . import hardcore
 from .errors import HypothesisError, InputError, InternalError, StateError
@@ -29,6 +31,7 @@ Interval = tuple[float, float]
 SATURATE_TOL = 1e-9
 HYPOTHESIS_TOL = 1e-9
 CAP_TOL = 1e-12
+WRITE_BATCH = 32  # text chunks per write in FractionalColouring.write_json
 
 
 def interval_measure(intervals: Iterable[Interval]) -> float:
@@ -86,7 +89,8 @@ def hard_core_oracle(lam: float, cutoff: int = hardcore.DEFAULT_CUTOFF) -> Distr
     lam^|I|, and every call keeps the rows that avoid the dead vertices, in
     canonical order, and divides by their fsum.  Cost: one enumeration of g
     plus one filter of its sets per round.  A call on another graph lists
-    that graph's sets instead.
+    that graph's sets instead.  The rows, one per independent set of g, live
+    as long as the oracle does; drop it once the greedy returns to free them.
     """
     served: Graph | None = None
     rows: list[tuple[int, VertexSet, float]] = []
@@ -189,7 +193,10 @@ class FractionalColouring:
     ``parts`` maps each independent set (sorted vertex tuple, possibly the
     empty tuple) to its intervals; across all sets the intervals are
     pairwise disjoint and tile [0, total).  ``taus`` records the measure
-    added per greedy iteration.
+    added per greedy iteration.  The parts, one per independent set coloured
+    in some round, are the one full copy of the colouring: `write_json`
+    streams its text out, and `validate_colouring` shares their interval
+    lists rather than copying them per member vertex.
     """
 
     parts: Mapping[VertexSet, tuple[Interval, ...]]
@@ -205,14 +212,23 @@ class FractionalColouring:
             ],
         }
 
-    def to_json_text(self) -> str:
-        """``json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\\n"``.
+    def write_json(self, fh: TextIO) -> None:
+        """Write ``json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        + "\\n"`` to the text stream ``fh``, part by part.
 
-        Written in one pass over the sorted parts: the encoder builds a
-        generator frame per value once ``indent`` is set, and numbers are
-        spelled by ``repr`` exactly as it spells them.  A non-finite
-        number, which ``repr`` spells differently, falls back to the encoder.
+        Parts go out in the canonical set order, a batch of them per
+        ``fh.write``, so the writer never holds more than a batch of the
+        text: the colouring itself is the only full copy.  Numbers are
+        spelled by ``repr``, exactly as the encoder spells them, which also
+        avoids the generator frame per value that the encoder builds once
+        ``indent`` is set.  A non-finite total or endpoint, which ``repr``
+        spells differently, is found by one pass before the first byte and
+        sends the whole colouring through the encoder instead.
         """
+        endpoints = chain.from_iterable(chain.from_iterable(self.parts.values()))
+        if not (math.isfinite(self.total) and all(map(math.isfinite, endpoints))):
+            fh.write(json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
+            return
         chunks = ['{\n  "parts": [']
         sep = "\n"
         for s in sorted(self.parts):
@@ -234,12 +250,18 @@ class FractionalColouring:
                 chunks.append(f'      "set": [\n        {members}\n      ]\n    }}')
             else:
                 chunks.append('      "set": []\n    }')
+            if len(chunks) >= WRITE_BATCH:
+                fh.write("".join(chunks))
+                chunks.clear()
         chunks.append("\n  ]" if self.parts else "]")
         chunks.append(f',\n  "total": {self.total!r}\n}}\n')
-        text = "".join(chunks)
-        if "inf" in text or "nan" in text:
-            return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-        return text
+        fh.write("".join(chunks))
+
+    def to_json_text(self) -> str:
+        """The text `write_json` writes, as one string."""
+        buf = io.StringIO()
+        self.write_json(buf)
+        return buf.getvalue()
 
 
 def _oracle_scores(g: Graph, live, occ: Sequence[float], weights: LocalWeights) -> list[float]:
@@ -324,9 +346,9 @@ def greedy_fractional_colouring(
                 )
         taus.append(tau)
         live = tuple(v for v in live if w_vertex[v] < 1.0 - SATURATE_TOL)
-    return FractionalColouring(
-        {s: tuple(ivs) for s, ivs in parts.items()}, w_total, tuple(taus)
-    )
+    for s, ivs in parts.items():
+        parts[s] = tuple(ivs)
+    return FractionalColouring(parts, w_total, tuple(taus))
 
 
 def alpha_from_beta(lam: float, beta_v: float) -> float:
@@ -423,11 +445,13 @@ def validate_colouring(g: Graph, col: FractionalColouring, bound) -> ValidationR
         failures.append(f"total {col.total!r} is not finite")
     adj_masks = g.adjacency_masks
     flat: list[Interval] = []
-    # per vertex: the interval lengths of its parts, and each part's
-    # smallest and largest interval
-    lengths: list[list[float]] = [[] for _ in range(n)]
-    lows: list[list[Interval]] = [[] for _ in range(n)]
-    highs: list[list[Interval]] = [[] for _ in range(n)]
+    # per vertex: the interval-length list of each of its parts (shared, not
+    # copied), and its smallest and largest interval, replaced only on < and
+    # > as min and max replace, so that NaN endpoints give min's and max's
+    # results
+    lengths: list[list[list[float]]] = [[] for _ in range(n)]
+    lows: list[Interval | None] = [None] * n
+    highs: list[Interval | None] = [None] * n
     for s, ivs in col.parts.items():
         members = s
         mask = 0
@@ -456,14 +480,16 @@ def validate_colouring(g: Graph, col: FractionalColouring, bound) -> ValidationR
             low = min(ivs)
             high = max(ivs)
             for v in members:
-                lengths[v].extend(part_lengths)
-                lows[v].append(low)
-                highs[v].append(high)
+                lengths[v].append(part_lengths)
+                if lows[v] is None or low < lows[v]:
+                    lows[v] = low
+                if highs[v] is None or high > highs[v]:
+                    highs[v] = high
     flat.sort()
     if flat:
         if abs(flat[0][0]) > 1e-9:
             failures.append(f"colouring does not start at 0 (starts {flat[0][0]!r})")
-        for (a1, b1), (a2, b2) in zip(flat, flat[1:]):
+        for (a1, b1), (a2, b2) in pairwise(flat):
             if a2 < b1 - 1e-12:
                 failures.append(f"overlapping intervals [{a1},{b1}) and [{a2},{b2})")
             elif a2 > b1 + 1e-9:
@@ -477,13 +503,13 @@ def validate_colouring(g: Graph, col: FractionalColouring, bound) -> ValidationR
     measures = []
     slacks = []
     for v in range(n):
-        mv = math.fsum(lengths[v])
+        mv = math.fsum(chain.from_iterable(lengths[v]))
         measures.append(mv)
         if mv < 1.0 - SATURATE_TOL:
             failures.append(f"vertex {v} has measure {mv!r} < 1")
-        if lows[v] and min(lows[v])[0] < -1e-12:
+        if lows[v] is not None and lows[v][0] < -1e-12:
             failures.append(f"vertex {v} coloured below 0")
-        top = max(highs[v])[1] if highs[v] else 0.0
+        top = highs[v][1] if highs[v] is not None else 0.0
         slack = bounds[v] - top
         slacks.append(slack)
         if slack < -1e-9:

@@ -6,9 +6,10 @@ subsets or from the package's set enumerator (itself checked against
 itertools), triangles from a full triple scan, distances from networkx.
 The `reference_*` functions are the implementations that the
 independence-polynomial kernel, the once-per-run hard-core oracle, the
-counter-based Glauber sampler, the two-phase colouring's phase 1 and the
-greedy's scores on a built induced subgraph replaced; they read distances
-from networkx, not from `distance_layers`.
+counter-based Glauber sampler, the two-phase colouring's phase 1, the
+greedy's scores on a built induced subgraph and the copying colouring
+validator replaced; they read distances from networkx, not from
+`distance_layers`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from hypothesis import strategies as st
 from hcchroma import Graph
 from hcchroma.graph import induced_subgraph, random_triangle_free
 from hcchroma.dpcolor import Cover, finishing_blow_hypothesis, from_list_assignment
-from hcchroma.fractional import SetDistribution
+from hcchroma.errors import InputError
+from hcchroma.fractional import SATURATE_TOL, Interval, SetDistribution, ValidationReport
 from hcchroma.hardcore import (
     FactCheckReport,
     OccupancyStats,
@@ -131,17 +133,68 @@ def triangle_free_graphs(draw, max_n=14):
     return Graph.from_edges(n, list(core.edges()))
 
 
+PERMUTATION_CAP = 120  # class-respecting orderings tried per canonical form
+
+
+def _refined_colours(g: Graph) -> tuple[list[int], tuple]:
+    """Colour refinement from degrees until the class count stops growing.
+
+    A colour is the rank of (own colour, sorted neighbour colours) among
+    all such signatures, so the colours, and the certificate of final
+    signatures returned with them, are isomorphism invariants.
+    """
+    colour = [len(nbrs) for nbrs in g.adjacency]
+    classes = len(set(colour))
+    while True:
+        sig = [(colour[v], tuple(sorted(colour[u] for u in nbrs)))
+               for v, nbrs in enumerate(g.adjacency)]
+        rank = {key: i for i, key in enumerate(sorted(set(sig)))}
+        colour = [rank[key] for key in sig]
+        if len(rank) == classes:
+            return colour, tuple(sorted(sig))
+        classes = len(rank)
+
+
+def _isomorphism_key(g: Graph) -> tuple[tuple, tuple | None]:
+    """(certificate, canonical edge list), or (certificate, None).
+
+    The canonical edge list is the least sorted edge list over every vertex
+    order that lists the refined colour classes in colour order, so two
+    graphs get the same one exactly when they are isomorphic.  When more
+    than PERMUTATION_CAP such orders exist it is not computed.
+    """
+    colour, certificate = _refined_colours(g)
+    cells: list[list[int]] = [[] for _ in range(max(colour, default=-1) + 1)]
+    for v, c in enumerate(colour):
+        cells[c].append(v)
+    if math.prod(math.factorial(len(cell)) for cell in cells) > PERMUTATION_CAP:
+        return certificate, None
+    edges = list(g.edges())
+    best = None
+    for perms in itertools.product(*(itertools.permutations(cell) for cell in cells)):
+        pos = [0] * g.n
+        for i, v in enumerate(itertools.chain.from_iterable(perms)):
+            pos[v] = i
+        code = sorted((pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u])
+                      for u, v in edges)
+        if best is None or code < best:
+            best = code
+    return certificate, tuple(best)
+
+
 def connected_triangle_free_family(max_n: int) -> dict[int, list[Graph]]:
     """All connected triangle-free graphs up to isomorphism, by vertex count.
 
     Grows each graph by one vertex joined to a nonempty independent subset
     (every connected triangle-free graph arises this way from a smaller
-    one), deduplicating with a Weisfeiler-Lehman hash bucket plus exact
-    isomorphism checks.
+    one) and keeps the first candidate of each isomorphism class: by
+    canonical form where `_isomorphism_key` gives one, else by exact
+    networkx isomorphism checks within the refinement certificate's bucket.
     """
     levels: dict[int, list[Graph]] = {1: [Graph.from_edges(1, [])]}
     for n in range(2, max_n + 1):
-        buckets: dict[str, list[nx.Graph]] = {}
+        canonical: set[tuple] = set()
+        buckets: dict[tuple, list[nx.Graph]] = {}
         out: list[Graph] = []
         for parent in levels[n - 1]:
             parent_edges = list(parent.edges())
@@ -152,9 +205,14 @@ def connected_triangle_free_family(max_n: int) -> dict[int, list[Graph]]:
                 cand = Graph.from_edges(
                     n, parent_edges + [(u, n - 1) for u in members]
                 )
+                key = _isomorphism_key(cand)
+                if key[1] is not None:
+                    if key not in canonical:
+                        canonical.add(key)
+                        out.append(cand)
+                    continue
                 gnx = to_nx(cand)
-                key = nx.weisfeiler_lehman_graph_hash(gnx, iterations=3)
-                bucket = buckets.setdefault(key, [])
+                bucket = buckets.setdefault(key[0], [])
                 if not any(nx.is_isomorphic(gnx, other) for other in bucket):
                     bucket.append(gnx)
                     out.append(cand)
@@ -472,3 +530,93 @@ def reference_hard_core_oracle(lam: float):
         return SetDistribution(sets, tuple(w / z for w in weights))
 
     return oracle
+
+
+def reference_validate_colouring(g: Graph, col, bound) -> ValidationReport:
+    """`validate_colouring` as it stood before it shared each part's
+    interval-length list among the part's members and kept a running
+    smallest and largest interval per vertex: one copied length per member
+    per interval, and the lists ``lows``/``highs`` reduced by min and max.
+    Its reports must equal the current validator's."""
+    n = g.n
+    if isinstance(bound, (int, float)):
+        bounds = [float(bound)] * n
+    else:
+        bounds = [float(b) for b in bound]
+        if len(bounds) != n:
+            raise InputError("need one bound per vertex")
+    if any(math.isnan(b) for b in bounds):
+        raise InputError("bound must not be NaN")
+    failures: list[str] = []
+    if not math.isfinite(col.total):
+        failures.append(f"total {col.total!r} is not finite")
+    adj_masks = g.adjacency_masks
+    flat: list[Interval] = []
+    # per vertex: the interval lengths of its parts, and each part's
+    # smallest and largest interval
+    lengths: list[list[float]] = [[] for _ in range(n)]
+    lows: list[list[Interval]] = [[] for _ in range(n)]
+    highs: list[list[Interval]] = [[] for _ in range(n)]
+    for s, ivs in col.parts.items():
+        members = s
+        mask = 0
+        prev = -1
+        independent = True
+        for v in s:
+            if not prev < v < n:
+                failures.append(
+                    f"part {s} is not a strictly increasing tuple of vertex ids "
+                    f"in 0..{n - 1}"
+                )
+                members = ()
+                break
+            if adj_masks[v] & mask:
+                independent = False
+            mask |= 1 << v
+            prev = v
+        if members and not independent:
+            failures.append(f"part {s} is not independent")
+        for a, b in ivs:
+            if not b > a:
+                failures.append(f"degenerate interval [{a}, {b}) on part {s}")
+        flat.extend(ivs)
+        if members and ivs:
+            part_lengths = [b - a for a, b in ivs]
+            low = min(ivs)
+            high = max(ivs)
+            for v in members:
+                lengths[v].extend(part_lengths)
+                lows[v].append(low)
+                highs[v].append(high)
+    flat.sort()
+    if flat:
+        if abs(flat[0][0]) > 1e-9:
+            failures.append(f"colouring does not start at 0 (starts {flat[0][0]!r})")
+        for (a1, b1), (a2, b2) in zip(flat, flat[1:]):
+            if a2 < b1 - 1e-12:
+                failures.append(f"overlapping intervals [{a1},{b1}) and [{a2},{b2})")
+            elif a2 > b1 + 1e-9:
+                failures.append(f"gap between {b1!r} and {a2!r}")
+        if abs(flat[-1][1] - col.total) > 1e-9:
+            failures.append(
+                f"intervals end at {flat[-1][1]!r}, not at total {col.total!r}"
+            )
+    elif col.total > 1e-9:
+        failures.append("no intervals but positive total")
+    measures = []
+    slacks = []
+    for v in range(n):
+        mv = math.fsum(lengths[v])
+        measures.append(mv)
+        if mv < 1.0 - SATURATE_TOL:
+            failures.append(f"vertex {v} has measure {mv!r} < 1")
+        if lows[v] and min(lows[v])[0] < -1e-12:
+            failures.append(f"vertex {v} coloured below 0")
+        top = max(highs[v])[1] if highs[v] else 0.0
+        slack = bounds[v] - top
+        slacks.append(slack)
+        if slack < -1e-9:
+            failures.append(
+                f"vertex {v} coloured up to {top!r}, beyond bound {bounds[v]!r}"
+            )
+    return ValidationReport(not failures, tuple(failures), tuple(measures), tuple(slacks))

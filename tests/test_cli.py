@@ -419,6 +419,19 @@ def test_frac_colour_output_bytes_are_golden(tmp_path, name, eps):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_FRAC_COLOUR[name, eps]
 
 
+@pytest.mark.parametrize("g", [edgeless(0), cycle(5), random_triangle_free(16, 0.35, 0)],
+                         ids=["empty", "c5", "rtf16"])
+def test_frac_colour_prints_to_stdout_the_bytes_it_writes(tmp_path, capsys, g):
+    p = tmp_path / "g.edges"
+    write_edge_list(g, p)
+    out = tmp_path / "col.json"
+    argv = ["frac-colour", "--input", str(p), "--epsilon", "1"]
+    assert main(argv + ["--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
 # sha256 of sampled-mode output (four Glauber chains from seed 3), recorded
 # with the bitmask sampler that drew each vertex by randrange(n); any change
 # to the random stream or the chain fails here.  C5 is sampled by a cutoff

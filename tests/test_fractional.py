@@ -1,5 +1,7 @@
 import json
 import math
+import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -307,10 +309,23 @@ def reference_text(col):
     return json.dumps(col.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
+def written_text(col):
+    """What `write_json` puts in a real file, read back."""
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as fh:
+        col.write_json(fh)
+        fh.seek(0)
+        return fh.read()
+
+
+def assert_text_matches_encoder(col):
+    expected = reference_text(col)
+    assert col.to_json_text() == expected
+    assert written_text(col) == expected
+
+
 @pytest.mark.parametrize("g", [edgeless(0), K1, K2, cycle(5)], ids=["empty", "K1", "K2", "C5"])
 def test_json_text_matches_encoder(g):
-    col = pipeline_colouring(g, 2.0)
-    assert col.to_json_text() == reference_text(col)
+    assert_text_matches_encoder(pipeline_colouring(g, 2.0))
 
 
 def test_json_text_edge_cases_match_encoder():
@@ -320,7 +335,7 @@ def test_json_text_edge_cases_match_encoder():
         FractionalColouring({(0,): ((0.0, math.nan),)}, 1e-300),
     ]
     for col in cols:
-        assert col.to_json_text() == reference_text(col)
+        assert_text_matches_encoder(col)
 
 
 @settings(max_examples=25, deadline=None)
@@ -331,8 +346,22 @@ def test_json_text_edge_cases_match_encoder():
     st.sampled_from([1.0, 2.0, 4.0]),
 )
 def test_json_text_matches_encoder_random(n, p, seed, eps):
-    col = pipeline_colouring(random_triangle_free(n, p, seed), eps)
-    assert col.to_json_text() == reference_text(col)
+    assert_text_matches_encoder(pipeline_colouring(random_triangle_free(n, p, seed), eps))
+
+
+def test_write_json_holds_no_copy_of_the_text():
+    col = pipeline_colouring(random_triangle_free(18, 0.32, 1), 1.0)
+    assert sum(len(ivs) for ivs in col.parts.values()) >= 1000
+    text_length = len(reference_text(col))
+    with tempfile.TemporaryFile("w", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            col.write_json(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # building the whole text and then writing it peaks at twice its length
+    assert peak < 0.1 * text_length
 
 
 @settings(max_examples=15, deadline=None)

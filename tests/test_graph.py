@@ -243,3 +243,8 @@ def test_edge_list_parse_errors():
         parse_edge_list("2 2\n0 1\n")
     parsed = parse_edge_list("# comment\n3 1\n0 2\n")
     assert parsed.m == 1 and parsed.n == 3
+
+
+def test_connected_triangle_free_family_counts(tf_family):
+    # OEIS A024607: connected triangle-free graphs on n = 1..9 vertices
+    assert [len(tf_family[n]) for n in range(1, 10)] == [1, 1, 1, 3, 6, 19, 59, 267, 1380]

@@ -5,7 +5,9 @@ validator must reject every one and name the broken invariant.  The
 validator derives "adjacent vertices share no measure" from part
 independence and interval disjointness; the per-edge sweep in
 `helpers.reference_edge_failures` checks it directly, and on every
-colouring here a failure it finds must also fail the validator.
+colouring here a failure it finds must also fail the validator.  Every
+report must equal `helpers.reference_validate_colouring`'s, also on the
+pipeline runs and on colourings with NaN or infinite endpoints.
 """
 
 import math
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hcchroma import InputError, cycle, edgeless, random_triangle_free
+from hcchroma import Graph, InputError, cycle, edgeless, random_triangle_free
 from hcchroma.fractional import (
     FractionalColouring,
     LocalWeights,
@@ -109,10 +111,29 @@ def corrupt(kind, g, col, bounds, pick):
 KINDS = ("overlap", "dependent", "gap", "short", "above-bound", "adjacent-overlap")
 
 
+def report_key(report):
+    """A report's fields, floats by repr so that NaN equals NaN."""
+    return (
+        report.ok,
+        report.failures,
+        tuple(map(repr, report.vertex_measure)),
+        tuple(map(repr, report.vertex_slack)),
+    )
+
+
+def validate_like_reference(g, col, bounds):
+    """`validate_colouring`'s report, checked equal to the reference's."""
+    report = validate_colouring(g, col, bounds)
+    assert report_key(report) == report_key(
+        helpers.reference_validate_colouring(g, col, bounds)
+    )
+    return report
+
+
 def check_corruption(kind, g, col, bounds, pick):
     parts, total, bad_bounds, fragment = corrupt(kind, g, col, bounds, pick)
     bad = FractionalColouring(parts, total)
-    report = validate_colouring(g, bad, bad_bounds)
+    report = validate_like_reference(g, bad, bad_bounds)
     assert not report.ok
     assert any(fragment in f for f in report.failures), report.failures
     if kind == "adjacent-overlap":
@@ -120,7 +141,7 @@ def check_corruption(kind, g, col, bounds, pick):
 
 
 def check_uncorrupted(g, col, bounds):
-    report = validate_colouring(g, col, bounds)
+    report = validate_like_reference(g, col, bounds)
     assert report.ok == (not helpers.reference_edge_failures(g, col) and not report.failures)
     assert report.ok
 
@@ -159,7 +180,7 @@ def test_malformed_part_is_a_failure(part):
     # the first part alone gives vertex 0 measure 1 if counted twice
     g = edgeless(2)
     col = FractionalColouring({part: ((0.0, 0.5),), (0, 1): ((0.5, 1.5),)}, 1.5)
-    report = validate_colouring(g, col, 2.0)
+    report = validate_like_reference(g, col, 2.0)
     assert not report.ok
     assert any("strictly increasing tuple of vertex ids" in f for f in report.failures)
 
@@ -167,14 +188,14 @@ def test_malformed_part_is_a_failure(part):
 def test_repeated_member_is_not_counted_twice():
     g = edgeless(1)
     col = FractionalColouring({(0, 0): ((0.0, 0.5),), (): ((0.5, 1.0),)}, 1.0)
-    report = validate_colouring(g, col, 2.0)
+    report = validate_like_reference(g, col, 2.0)
     assert not report.ok
     assert report.vertex_measure == (0.0,)
 
 
 def test_non_finite_total_is_a_failure():
     col = FractionalColouring({(0,): ((0.0, math.inf),)}, math.inf)
-    report = validate_colouring(edgeless(1), col, math.inf)
+    report = validate_like_reference(edgeless(1), col, math.inf)
     assert not report.ok
     assert any("not finite" in f for f in report.failures)
 
@@ -184,3 +205,37 @@ def test_nan_bound_is_rejected(bound):
     col = FractionalColouring({(0, 1): ((0.0, 1.0),)}, 1.0)
     with pytest.raises(InputError):
         validate_colouring(edgeless(2), col, bound)
+
+
+NAN, INF = math.nan, math.inf
+ODD_COLOURINGS = {
+    # vertex 0 sits in two parts, so its running smallest and largest
+    # interval are compared across parts as well as within one
+    "nan-end": ({(0,): ((0.0, NAN),), (0, 2): ((0.5, 1.0), (1.0, 1.5))}, 1.5),
+    "nan-start": ({(0,): ((NAN, 0.5),), (0, 2): ((0.5, 1.0),), (1,): ((0.0, 1.0),)}, 1.0),
+    "nan-first-part": ({(0, 2): ((NAN, NAN), (0.0, 0.5)), (0,): ((0.5, 1.0),)}, 1.0),
+    "nan-later-part": ({(0,): ((0.0, 0.5),), (0, 2): ((NAN, 1.0), (0.5, NAN))}, 1.0),
+    "nan-after-negative": ({(0,): ((-1.0, 0.5),), (0, 2): ((NAN, 1.0),)}, 1.0),
+    "nan-after-high": ({(0,): ((0.0, 5.0),), (0, 2): ((NAN, 1.0),)}, 5.0),
+    "nan-total": ({(0, 1): ((0.0, 1.0),)}, NAN),
+    "inf-end": ({(0,): ((0.0, INF),), (1, 2): ((0.0, 1.0),)}, INF),
+    "minus-inf-start": ({(0, 1): ((-INF, 1.0),), (2,): ((1.0, 2.0),)}, 2.0),
+    "inf-both": ({(0,): ((INF, INF),), (1,): ((-INF, -INF),)}, 1.0),
+    "dependent-and-malformed": ({(0, 1, 1): ((0.0, 1.0),), (0, 1): ((1.0, 2.0),)}, 2.0),
+    "empty-part": ({(): ((0.0, 1.0),), (0, 1, 2): ()}, 1.0),
+}
+
+
+@pytest.mark.parametrize("bound", [2.0, INF, [1.0, 1.5, 2.0]], ids=["scalar", "inf", "per-vertex"])
+@pytest.mark.parametrize("name", sorted(ODD_COLOURINGS))
+def test_odd_colourings_match_reference_validator(name, bound):
+    # vertices 0 and 1 adjacent; vertex 2 isolated
+    g = Graph.from_edges(3, [(0, 1)])
+    parts, total = ODD_COLOURINGS[name]
+    validate_like_reference(g, FractionalColouring(parts, total), bound)
+
+
+def test_pipeline_runs_match_reference_validator(pipeline_runs):
+    for g, eps, lam, weights, colouring in pipeline_runs:
+        bounds = [vertex_interval_bound(lam, g.degree(v)) for v in range(g.n)]
+        assert validate_like_reference(g, colouring, bounds).ok
