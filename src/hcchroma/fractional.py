@@ -18,7 +18,8 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain, pairwise
+from itertools import accumulate, chain, compress, islice, pairwise, repeat
+from operator import le, lt
 from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 from . import hardcore
@@ -53,13 +54,13 @@ class SetDistribution:
     def __post_init__(self):
         if len(self.sets) != len(self.probs):
             raise InputError("sets and probs must have equal length")
-        if any(p < 0 for p in self.probs):
+        # written so that NaN fails both probability checks
+        if not all(map(le, repeat(0.0), self.probs)):
             raise InputError("probabilities must be non-negative")
-        if abs(math.fsum(self.probs) - 1.0) > 1e-9:
+        if not abs(math.fsum(self.probs) - 1.0) <= 1e-9:
             raise InputError("probabilities must sum to 1")
-        for a, b in zip(self.sets, self.sets[1:]):
-            if not a < b:
-                raise InputError("sets must be strictly increasing in canonical order")
+        if not all(map(lt, self.sets, self.sets[1:])):
+            raise InputError("sets must be strictly increasing in canonical order")
 
     def occupancy(self, n: int) -> list[float]:
         occ = [0.0] * n
@@ -75,7 +76,7 @@ DistributionOracle = Callable[[Graph, tuple[int, ...]], SetDistribution]
 ``g`` is the ambient graph and ``live`` the sorted tuple of unsaturated
 vertices; the sets come back in g's vertex ids.  The greedy calls the
 oracle once per round with a live tuple that shrinks from round to round,
-so an oracle may list g's sets once and filter them per round, as
+so an oracle may list g's sets once and narrow that list each round, as
 `hard_core_oracle` does.
 """
 
@@ -85,35 +86,56 @@ def hard_core_oracle(lam: float, cutoff: int = hardcore.DEFAULT_CUTOFF) -> Distr
 
     The independent sets of g[live] are the independent sets of g that
     avoid every vertex outside ``live``.  So the first call on a graph lists
-    g's sets once, each with its member tuple (global ids) and weight
-    lam^|I|, and every call keeps the rows that avoid the dead vertices, in
-    canonical order, and divides by their fsum.  Cost: one enumeration of g
-    plus one filter of its sets per round.  A call on another graph lists
-    that graph's sets instead.  The rows, one per independent set of g, live
-    as long as the oracle does; drop it once the greedy returns to free them.
+    g's sets once, in canonical order, into a table of masks, member tuples
+    (global ids) and weights lam^|I|.  Every call narrows the table to the
+    sets that avoid the vertices the previous call had live and this one
+    has not, and divides their weights by their fsum.  Dropped rows are
+    gone, so each round filters only the sets the round before kept.  A
+    call on another graph, or with a vertex live that the previous call did
+    not have, lists the graph's sets again.  The table is three columns
+    filtered by `itertools.compress`: a tuple per row would give the cyclic
+    garbage collector one more object per set to track.  It lives as long
+    as the oracle does; drop the oracle once the greedy returns to free it.
     """
     served: Graph | None = None
-    rows: list[tuple[int, VertexSet, float]] = []
+    served_live = 0
+    # the table, one column per field, row i being g's i-th independent set
+    masks: list[int] = []
+    sets: tuple[VertexSet, ...] = ()
+    weights: list[float] = []
 
     def oracle(g: Graph, live: tuple[int, ...]) -> SetDistribution:
-        nonlocal served, rows
-        if g is not served:
+        nonlocal served, served_live, masks, sets, weights
+        live_mask = sum(1 << v for v in live)
+        if g is not served or live_mask & ~served_live:
             hardcore._check_fugacity(lam)
             hardcore._check_cutoff(g, cutoff)
             pw = [1.0]
             for _ in range(g.n):
                 pw.append(pw[-1] * lam)
-            rows = [
-                (m, hardcore.mask_to_vertex_set(m), pw[m.bit_count()])
-                for m in hardcore.independent_set_masks(g)
-            ]
+            masks = hardcore.independent_set_masks(g)
+            # in depth-first preorder each set's latest predecessor one
+            # member smaller is its parent: the set without its top member
+            prefix: list[VertexSet] = [()] * (g.n + 1)
+            members: list[VertexSet] = [()]
+            weights = [1.0]
+            for m in islice(masks, 1, None):
+                k = m.bit_count()
+                prefix[k] = prefix[k - 1] + (m.bit_length() - 1,)
+                members.append(prefix[k])
+                weights.append(pw[k])
+            sets = tuple(members)
             served = g
-        dead = ((1 << g.n) - 1) & ~sum(1 << v for v in live)
-        kept = [row for row in rows if not row[0] & dead]
-        z = math.fsum(row[2] for row in kept)
-        return SetDistribution(
-            tuple(row[1] for row in kept), tuple(row[2] / z for row in kept)
-        )
+            served_live = (1 << g.n) - 1
+        dead = served_live & ~live_mask
+        if dead:
+            keep = [not m & dead for m in masks]
+            masks = list(compress(masks, keep))
+            sets = tuple(compress(sets, keep))
+            weights = list(compress(weights, keep))
+        served_live = live_mask
+        z = math.fsum(weights)
+        return SetDistribution(sets, tuple(w / z for w in weights))
 
     return oracle
 
@@ -224,11 +246,22 @@ class FractionalColouring:
         ``indent`` is set.  A non-finite total or endpoint, which ``repr``
         spells differently, is found by one pass before the first byte and
         sends the whole colouring through the encoder instead.
+
+        Each endpoint is spelled once.  In a greedy colouring a block's end
+        is the start of the round's next block, which belongs to a later
+        set, so the end's text is held, keyed by its value, until a start
+        of equal value takes it.  Equal floats have equal ``repr`` except
+        0.0 and -0.0, so a zero is never held or looked up; nor is an int,
+        which equals the float of its value but is spelled without ".0".
+        Of a greedy colouring only the ends of rounds stay held, one per
+        round.
         """
         endpoints = chain.from_iterable(chain.from_iterable(self.parts.values()))
         if not (math.isfinite(self.total) and all(map(math.isfinite, endpoints))):
             fh.write(json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
             return
+        held: dict[float, str] = {}
+        take = held.pop
         chunks = ['{\n  "parts": [']
         sep = "\n"
         for s in sorted(self.parts):
@@ -236,9 +269,14 @@ class FractionalColouring:
             chunks.append(sep)
             sep = ",\n"
             if ivs:
-                body = "\n        ],\n        [\n          ".join(
-                    [f"{a!r},\n          {b!r}" for a, b in ivs]
-                )
+                pairs = []
+                for a, b in ivs:
+                    start = take(a, None) if a and type(a) is float else None
+                    end = repr(b)
+                    if b and type(b) is float:
+                        held[b] = end
+                    pairs.append(f"{start or repr(a)},\n          {end}")
+                body = "\n        ],\n        [\n          ".join(pairs)
                 chunks.append(
                     '    {\n      "intervals": [\n        [\n          '
                     + body + "\n        ]\n      ],\n"
@@ -329,15 +367,15 @@ def greedy_fractional_colouring(
         tau = min(tau_list, tau_gamma)
         if not math.isfinite(tau) or tau <= 0.0:
             raise InternalError(f"degenerate measure increment tau={tau!r}")
-        start = w_total
-        for s, p in zip(dist.sets, dist.probs):
-            length = p * tau
-            if length <= 0.0:
-                continue
-            end = start + length
-            parts.setdefault(s, []).append((start, end))
-            start = end
-        w_total = start
+        # the cuts are the running sums start + length, left to right; a
+        # block of length 0 moves no cut (w_total is never -0.0) and is
+        # not kept
+        lengths = [p * tau for p in dist.probs]
+        cuts = list(accumulate(lengths, initial=w_total))
+        for s, length, block in zip(dist.sets, lengths, pairwise(cuts)):
+            if length > 0.0:
+                parts.setdefault(s, []).append(block)
+        w_total = cuts[-1]
         for v in live:
             w_vertex[v] += occ[v] * tau
             if w_vertex[v] > 1.0 + CAP_TOL:

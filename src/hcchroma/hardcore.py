@@ -12,7 +12,8 @@ are all exact quotients of polynomials evaluated at lambda: floats
 correctly rounded, or exact Fractions from `enumerate_stats(g,
 Fraction(lam))`, for every positive finite lambda.  Only
 frac-colour's oracle enumerates independent sets: it lists G's sets once
-per run, for the fractional colouring's parts.  The module also provides a
+per run, for the fractional colouring's parts, and narrows that list to
+the live vertices round by round.  The module also provides a
 Glauber-dynamics sampler for graphs above the exact cutoff, whose steps
 cost O(1) each plus O(deg v) when the chosen vertex v changes state, and
 the occupancy lower bound used by the fractional-colouring weight
@@ -128,15 +129,6 @@ def independent_set_masks(g: Graph) -> list[int]:
     except RecursionError:
         raise _recursion_limit_error(g) from None
     return out
-
-
-def mask_to_vertex_set(mask: int) -> VertexSet:
-    out = []
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        out.append(b.bit_length() - 1)
-    return tuple(out)
 
 
 def _independence_polynomial(g: Graph):

@@ -28,12 +28,17 @@ from hcchroma.graph import induced_subgraph, random_triangle_free
 from hcchroma.dpcolor import Cover, finishing_blow_hypothesis, from_list_assignment
 from hcchroma.errors import InputError
 from hcchroma.fractional import SATURATE_TOL, Interval, SetDistribution, ValidationReport
-from hcchroma.hardcore import (
-    FactCheckReport,
-    OccupancyStats,
-    independent_set_masks,
-    mask_to_vertex_set,
-)
+from hcchroma.hardcore import FactCheckReport, OccupancyStats, independent_set_masks
+
+
+def mask_to_vertex_set(mask: int) -> tuple[int, ...]:
+    """The sorted members of a vertex bitmask."""
+    out = []
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        out.append(b.bit_length() - 1)
+    return tuple(out)
 
 
 def to_nx(g: Graph) -> nx.Graph:

@@ -388,35 +388,49 @@ def test_semibip_rejects_a_dependent_part(c5_file, capsys, monkeypatch, a_side, 
         assert _strict_json(out)["A"] == list(a_side)
 
 
-# sha256 of frac-colour's output, recorded with an oracle that enumerated
-# each round's live subgraph afresh; any change to the bytes fails here.
-# random_triangle_free(16, 0.35, seed 0) has no isolated vertex.
+# sha256 of frac-colour's output, and of one --slack-tsv table, recorded
+# with an oracle that enumerated each round's live subgraph afresh (rtf14:
+# with the oracle that filtered the full table of G every round, and a
+# writer that spelled every endpoint); any change to the bytes fails here.
+# random_triangle_free(16, 0.35, seed 0) and (14, 0.3, seed 3) have no
+# isolated vertex.
 GOLDEN_FRAC_COLOUR = {
-    ("c5", "1"): "e2dab427522902a8bb35b66a9fd7ab7a9bfa2716913deb9eebc408f935aba83b",
-    ("c5", "2"): "922a5d725b847ab74b4adee6f5a981be9d3dd89cd5970b7ec960ce2822a62b35",
-    ("c5", "4"): "fb6dce408a750e0c3d8a92d81972d9f44c9e9f5636731c702b1af2760b88082f",
-    ("petersen", "1"): "15714399fedca4171289c6be9fae8789bd285c9996edab5c089623a31ec5e378",
-    ("petersen", "2"): "770d2988b175689a67161d08bd21ba0596dd2c70e008040b433f03260145cc35",
-    ("petersen", "4"): "ae08b31fefba7777b4a1c980255712288fea1f656b2f8c3a166fca7ed296daa6",
-    ("rtf16", "1"): "0775fb11e9e3dbc9f73261e1e5f756c02fec07693910fd955a995f629b79ec75",
-    ("rtf16", "2"): "7060574e0f4ab2a33c2f237158a3f5c27dddbcccfd9700513ea9ba5009a8b4db",
-    ("rtf16", "4"): "698df8e4f5f13f5f9c82dbfe23680133d190e0e40325a29e47dc262c6b5f8787",
+    ("c5", "1"): ("e2dab427522902a8bb35b66a9fd7ab7a9bfa2716913deb9eebc408f935aba83b", None),
+    ("c5", "2"): ("922a5d725b847ab74b4adee6f5a981be9d3dd89cd5970b7ec960ce2822a62b35", None),
+    ("c5", "4"): ("fb6dce408a750e0c3d8a92d81972d9f44c9e9f5636731c702b1af2760b88082f", None),
+    ("petersen", "1"): ("15714399fedca4171289c6be9fae8789bd285c9996edab5c089623a31ec5e378", None),
+    ("petersen", "2"): ("770d2988b175689a67161d08bd21ba0596dd2c70e008040b433f03260145cc35", None),
+    ("petersen", "4"): ("ae08b31fefba7777b4a1c980255712288fea1f656b2f8c3a166fca7ed296daa6", None),
+    ("rtf14", "1"): ("354d458e81f0bd8906f494fa40719751e8f79bf3cac276b832e3b4b5374220e2", None),
+    ("rtf14", "2"): (
+        "aa8722004efda82ef88789e3938c4f5dbf90827bfdf40dcc74e6a01339bc06f1",
+        "29bcdd58ecef53cd9cce0bc52b7f79d7a5664bafef0b6364452fd047c64bc412"),
+    ("rtf14", "4"): ("04550d2cb7b19327b3a8a5985b3c8fa9d47009765c70e72fc07c7d95ad7761b3", None),
+    ("rtf16", "1"): ("0775fb11e9e3dbc9f73261e1e5f756c02fec07693910fd955a995f629b79ec75", None),
+    ("rtf16", "2"): ("7060574e0f4ab2a33c2f237158a3f5c27dddbcccfd9700513ea9ba5009a8b4db", None),
+    ("rtf16", "4"): ("698df8e4f5f13f5f9c82dbfe23680133d190e0e40325a29e47dc262c6b5f8787", None),
 }
 GOLDEN_GRAPHS = {
     "c5": lambda: cycle(5),
     "petersen": petersen,
+    "rtf14": lambda: random_triangle_free(14, 0.3, 3),
     "rtf16": lambda: random_triangle_free(16, 0.35, 0),
 }
 
 
 @pytest.mark.parametrize("name, eps", sorted(GOLDEN_FRAC_COLOUR))
 def test_frac_colour_output_bytes_are_golden(tmp_path, name, eps):
+    digest, slack_digest = GOLDEN_FRAC_COLOUR[name, eps]
     p = tmp_path / f"{name}.edges"
     write_edge_list(GOLDEN_GRAPHS[name](), p)
     out = tmp_path / "col.json"
+    slack = tmp_path / "slack.tsv"
+    flags = ["--slack-tsv", str(slack)] if slack_digest else []
     assert main(["frac-colour", "--input", str(p), "--epsilon", eps,
-                 "--output", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_FRAC_COLOUR[name, eps]
+                 "--output", str(out), *flags]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    if slack_digest:
+        assert hashlib.sha256(slack.read_bytes()).hexdigest() == slack_digest
 
 
 @pytest.mark.parametrize("g", [edgeless(0), cycle(5), random_triangle_free(16, 0.35, 0)],

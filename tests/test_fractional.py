@@ -186,6 +186,42 @@ def test_set_distribution_validation():
         SetDistribution(((0,),), (0.5,))  # does not sum to 1
     with pytest.raises(InputError):
         SetDistribution(((1,), (0,)), (0.5, 0.5))  # not canonical order
+    with pytest.raises(InputError):
+        SetDistribution(((),), (math.nan,))
+
+
+@pytest.mark.parametrize("lam", [1e200, 1e300])
+def test_fugacity_whose_weights_overflow_is_rejected(lam):
+    # lam^2 overflows to inf, so the two-element sets of C5 weigh inf/inf = NaN
+    g = cycle(5)
+    with pytest.raises(InputError):
+        greedy_fractional_colouring(g, weights_alpha0(g, 5.0), hard_core_oracle(lam))
+
+
+@st.composite
+def live_sequences(draw, max_n=8):
+    """A graph and a sequence of sorted live tuples: each one either a
+    subset of the one before (narrowing) or any subset (growing back)."""
+    g = draw(helpers.triangle_free_graphs(max_n=max_n))
+    lives = []
+    live = set(range(g.n))
+    for narrow in draw(st.lists(st.booleans(), min_size=1, max_size=6)):
+        drawn = draw(st.sets(st.integers(0, max(g.n - 1, 0)))) if g.n else set()
+        live = live & drawn if narrow else drawn
+        lives.append(tuple(sorted(live)))
+    return g, lives
+
+
+@settings(max_examples=60, deadline=None)
+@given(live_sequences(), live_sequences(), st.sampled_from([0.5, 1.0, 2.0]))
+@example((cycle(5), [(0, 1, 2, 3, 4), (0, 1, 3), (0, 1, 3), (0, 1, 2, 3, 4), (0, 1)]),
+         (edgeless(5), [(0, 1), (1,)]), 1.0)
+def test_narrowing_oracle_matches_reference_on_any_live_sequence(first, second, lam):
+    oracle = hard_core_oracle(lam)
+    ref = helpers.reference_hard_core_oracle(lam)
+    for g, lives in (first, second):
+        for live in lives:
+            assert oracle(g, live) == ref(g, live)
 
 
 def test_table_oracle_restricts_by_intersection():
@@ -333,6 +369,23 @@ def test_json_text_edge_cases_match_encoder():
         FractionalColouring({(): (), (0, 2): ((0, 1), (1.5, 2.0))}, 2),
         FractionalColouring({(0,): ((0.0, math.inf),)}, math.inf),
         FractionalColouring({(0,): ((0.0, math.nan),)}, 1e-300),
+        # a zero end, then a start at the zero of the other sign: spelled apart
+        FractionalColouring({(): ((-1.0, 0.0),), (0,): ((-0.0, 0.5),)}, 0.5),
+        FractionalColouring({(): ((-1.0, -0.0),), (0,): ((0.0, 0.5),)}, 0.5),
+        # an int end and a float start of equal value: spelled apart
+        FractionalColouring({(0,): ((0, 1),), (1,): ((1.0, 2.0),), (2,): ((2, 3),)}, 3),
+        # ends taken up by starts in parts that are not adjacent, in two
+        # rounds whose blocks go to the sets in different orders
+        FractionalColouring({
+            (): ((0.0, 0.25), (1.75, 2.0)),
+            (0,): ((0.5, 0.75), (2.0, 2.5)),
+            (0, 2): ((1.25, 1.75),),
+            (1,): ((0.25, 0.5),),
+            (1, 3): ((2.5, 3.0),),
+            (2,): ((0.75, 1.25),),
+        }, 3.0),
+        # degenerate blocks: an end equal to its own start, held twice
+        FractionalColouring({(): ((1.0, 1.0), (1.0, 2.0)), (0,): ((0.5, 1.0),)}, 2.0),
     ]
     for col in cols:
         assert_text_matches_encoder(col)

@@ -26,7 +26,6 @@ from hcchroma.hardcore import (
     glauber_sample,
     hcm_lower_bound,
     independent_set_masks,
-    mask_to_vertex_set,
     neighbour_occupancy,
 )
 
@@ -37,13 +36,13 @@ K2 = complete_bipartite(1, 1)
 
 def test_enumeration_matches_brute_force():
     for g in (K2, cycle(5), star(3), petersen(), random_triangle_free(10, 0.3, 3)):
-        ours = sorted(mask_to_vertex_set(m) for m in independent_set_masks(g))
+        ours = sorted(helpers.mask_to_vertex_set(m) for m in independent_set_masks(g))
         assert ours == sorted(helpers.brute_independent_sets(g))
 
 
 def test_enumeration_canonical_order():
     masks = independent_set_masks(cycle(4))
-    sets = [mask_to_vertex_set(m) for m in masks]
+    sets = [helpers.mask_to_vertex_set(m) for m in masks]
     assert sets == sorted(sets)
     assert sets[0] == ()
 
