@@ -98,6 +98,11 @@ def check_recursive_properties(inst: NecessaryInstance) -> PropertyReport:
     return PropertyReport(not failures, tuple(failures))
 
 
+def _check_limit(name: str, value: int) -> None:
+    if value < 0:
+        raise InputError(f"{name} must be at least 0, got {value}")
+
+
 def necessary_construction(
     delta: int, level: int, size_cap: int = DEFAULT_SIZE_CAP
 ) -> NecessaryInstance:
@@ -118,6 +123,7 @@ def necessary_construction(
         raise InputError("level must be non-negative")
     if level > delta - 1:
         raise InputError("level must be at most delta - 1")
+    _check_limit("size_cap", size_cap)
     if delta + 1 > size_cap:
         raise SizeError(f"level 0 needs {delta + 1} vertices, above the cap {size_cap}")
     centre_list = frozenset((i, 0) for i in range(1, delta + 1))
@@ -284,6 +290,7 @@ def verify_construction(
     where it does not apply).  A structural refutation of an instance the
     search colours is an internal error.
     """
+    _check_limit("budget", budget)
     counter = [0]
     colourable = _list_colourable(inst.graph, inst.lists, budget, counter)
     structural = structural_not_colourable(inst, budget)
@@ -382,24 +389,26 @@ def _max_degree_sum_set(g: Graph) -> tuple[VertexSet, int]:
     maximum in canonical enumeration order.  SizeError when the recursion,
     one level per vertex, passes the interpreter's limit.
     """
-    adj = g.adjacency_masks
-    memo = {0: (0, ())}
-
-    def best(s: int) -> tuple[int, VertexSet]:
-        key = memo.get(s)
-        if key is None:
-            low = s & -s
-            v = low.bit_length() - 1
-            neg, members = best(s & ~adj[v] & ~low)
-            key = min(best(s ^ low), (neg - g.degree(v), (v,) + members))
-            memo[s] = key
-        return key
-
     try:
-        neg, members = best((1 << g.n) - 1)
+        neg, members = _best_key({0: (0, ())}, g, (1 << g.n) - 1)
     except RecursionError:
         raise hardcore._recursion_limit_error(g) from None
     return members, -neg
+
+
+def _best_key(memo: dict, g: Graph, s: int) -> tuple[int, VertexSet]:
+    """The smallest (-score, members) key over the independent subsets of
+    the vertex bitmask ``s``, read from or added to ``memo``.  A
+    module-level function, not a closure that calls itself, which would tie
+    the memo into a reference cycle."""
+    key = memo.get(s)
+    if key is None:
+        low = s & -s
+        v = low.bit_length() - 1
+        neg, members = _best_key(memo, g, s & ~g.adjacency_masks[v] & ~low)
+        key = min(_best_key(memo, g, s ^ low), (neg - g.degree(v), (v,) + members))
+        memo[s] = key
+    return key
 
 
 def semi_bipartite_extract(

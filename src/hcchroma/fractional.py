@@ -14,7 +14,6 @@ colours every vertex v of a triangle-free graph inside
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -294,12 +293,6 @@ class FractionalColouring:
         chunks.append("\n  ]" if self.parts else "]")
         chunks.append(f',\n  "total": {self.total!r}\n}}\n')
         fh.write("".join(chunks))
-
-    def to_json_text(self) -> str:
-        """The text `write_json` writes, as one string."""
-        buf = io.StringIO()
-        self.write_json(buf)
-        return buf.getvalue()
 
 
 def _oracle_scores(g: Graph, live, occ: Sequence[float], weights: LocalWeights) -> list[float]:

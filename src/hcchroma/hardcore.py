@@ -110,25 +110,26 @@ def independent_set_masks(g: Graph) -> list[int]:
     The recursion goes one level per member of the set being extended;
     SizeError when it passes the interpreter's limit.
     """
-    adj = g.adjacency_masks
     out = [0]
-    append = out.append
-
-    def rec(mask: int, avail: int) -> None:
-        m = avail
-        while m:
-            b = m & -m
-            m ^= b
-            v = b.bit_length() - 1
-            child = mask | b
-            append(child)
-            rec(child, m & ~adj[v])
-
     try:
-        rec(0, (1 << g.n) - 1)
+        _extend_sets(g.adjacency_masks, out.append, 0, (1 << g.n) - 1)
     except RecursionError:
         raise _recursion_limit_error(g) from None
     return out
+
+
+def _extend_sets(adj, append, mask: int, avail: int) -> None:
+    """Append ``mask | T`` for every nonempty independent subset T of
+    ``avail``, the vertices that may still join ``mask``, in depth-first
+    preorder.  Module-level for the reason given at `_poly`."""
+    m = avail
+    while m:
+        b = m & -m
+        m ^= b
+        v = b.bit_length() - 1
+        child = mask | b
+        append(child)
+        _extend_sets(adj, append, child, m & ~adj[v])
 
 
 def _independence_polynomial(g: Graph):
@@ -142,48 +143,54 @@ def _independence_polynomial(g: Graph):
     multiplies over the connected components of S; a connected S branches
     on a vertex v of largest degree in S:
     Z(S) = Z(S - v) + x Z(S - N[v]) (Levit & Mandrescu, "The independence
-    polynomial of a graph - a survey", 2005).  The memo lives as long as
-    the returned function, which raises SizeError when the recursion passes
-    the interpreter's limit.
+    polynomial of a graph - a survey", 2005).  The memo is a plain dict of
+    ints that only ``poly`` refers to, with no reference cycle, so it is
+    freed as soon as the caller drops ``poly``, whether or not the cyclic
+    garbage collector runs.  ``poly`` raises SizeError when the recursion
+    passes the interpreter's limit.
     """
     bits = g.n + 1
     adj = g.adjacency_masks
     memo = {0: 1}
 
     def poly(s: int) -> int:
-        value = memo.get(s)
-        if value is not None:
-            return value
-        comp = frontier = s & -s
-        while frontier:
-            b = frontier & -frontier
-            frontier ^= b
-            new = adj[b.bit_length() - 1] & s & ~comp
-            comp |= new
-            frontier |= new
-        if comp != s:
-            value = poly(comp) * poly(s ^ comp)
-        else:
-            best = -1
-            m = s
-            while m:
-                b = m & -m
-                m ^= b
-                d = (adj[b.bit_length() - 1] & s).bit_count()
-                if d > best:
-                    best, pick = d, b
-            rest = s & ~adj[pick.bit_length() - 1] & ~pick
-            value = poly(s ^ pick) + (poly(rest) << bits)
-        memo[s] = value
-        return value
-
-    def query(s: int) -> int:
         try:
-            return poly(s)
+            return _poly(memo, adj, bits, s)
         except RecursionError:
             raise _recursion_limit_error(g) from None
 
-    return query, bits
+    return poly, bits
+
+
+def _poly(memo: dict[int, int], adj, bits: int, s: int) -> int:
+    """Z(G[S]) packed as in `_independence_polynomial`, read from or added
+    to ``memo``.  A module-level function, not a closure that calls itself,
+    which would tie the memo into a reference cycle."""
+    value = memo.get(s)
+    if value is not None:
+        return value
+    comp = frontier = s & -s
+    while frontier:
+        b = frontier & -frontier
+        frontier ^= b
+        new = adj[b.bit_length() - 1] & s & ~comp
+        comp |= new
+        frontier |= new
+    if comp != s:
+        value = _poly(memo, adj, bits, comp) * _poly(memo, adj, bits, s ^ comp)
+    else:
+        best = -1
+        m = s
+        while m:
+            b = m & -m
+            m ^= b
+            d = (adj[b.bit_length() - 1] & s).bit_count()
+            if d > best:
+                best, pick = d, b
+        rest = s & ~adj[pick.bit_length() - 1] & ~pick
+        value = _poly(memo, adj, bits, s ^ pick) + (_poly(memo, adj, bits, rest) << bits)
+    memo[s] = value
+    return value
 
 
 def _ratio(num: int, den: int, bits: int, lam):

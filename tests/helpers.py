@@ -15,6 +15,7 @@ validator replaced; they read distances from networkx, not from
 from __future__ import annotations
 
 import decimal
+import io
 import itertools
 import math
 import random
@@ -39,6 +40,13 @@ def mask_to_vertex_set(mask: int) -> tuple[int, ...]:
         mask ^= b
         out.append(b.bit_length() - 1)
     return tuple(out)
+
+
+def json_text(col) -> str:
+    """The text ``col.write_json`` writes, as one string."""
+    buf = io.StringIO()
+    col.write_json(buf)
+    return buf.getvalue()
 
 
 def to_nx(g: Graph) -> nx.Graph:

@@ -654,6 +654,30 @@ def test_construct_size_cap_applies_at_level0():
     assert main(["construct", "--delta", "5", "--level", "0", "--size-cap", "4"]) == 3
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--budget", "-1"], "budget must be at least 0, got -1"),
+    (["--size-cap", "-5"], "size_cap must be at least 0, got -5"),
+], ids=["budget-negative", "size-cap-negative"])
+def test_construct_rejects_negative_limits_before_building(flags, message, capsys,
+                                                           monkeypatch):
+    built = []
+    monkeypatch.setattr(constructions.Graph, "from_edges",
+                        staticmethod(lambda *args: built.append(args)))
+    assert main(["construct", "--delta", "4", "--level", "1", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err and err.count("\n") == 1
+    assert built == []
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--budget", "0"], "exceeded budget 0"),
+    (["--size-cap", "0"], "above the cap 0"),
+], ids=["budget-zero", "size-cap-zero"])
+def test_construct_zero_limits_are_legal(flags, message, capsys):
+    assert main(["construct", "--delta", "4", "--level", "1", *flags]) == 3
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["frac-colour", "--input", "g.edges", "--epsilon", "1", "--seed", "1"],
     ["frac-colour", "--input", "g.edges", "--epsilon", "1", "--threads", "2"],

@@ -123,6 +123,10 @@ def test_parameter_validation():
         necessary_construction(3, 3)
     with pytest.raises(InputError):
         necessary_construction(3, -1)
+    with pytest.raises(InputError):
+        necessary_construction(3, 0, size_cap=-1)
+    with pytest.raises(InputError):
+        verify_construction(necessary_construction(3, 0), budget=-1)
 
 
 def test_budget_error():

@@ -355,7 +355,7 @@ def written_text(col):
 
 def assert_text_matches_encoder(col):
     expected = reference_text(col)
-    assert col.to_json_text() == expected
+    assert helpers.json_text(col) == expected
     assert written_text(col) == expected
 
 
