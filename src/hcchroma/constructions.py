@@ -384,31 +384,46 @@ def _max_degree_sum_set(g: Graph) -> tuple[VertexSet, int]:
     The (max, +) form of the independence-polynomial recurrence (Aji &
     McEliece, "The generalized distributive law", 2000), branching on the
     lowest vertex v of S: M(S) = max(M(S - v), deg(v) + M(S - N[v])),
-    memoised by bitmask.  Each state keeps its best (-score, members) key,
-    so among equal scores the smaller member tuple wins, which is the first
-    maximum in canonical enumeration order.  SizeError when the recursion,
-    one level per vertex, passes the interpreter's limit.
+    memoised by bitmask, one score per state.  The set is then read back
+    from the memo, taking v whenever that scores more, or as much and
+    something was left to take without v: the smaller member tuple wins
+    ties, which is the first maximum in canonical enumeration order.
+    SizeError when the recursion, one level per vertex, passes the
+    interpreter's limit.
     """
+    memo = {0: 0}
+    s = (1 << g.n) - 1
     try:
-        neg, members = _best_key({0: (0, ())}, g, (1 << g.n) - 1)
+        best = _best_score(memo, g, s)
     except RecursionError:
         raise hardcore._recursion_limit_error(g) from None
-    return members, -neg
-
-
-def _best_key(memo: dict, g: Graph, s: int) -> tuple[int, VertexSet]:
-    """The smallest (-score, members) key over the independent subsets of
-    the vertex bitmask ``s``, read from or added to ``memo``.  A
-    module-level function, not a closure that calls itself, which would tie
-    the memo into a reference cycle."""
-    key = memo.get(s)
-    if key is None:
+    members = []
+    while s:
         low = s & -s
         v = low.bit_length() - 1
-        neg, members = _best_key(memo, g, s & ~g.adjacency_masks[v] & ~low)
-        key = min(_best_key(memo, g, s ^ low), (neg - g.degree(v), (v,) + members))
-        memo[s] = key
-    return key
+        rest = s & ~g.adjacency_masks[v] & ~low
+        skip = memo[s ^ low]
+        take = g.degree(v) + memo[rest]
+        if take > skip or take == skip > 0:
+            members.append(v)
+            s = rest
+        else:
+            s ^= low
+    return tuple(members), best
+
+
+def _best_score(memo: dict, g: Graph, s: int) -> int:
+    """The largest degree sum over the independent subsets of the vertex
+    bitmask ``s``, read from or added to ``memo``.  A module-level
+    function, not a closure that calls itself, which would tie the memo
+    into a reference cycle."""
+    score = memo.get(s)
+    if score is None:
+        low = s & -s
+        v = low.bit_length() - 1
+        take = g.degree(v) + _best_score(memo, g, s & ~g.adjacency_masks[v] & ~low)
+        score = memo[s] = max(_best_score(memo, g, s ^ low), take)
+    return score
 
 
 def semi_bipartite_extract(

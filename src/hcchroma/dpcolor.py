@@ -15,13 +15,16 @@ constructively by Moser-Tardos resampling.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import os
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
+from operator import eq, lt
 from typing import Hashable, Mapping, Sequence
 
 from .errors import (
@@ -65,19 +68,15 @@ class Cover:
     cross_edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        object.__setattr__(self, "owner", tuple(int(u) for u in self.owner))
-        for u in self.owner:
-            if not 0 <= u < self.base.n:
-                raise InputError(f"owner {u} out of range")
-        canon = set()
-        for e in self.cross_edges:
-            a, b = e
-            if a == b:
-                raise InputError(f"cross edge ({a},{b}) is a loop")
-            if not (0 <= a < len(self.owner) and 0 <= b < len(self.owner)):
-                raise InputError(f"cross edge ({a},{b}) out of range")
-            canon.add((a, b) if a < b else (b, a))
-        object.__setattr__(self, "cross_edges", frozenset(canon))
+        owner = tuple(map(int, self.owner))
+        object.__setattr__(self, "owner", owner)
+        if owner and not (min(owner) >= 0 and max(owner) < self.base.n):
+            for u in owner:
+                if not 0 <= u < self.base.n:
+                    raise InputError(f"owner {u} out of range")
+        object.__setattr__(
+            self, "cross_edges", _canonical_edges(self.cross_edges, len(owner))
+        )
 
     @property
     def num_colour_nodes(self) -> int:
@@ -92,13 +91,46 @@ class Cover:
         return tuple(tuple(lst) for lst in out)
 
     @cached_property
-    def star_adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Cross-edge partners per colour node."""
-        out: list[list[int]] = [[] for _ in range(len(self.owner))]
-        for a, b in self.cross_edges:
-            out[a].append(b)
-            out[b].append(a)
-        return tuple(tuple(sorted(lst)) for lst in out)
+    def _truncations(self) -> dict:
+        """`truncate_lists` results by per-vertex ell, so that certifying
+        and solving one cover truncate it once."""
+        return {}
+
+
+def _canonical_edges(edges, num_nodes: int) -> frozenset[tuple[int, int]]:
+    """The cross edges as pairs (a, b) with a < b, range-checked.
+
+    Checks and canonicalises with whole-collection passes; only when they
+    find a fault does the per-edge loop run, to name the first bad edge in
+    iteration order.
+    """
+    if not edges:
+        return frozenset()
+    if set(map(len, edges)) == {2}:
+        firsts, seconds = zip(*edges)
+        canonical = all(map(lt, firsts, seconds))
+        if not canonical:
+            firsts, seconds = (
+                tuple(map(min, firsts, seconds)),
+                tuple(map(max, firsts, seconds)),
+            )
+        if (
+            (canonical or not any(map(eq, firsts, seconds)))
+            and min(firsts) >= 0
+            and max(seconds) < num_nodes
+        ):
+            if canonical and type(edges) is frozenset:
+                return edges
+            return frozenset(zip(firsts, seconds))
+    canon = set()
+    for e in edges:
+        a, b = e
+        if a == b:
+            raise InputError(f"cross edge ({a},{b}) is a loop")
+        if not (0 <= a < num_nodes and 0 <= b < num_nodes):
+            raise InputError(f"cross edge ({a},{b}) out of range")
+        canon.add((a, b) if a < b else (b, a))
+    return frozenset(canon)
 
 
 @dataclass(frozen=True)
@@ -108,33 +140,34 @@ class CoverReport:
 
 
 def validate_cover(c: Cover) -> CoverReport:
-    """Check the four cover axioms, reporting every violation found."""
-    violations = []
+    """Check the four cover axioms, reporting every violation found.
+
+    The list and adjacency violations come first, then the matching ones,
+    each in canonical edge order.
+    """
+    owner = c.owner
     base_adj = [set(nbrs) for nbrs in c.base.adjacency]
+    violations = []
+    matching = []
+    # matching axiom: per base edge, no node may have two partners in one list
+    partners: dict[tuple[int, int], int] = {}  # (node, other list's vertex) -> count
     for a, b in sorted(c.cross_edges):
-        ua, ub = c.owner[a], c.owner[b]
+        ua, ub = owner[a], owner[b]
         if ua == ub:
             violations.append(f"cross edge ({a},{b}) joins nodes of one list ({ua})")
-        elif ub not in base_adj[ua]:
+            continue
+        if ub not in base_adj[ua]:
             violations.append(
                 f"cross edge ({a},{b}) joins lists of non-adjacent vertices {ua},{ub}"
             )
-    # matching axiom: per base edge, no node may have two partners in one list
-    partner_lists: dict[tuple[int, int], set[int]] = {}
-    for a, b in sorted(c.cross_edges):
-        ua, ub = c.owner[a], c.owner[b]
-        if ua == ub:
-            continue
-        for node, other_owner in ((a, ub), (b, ua)):
-            key = (node, other_owner)
-            seen = partner_lists.setdefault(key, set())
-            partner = b if node == a else a
-            seen.add(partner)
-            if len(seen) > 1:
-                violations.append(
-                    f"node {node} has {len(seen)} cross partners in the list of "
-                    f"vertex {other_owner}; matching violated"
+        for key in ((a, ub), (b, ua)):
+            seen = partners[key] = partners.get(key, 0) + 1
+            if seen > 1:
+                matching.append(
+                    f"node {key[0]} has {seen} cross partners in the list of "
+                    f"vertex {key[1]}; matching violated"
                 )
+    violations += matching
     return CoverReport(not violations, tuple(violations))
 
 
@@ -154,18 +187,14 @@ def from_list_assignment(
     labels: list[Hashable] = []
     node_of: list[dict[Hashable, int]] = []
     for v in range(g.n):
-        table = {}
-        for lab in sorted(set(lists[v])):
-            table[lab] = len(owner)
-            owner.append(v)
-            labels.append(lab)
-        node_of.append(table)
+        labs = sorted(set(lists[v]))
+        node_of.append(dict(zip(labs, range(len(owner), len(owner) + len(labs)))))
+        owner.extend(repeat(v, len(labs)))
+        labels.extend(labs)
     cross = set()
     for u, v in g.edges():
-        for lab, a in node_of[u].items():
-            b = node_of[v].get(lab)
-            if b is not None:
-                cross.add((a, b))
+        tu, tv = node_of[u], node_of[v]
+        cross.update([(tu[lab], tv[lab]) for lab in tu.keys() & tv.keys()])
     return Cover(g, tuple(owner), frozenset(cross)), tuple(labels)
 
 
@@ -185,43 +214,49 @@ def finishing_blow_hypothesis(c: Cover, ell) -> HypothesisReport:
     condition is vacuous (such nodes have no cross edges anyway).
     """
     ell_v = _normalise_ell(c, ell)
+    star = [0] * c.num_colour_nodes
+    for a, b in c.cross_edges:
+        star[a] += 1
+        star[b] += 1
+    max_star = max(star, default=0)
     violations = []
-    max_star = 0
-    min_list = min((len(l) for l in c.lists), default=0)
-    for u in range(c.base.n):
+    for u, (lst, nbrs) in enumerate(zip(c.lists, c.base.adjacency)):
         if ell_v[u] < 3:
             violations.append(f"ell({u}) = {ell_v[u]} < 3")
-        if len(c.lists[u]) < ell_v[u]:
-            violations.append(
-                f"|L({u})| = {len(c.lists[u])} < ell({u}) = {ell_v[u]}"
-            )
-        nbrs = c.base.adjacency[u]
-        cap = min(ell_v[v] for v in nbrs) / 8.0 if nbrs else math.inf
-        for node in c.lists[u]:
-            d = len(c.star_adjacency[node])
-            max_star = max(max_star, d)
-            if d > cap:
-                violations.append(
-                    f"node {node} in L({u}) has star degree {d} > {cap}"
-                )
-    return HypothesisReport(not violations, tuple(violations), max_star, min_list)
+        if len(lst) < ell_v[u]:
+            violations.append(f"|L({u})| = {len(lst)} < ell({u}) = {ell_v[u]}")
+        if not nbrs:
+            continue
+        cap = min(map(ell_v.__getitem__, nbrs)) / 8.0
+        if max_star > cap:
+            for node in lst:
+                if star[node] > cap:
+                    violations.append(
+                        f"node {node} in L({u}) has star degree {star[node]} > {cap}"
+                    )
+    return HypothesisReport(
+        not violations, tuple(violations), max_star, min(map(len, c.lists), default=0)
+    )
 
 
 def truncate_lists(c: Cover, ell) -> tuple[Cover, tuple[int, ...]]:
     """Keep the lexicographically first ell(u) nodes per list.
 
     Returns the truncated cover (nodes renumbered densely) and the map
-    from new node ids to old ones.
+    from new node ids to old ones.  The result is kept on ``c``, so a
+    second call with the same targets returns the same objects.
     """
     ell_v = _normalise_ell(c, ell)
-    keep: list[int] = []
-    for u in range(c.base.n):
-        lst = c.lists[u]
-        if len(lst) < ell_v[u]:
-            raise InputError(f"list of vertex {u} shorter than ell({u})")
-        keep.extend(lst[: ell_v[u]])
-    keep.sort()
-    return _restrict(c, c.base, range(c.base.n), keep), tuple(keep)
+    key = tuple(ell_v)
+    if key not in c._truncations:
+        keep: list[int] = []
+        for u, lst in enumerate(c.lists):
+            if len(lst) < ell_v[u]:
+                raise InputError(f"list of vertex {u} shorter than ell({u})")
+            keep.extend(lst[: ell_v[u]])
+        keep.sort()
+        c._truncations[key] = (_restrict(c, c.base, range(c.base.n), keep), tuple(keep))
+    return c._truncations[key]
 
 
 def _restrict(c: Cover, base: Graph, base_map, keep: list[int]) -> Cover:
@@ -230,13 +265,13 @@ def _restrict(c: Cover, base: Graph, base_map, keep: list[int]) -> Cover:
     Node ``keep[i]`` becomes node i, owned by ``base_map[old owner]``; the
     cross edges with both ends kept carry over.
     """
-    new_id = {old: new for new, old in enumerate(keep)}
-    owner = tuple(base_map[c.owner[old]] for old in keep)
-    cross = frozenset(
+    new_id = dict(zip(keep, range(len(keep))))
+    owner = tuple(map(base_map.__getitem__, map(c.owner.__getitem__, keep)))
+    cross = frozenset([
         (new_id[a], new_id[b])
         for a, b in c.cross_edges
         if a in new_id and b in new_id
-    )
+    ])
     return Cover(base, owner, cross)
 
 
@@ -271,48 +306,41 @@ def lll_certify(c: Cover, ell) -> LllReport:
         )
     ell_v = _normalise_ell(c, ell)
     trunc, _ = truncate_lists(c, ell_v)
-    edges = sorted(trunc.cross_edges)
-    if not edges:
+    if not trunc.cross_edges:
         return LllReport(True, None, None, 0.0, 0)
-    x = {}
-    for a, b in edges:
-        ua, ub = trunc.owner[a], trunc.owner[b]
-        x[(a, b)] = 3.0 / (ell_v[ua] * ell_v[ub])
+    # Every edge between the lists of u1 and u2 has the same weight and the
+    # same slack, so the slacks are taken once per list pair; the sums are
+    # accumulated edge by edge in canonical edge order.
     vertex_sum = [0.0] * trunc.base.n
     vertex_logsum = [0.0] * trunc.base.n
-    pair_sum: dict[tuple[int, int], float] = {}
-    pair_logsum: dict[tuple[int, int], float] = {}
-    for e in edges:
-        a, b = e
-        ua, ub = trunc.owner[a], trunc.owner[b]
-        xe = x[e]
-        lg = math.log1p(-xe)
+    pairs: dict[tuple[int, int], list[float]] = {}  # x, log(1 - x), sum, log sum
+    owner = trunc.owner
+    for a, b in sorted(trunc.cross_edges):
+        ua, ub = owner[a], owner[b]
+        key = (ua, ub) if ua < ub else (ub, ua)
+        pair = pairs.get(key)
+        if pair is None:
+            xe = 3.0 / (ell_v[ua] * ell_v[ub])
+            pair = pairs[key] = [xe, math.log1p(-xe), 0.0, 0.0]
+        xe, lg = pair[0], pair[1]
         vertex_sum[ua] += xe
         vertex_sum[ub] += xe
         vertex_logsum[ua] += lg
         vertex_logsum[ub] += lg
-        key = (ua, ub) if ua < ub else (ub, ua)
-        pair_sum[key] = pair_sum.get(key, 0.0) + xe
-        pair_logsum[key] = pair_logsum.get(key, 0.0) + lg
+        pair[2] += xe
+        pair[3] += lg
     proof_slack = math.inf
     glll_slack = math.inf
     max_x = 0.0
-    certified = True
-    for e in edges:
-        a, b = e
-        ua, ub = trunc.owner[a], trunc.owner[b]
-        xe = x[e]
+    for (ua, ub), (xe, lg, pair_sum, pair_logsum) in pairs.items():
         max_x = max(max_x, xe)
-        if xe >= 0.5:
-            certified = False
-        key = (ua, ub) if ua < ub else (ub, ua)
         prob = 1.0 / (ell_v[ua] * ell_v[ub])
-        dep_sum = vertex_sum[ua] + vertex_sum[ub] - pair_sum[key]
+        dep_sum = vertex_sum[ua] + vertex_sum[ub] - pair_sum
         proof_slack = min(proof_slack, xe * math.exp(-1.4 * dep_sum) - prob)
-        dep_log = vertex_logsum[ua] + vertex_logsum[ub] - pair_logsum[key]
-        glll_slack = min(glll_slack, xe * math.exp(dep_log - math.log1p(-xe)) - prob)
-    certified = certified and proof_slack >= 0.0
-    return LllReport(certified, proof_slack, glll_slack, max_x, len(edges))
+        dep_log = vertex_logsum[ua] + vertex_logsum[ub] - pair_logsum
+        glll_slack = min(glll_slack, xe * math.exp(dep_log - lg) - prob)
+    certified = max_x < 0.5 and proof_slack >= 0.0
+    return LllReport(certified, proof_slack, glll_slack, max_x, len(trunc.cross_edges))
 
 
 def verify_dp_colouring(c: Cover, choice: Mapping[int, int]) -> tuple[bool, str]:
@@ -364,24 +392,33 @@ def solve(
     rng = random.Random(seed)
     choice = {u: rng.choice(work.lists[u]) for u in range(work.base.n)}
     chosen = set(choice.values())
-    edges = sorted(work.cross_edges)
+    # The heap holds every violated edge (one is pushed whenever a resample
+    # chooses its second end) and maybe edges no longer violated, dropped
+    # when they surface, so its smallest violated entry is the first
+    # violated edge in canonical order.
+    violated = [e for e in work.cross_edges if e[0] in chosen and e[1] in chosen]
+    heapq.heapify(violated)
+    incident: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    if violated:
+        for e in work.cross_edges:
+            incident[e[0]].append(e)
+            incident[e[1]].append(e)
     resamples = 0
-    while True:
-        violated = None
-        for e in edges:
-            if e[0] in chosen and e[1] in chosen:
-                violated = e
-                break
-        if violated is None:
-            break
+    while violated:
+        e = heapq.heappop(violated)
+        if not (e[0] in chosen and e[1] in chosen):
+            continue
         resamples += 1
         if resamples > max_resamples:
             raise SizeError(f"gave up after {max_resamples} resamples")
-        for node in violated:
+        for node in e:
             u = work.owner[node]
             chosen.discard(choice[u])
-            choice[u] = rng.choice(work.lists[u])
-            chosen.add(choice[u])
+            new = choice[u] = rng.choice(work.lists[u])
+            chosen.add(new)
+            for f in incident[new]:
+                if f[0] in chosen and f[1] in chosen:
+                    heapq.heappush(violated, f)
     if node_map is not None:
         choice = {u: node_map[node] for u, node in choice.items()}
     ok, msg = verify_dp_colouring(c, choice)
@@ -394,16 +431,23 @@ def _random_partial(c: Cover, rng: random.Random) -> dict[int, int]:
     """Phase 1: one uniform draw per non-empty list, in vertex order.
 
     A draw is kept unless it is a cross partner of an earlier kept draw;
-    returns the kept draws as base vertex -> colour node.  O(sum of deg*).
+    returns the kept draws as base vertex -> colour node.  Whether a draw
+    is kept never changes a later draw, so all are drawn first and only
+    the cross edges between two draws are looked at.  O(sum of deg*).
     """
+    draws = [rng.choice(lst) for lst in c.lists if lst]
+    drawn = set(draws)
+    partners: dict[int, list[int]] = defaultdict(list)
+    for a, b in c.cross_edges:
+        if a in drawn and b in drawn:
+            partners[a].append(b)
+            partners[b].append(a)
     chosen: dict[int, int] = {}
     banned: set[int] = set()
-    for u, lst in enumerate(c.lists):
-        if lst:
-            node = rng.choice(lst)
-            if node not in banned:
-                chosen[u] = node
-                banned.update(c.star_adjacency[node])
+    for node in draws:
+        if node not in banned:
+            chosen[c.owner[node]] = node
+            banned.update(partners[node])
     return chosen
 
 
@@ -415,15 +459,19 @@ def residual_cover(c: Cover, chosen: Mapping[int, int]):
     cover, the map new colour node -> old colour node, and the map old
     base vertex -> new base vertex.
     """
-    banned = set(chosen.values())
-    for node in chosen.values():
-        banned.update(c.star_adjacency[node])
+    picked = set(chosen.values())
+    banned = set(picked)
+    for a, b in c.cross_edges:
+        if a in picked:
+            banned.add(b)
+        if b in picked:
+            banned.add(a)
     keep_vertices = [u for u in range(c.base.n) if u not in chosen]
     sub_base, base_map = induced_subgraph(c.base, keep_vertices)
     keep_nodes = [
         node
-        for node in range(c.num_colour_nodes)
-        if c.owner[node] not in chosen and node not in banned
+        for node, u in enumerate(c.owner)
+        if u not in chosen and node not in banned
     ]
     return _restrict(c, sub_base, base_map, keep_nodes), tuple(keep_nodes), base_map
 
@@ -535,13 +583,15 @@ def load_cover(filename) -> tuple[Cover, tuple[Hashable, ...] | None]:
         lists = []
         for v in range(g.n):
             lst = table.get(str(v), [])
-            if not (
-                isinstance(lst, list)
-                and (_types(lst) <= {str} or _types(lst) <= {int, float})
-            ):
+            types = _types(lst) if isinstance(lst, list) else None
+            if types is None or not (types <= {str} or types <= {int, float}):
                 raise FormatError(
                     f"list of vertex {v} must hold only strings or only numbers"
                 )
+            if float in types and not all(
+                math.isfinite(x) for x in lst if type(x) is float
+            ):
+                raise FormatError(f"list of vertex {v} holds NaN or an infinite number")
             lists.append(lst)
         cover, labels = from_list_assignment(g, lists)
         return cover, labels

@@ -9,7 +9,9 @@ independence-polynomial kernel, the once-per-run hard-core oracle, the
 counter-based Glauber sampler, the two-phase colouring's phase 1, the
 greedy's scores on a built induced subgraph and the copying colouring
 validator replaced; they read distances from networkx, not from
-`distance_layers`.
+`distance_layers`.  The dp-solve references build every node's cross
+partners (`star_adjacency`), truncate a cover afresh for each use and
+rescan the edges after every resample.
 """
 
 from __future__ import annotations
@@ -26,8 +28,18 @@ from hypothesis import strategies as st
 
 from hcchroma import Graph
 from hcchroma.graph import induced_subgraph, random_triangle_free
-from hcchroma.dpcolor import Cover, finishing_blow_hypothesis, from_list_assignment
-from hcchroma.errors import InputError
+from hcchroma.dpcolor import (
+    Cover,
+    CoverReport,
+    HypothesisReport,
+    LllReport,
+    TwoPhaseResult,
+    _normalise_ell,
+    finishing_blow_hypothesis,
+    from_list_assignment,
+    verify_dp_colouring,
+)
+from hcchroma.errors import HypothesisError, InputError, SizeError
 from hcchroma.fractional import SATURATE_TOL, Interval, SetDistribution, ValidationReport
 from hcchroma.hardcore import FactCheckReport, OccupancyStats, independent_set_masks
 
@@ -312,6 +324,211 @@ def random_list_instance(
             raise RuntimeError("could not draw a hypothesis-satisfying instance")
 
 
+def star_adjacency(c: Cover) -> tuple[tuple[int, ...], ...]:
+    """Cross-edge partners per colour node, sorted."""
+    out: list[list[int]] = [[] for _ in range(c.num_colour_nodes)]
+    for a, b in c.cross_edges:
+        out[a].append(b)
+        out[b].append(a)
+    return tuple(tuple(sorted(lst)) for lst in out)
+
+
+def reference_validate_cover(c: Cover) -> CoverReport:
+    """`validate_cover` in two passes, a set of partners per (node, list)."""
+    violations = []
+    base_adj = [set(nbrs) for nbrs in c.base.adjacency]
+    for a, b in sorted(c.cross_edges):
+        ua, ub = c.owner[a], c.owner[b]
+        if ua == ub:
+            violations.append(f"cross edge ({a},{b}) joins nodes of one list ({ua})")
+        elif ub not in base_adj[ua]:
+            violations.append(
+                f"cross edge ({a},{b}) joins lists of non-adjacent vertices {ua},{ub}")
+    partner_lists: dict[tuple[int, int], set[int]] = {}
+    for a, b in sorted(c.cross_edges):
+        ua, ub = c.owner[a], c.owner[b]
+        if ua == ub:
+            continue
+        for node, other_owner, partner in ((a, ub, b), (b, ua, a)):
+            seen = partner_lists.setdefault((node, other_owner), set())
+            seen.add(partner)
+            if len(seen) > 1:
+                violations.append(
+                    f"node {node} has {len(seen)} cross partners in the list of "
+                    f"vertex {other_owner}; matching violated")
+    return CoverReport(not violations, tuple(violations))
+
+
+def reference_finishing_blow_hypothesis(c: Cover, ell) -> HypothesisReport:
+    """`finishing_blow_hypothesis` read off the full partner table, node by node."""
+    ell_v = _normalise_ell(c, ell)
+    star = star_adjacency(c)
+    violations = []
+    max_star = 0
+    min_list = min((len(l) for l in c.lists), default=0)
+    for u in range(c.base.n):
+        if ell_v[u] < 3:
+            violations.append(f"ell({u}) = {ell_v[u]} < 3")
+        if len(c.lists[u]) < ell_v[u]:
+            violations.append(f"|L({u})| = {len(c.lists[u])} < ell({u}) = {ell_v[u]}")
+        nbrs = c.base.adjacency[u]
+        cap = min(ell_v[v] for v in nbrs) / 8.0 if nbrs else math.inf
+        for node in c.lists[u]:
+            d = len(star[node])
+            max_star = max(max_star, d)
+            if d > cap:
+                violations.append(f"node {node} in L({u}) has star degree {d} > {cap}")
+    return HypothesisReport(not violations, tuple(violations), max_star, min_list)
+
+
+def _reference_restrict(c: Cover, base: Graph, base_map, keep: list[int]) -> Cover:
+    new_id = {old: new for new, old in enumerate(keep)}
+    owner = tuple(base_map[c.owner[old]] for old in keep)
+    cross = frozenset(
+        (new_id[a], new_id[b]) for a, b in c.cross_edges if a in new_id and b in new_id
+    )
+    return Cover(base, owner, cross)
+
+
+def reference_truncate_lists(c: Cover, ell) -> tuple[Cover, tuple[int, ...]]:
+    """A fresh truncation on every call: the first ell(u) nodes of each list."""
+    ell_v = _normalise_ell(c, ell)
+    keep: list[int] = []
+    for u in range(c.base.n):
+        if len(c.lists[u]) < ell_v[u]:
+            raise InputError(f"list of vertex {u} shorter than ell({u})")
+        keep.extend(c.lists[u][: ell_v[u]])
+    keep.sort()
+    return _reference_restrict(c, c.base, range(c.base.n), keep), tuple(keep)
+
+
+def reference_lll_certify(c: Cover, ell) -> LllReport:
+    """`lll_certify` edge by edge: weights, sums and slacks per cross edge,
+    on a truncation of its own."""
+    if not reference_finishing_blow_hypothesis(c, ell).ok:
+        raise HypothesisError("finishing-blow hypothesis fails")
+    ell_v = _normalise_ell(c, ell)
+    trunc, _ = reference_truncate_lists(c, ell_v)
+    edges = sorted(trunc.cross_edges)
+    if not edges:
+        return LllReport(True, None, None, 0.0, 0)
+    x = {(a, b): 3.0 / (ell_v[trunc.owner[a]] * ell_v[trunc.owner[b]]) for a, b in edges}
+    vertex_sum = [0.0] * trunc.base.n
+    vertex_logsum = [0.0] * trunc.base.n
+    pair_sum: dict[tuple[int, int], float] = {}
+    pair_logsum: dict[tuple[int, int], float] = {}
+    for e in edges:
+        ua, ub = trunc.owner[e[0]], trunc.owner[e[1]]
+        lg = math.log1p(-x[e])
+        vertex_sum[ua] += x[e]
+        vertex_sum[ub] += x[e]
+        vertex_logsum[ua] += lg
+        vertex_logsum[ub] += lg
+        key = (min(ua, ub), max(ua, ub))
+        pair_sum[key] = pair_sum.get(key, 0.0) + x[e]
+        pair_logsum[key] = pair_logsum.get(key, 0.0) + lg
+    proof_slack = glll_slack = math.inf
+    max_x = 0.0
+    certified = True
+    for e in edges:
+        ua, ub = trunc.owner[e[0]], trunc.owner[e[1]]
+        xe = x[e]
+        max_x = max(max_x, xe)
+        if xe >= 0.5:
+            certified = False
+        key = (min(ua, ub), max(ua, ub))
+        prob = 1.0 / (ell_v[ua] * ell_v[ub])
+        dep_sum = vertex_sum[ua] + vertex_sum[ub] - pair_sum[key]
+        proof_slack = min(proof_slack, xe * math.exp(-1.4 * dep_sum) - prob)
+        dep_log = vertex_logsum[ua] + vertex_logsum[ub] - pair_logsum[key]
+        glll_slack = min(glll_slack, xe * math.exp(dep_log - math.log1p(-xe)) - prob)
+    certified = certified and proof_slack >= 0.0
+    return LllReport(certified, proof_slack, glll_slack, max_x, len(edges))
+
+
+def reference_solve(c: Cover, seed: int = 0, max_resamples: int = 10**6, ell=None):
+    """Moser-Tardos resampling that rescans the sorted edges for the first
+    violated one after every resample, on a truncation of its own."""
+    node_map = None
+    work = c
+    if ell is not None:
+        work, node_map = reference_truncate_lists(c, ell)
+    for u in range(work.base.n):
+        if not work.lists[u]:
+            raise InputError(f"vertex {u} has an empty colour list")
+    rng = random.Random(seed)
+    choice = {u: rng.choice(work.lists[u]) for u in range(work.base.n)}
+    edges = sorted(work.cross_edges)
+    resamples = 0
+    while True:
+        chosen = set(choice.values())
+        violated = next((e for e in edges if e[0] in chosen and e[1] in chosen), None)
+        if violated is None:
+            break
+        resamples += 1
+        if resamples > max_resamples:
+            raise SizeError(f"gave up after {max_resamples} resamples")
+        for node in violated:
+            u = work.owner[node]
+            choice[u] = rng.choice(work.lists[u])
+    if node_map is not None:
+        choice = {u: node_map[node] for u, node in choice.items()}
+    assert verify_dp_colouring(c, choice)[0]
+    return choice
+
+
+def reference_residual_cover(c: Cover, chosen) -> tuple[Cover, tuple[int, ...]]:
+    """The residual cover with its banned nodes read off the partner table."""
+    star = star_adjacency(c)
+    banned = set(chosen.values())
+    for node in chosen.values():
+        banned.update(star[node])
+    sub_base, base_map = induced_subgraph(c.base, [u for u in range(c.base.n) if u not in chosen])
+    keep = [
+        node for node in range(c.num_colour_nodes)
+        if c.owner[node] not in chosen and node not in banned
+    ]
+    return _reference_restrict(c, sub_base, base_map, keep), tuple(keep)
+
+
+def reference_two_phase_colour(
+    c: Cover, ell, rounds: int = 10, seed: int = 0, max_resamples: int = 10**6
+) -> TwoPhaseResult:
+    """`two_phase_colour` composed of the references above."""
+    ell_v = _normalise_ell(c, ell)
+    diagnostics: dict = {}
+    for attempt in range(rounds):
+        chosen = reference_random_partial(c, random.Random(seed * 1_000_003 + attempt))
+        residual, node_map = reference_residual_cover(c, chosen)
+        remaining = [u for u in range(c.base.n) if u not in chosen]
+        ell_res = [ell_v[u] for u in remaining]
+        report = reference_finishing_blow_hypothesis(residual, ell_res)
+        diagnostics = {
+            "attempt": attempt,
+            "phase1_coloured": len(chosen),
+            "residual_min_list": report.min_list_size,
+            "residual_max_star": report.max_star_degree,
+            "hypothesis_ok": report.ok,
+            "violations": list(report.violations[:5]),
+        }
+        sub_choice = None
+        if report.ok:
+            sub_choice = reference_solve(
+                residual, seed=seed * 7 + attempt, max_resamples=max_resamples, ell=ell_res)
+        elif all(residual.lists):
+            try:
+                sub_choice = reference_solve(
+                    residual, seed=seed * 7 + attempt, max_resamples=max_resamples)
+            except SizeError:
+                sub_choice = None
+        if sub_choice is not None:
+            colouring = dict(chosen)
+            for u_new, node_new in sub_choice.items():
+                colouring[remaining[u_new]] = node_map[node_new]
+            return TwoPhaseResult(colouring, attempt + 1, report.ok, diagnostics)
+    return TwoPhaseResult(None, rounds, False, diagnostics)
+
+
 def reference_random_partial(c: Cover, rng: random.Random) -> dict[int, int]:
     """Phase 1 of two-phase colouring as the partial-state loop ran it.
 
@@ -321,13 +538,14 @@ def reference_random_partial(c: Cover, rng: random.Random) -> dict[int, int]:
     return exactly this dict and consume the same random draws.
     """
     draws = [rng.choice(lst) if lst else None for lst in c.lists]
+    star = star_adjacency(c)
     chosen: dict[int, int] = {}
     for node in draws:
         if node is None:
             continue
         u = c.owner[node]
         chosen_nodes = set(chosen.values())
-        if u in chosen or any(p in chosen_nodes for p in c.star_adjacency[node]):
+        if u in chosen or any(p in chosen_nodes for p in star[node]):
             continue
         chosen[u] = node
     return chosen
@@ -336,9 +554,10 @@ def reference_random_partial(c: Cover, rng: random.Random) -> dict[int, int]:
 def reference_residual_lists(c: Cover, chosen) -> dict[int, tuple[int, ...]]:
     """Residual list of each uncoloured vertex, recomputed from scratch: its
     list minus the cross partners of every chosen node."""
+    star = star_adjacency(c)
     banned = set()
     for node in chosen.values():
-        banned.update(c.star_adjacency[node])
+        banned.update(star[node])
     return {
         u: tuple(sorted(set(c.lists[u]) - banned))
         for u in range(c.base.n)

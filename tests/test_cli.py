@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hcchroma
-from hcchroma import constructions, hardcore
+from hcchroma import constructions, dpcolor, hardcore
 from hcchroma.cli import main
 from hcchroma.graph import (
     complete,
@@ -266,6 +266,12 @@ GOLDEN_DP_SOLVE = {
     ("general", "certify"): (
         ["--ell", "16", "--certify", "--seed", "2"], 0,
         "93e796898fb68488549d4f5f80644fbf638b4cf8e70134d5866456da888fee9d"),
+    ("general", "solve"): (
+        ["--ell", "16", "--seed", "2"], 0,
+        "7a63d73449ba2b273e3092e831cbdbd00d2565ba79ceb23934e59734fa5f700b"),
+    ("list", "certify"): (
+        ["--ell", "24", "--certify", "--seed", "1"], 0,
+        "e3315e6ecb75ab28005ff4b813237031248147656f41c24e84126411cb098701"),
     ("list", "two-phase"): (
         ["--ell", "24", "--two-phase", "--certify", "--seed", "1"], 0,
         "ecf3c89ee5608daa76468b4e8f1ff37435e851cce15def94c10c89a613072049"),
@@ -571,6 +577,33 @@ def test_dp_solve_cover_must_be_an_object(tmp_path):
     cover = tmp_path / "cover.json"
     cover.write_text('"graph"')
     assert main(["dp-solve", "--cover", str(cover)]) == 1
+
+
+@pytest.mark.parametrize("labels", [
+    '{"0": [NaN], "1": [1], "2": [Infinity]}',
+    '{"0": [0], "1": [1, -Infinity], "2": [2]}',
+    '{"0": [0], "1": [1], "2": [2, 1e400]}',
+], ids=["nan", "minus-infinity", "overflowing-literal"])
+def test_dp_solve_rejects_non_finite_labels(tmp_path, labels, capsys):
+    # Python's json module reads these tokens, but writing them back as
+    # labels would make the output invalid JSON.
+    (tmp_path / "p3.edges").write_text("3 2\n0 1\n1 2\n")
+    cover = tmp_path / "cover.json"
+    cover.write_text('{"graph": "p3.edges", "lists": %s}' % labels)
+    assert main(["dp-solve", "--cover", str(cover)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "NaN or an infinite number" in err and err.count("\n") == 1
+
+
+def test_dp_solve_certify_builds_two_covers(dp_golden_dir, tmp_path, monkeypatch):
+    """The loaded cover and one truncation, shared by certify and solve."""
+    built = []
+    post_init = dpcolor.Cover.__post_init__
+    monkeypatch.setattr(dpcolor.Cover, "__post_init__",
+                        lambda self: built.append(post_init(self)))
+    assert main(["dp-solve", "--cover", str(dp_golden_dir / "list.json"), "--ell", "24",
+                 "--certify", "--output", str(tmp_path / "out.json")]) == 0
+    assert len(built) == 2
 
 
 def test_dp_solve_rejects_cross_edge_between_non_adjacent_lists(tmp_path, capsys):

@@ -8,6 +8,7 @@ that `main` restores the collector's state however the command ends.
 """
 
 import gc
+import json
 import tracemalloc
 import types
 
@@ -53,13 +54,19 @@ def _hcchroma_garbage(argv) -> list[str]:
 
 @pytest.fixture()
 def inputs(tmp_path):
-    """Input files: a 16-vertex triangle-free graph and a general-form cover."""
+    """Input files: a 16-vertex triangle-free graph, a general-form cover
+    and a list-form cover."""
     graph = tmp_path / "g16.edges"
     write_edge_list(random_triangle_free(16, 0.3, 4), graph)
     cover = helpers.random_cover(40, 4.0, 16, 2, seed=1)
     write_edge_list(cover.base, tmp_path / "base.edges")
     dump_cover(cover, tmp_path / "cover.json", tmp_path / "base.edges")
+    g, lists, _, _ = helpers.random_list_instance(30, 3.0, 24, 400, 2)
+    write_edge_list(g, tmp_path / "list-base.edges")
+    (tmp_path / "list-cover.json").write_text(json.dumps(
+        {"graph": "list-base.edges", "lists": {str(v): lists[v] for v in range(g.n)}}))
     return {"graph": str(graph), "cover": str(tmp_path / "cover.json"),
+            "list_cover": str(tmp_path / "list-cover.json"),
             "out": str(tmp_path / "out.json")}
 
 
@@ -72,6 +79,10 @@ COMMANDS = {
     "semibip-exact": ["semibip", "--input", "{graph}"],
     "dp-solve-certify": ["dp-solve", "--cover", "{cover}", "--ell", "16", "--certify"],
     "dp-solve-two-phase": ["dp-solve", "--cover", "{cover}", "--ell", "16", "--two-phase"],
+    "dp-solve-list-certify": ["dp-solve", "--cover", "{list_cover}", "--ell", "24",
+                              "--certify"],
+    "dp-solve-list-two-phase": ["dp-solve", "--cover", "{list_cover}", "--ell", "24",
+                                "--two-phase"],
     "construct": ["construct", "--delta", "4", "--level", "1"],
 }
 

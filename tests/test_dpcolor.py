@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hcchroma import (
@@ -30,7 +30,7 @@ from hcchroma.dpcolor import (
     validate_cover,
     verify_dp_colouring,
 )
-from hcchroma.graph import write_edge_list
+from hcchroma.graph import path, write_edge_list
 
 import helpers
 
@@ -51,14 +51,32 @@ def test_from_list_assignment_examples():
     cover3, _ = from_list_assignment(c5, [{1, 2, 3}] * 5)
     assert cover3.num_colour_nodes == 15
     assert len(cover3.cross_edges) == 15
-    assert all(len(cover3.star_adjacency[c]) == 2 for c in range(15))
+    assert all(len(helpers.star_adjacency(cover3)[c]) == 2 for c in range(15))
 
 
 def test_star_degree_examples():
     cover, labels = from_list_assignment(K2, [{1, 2}, {2, 3}])
     for node in range(4):
         expected = 1 if labels[node] == 2 else 0
-        assert len(cover.star_adjacency[node]) == expected
+        assert len(helpers.star_adjacency(cover)[node]) == expected
+
+
+@pytest.mark.parametrize("owner, cross, message", [
+    ((0, 2), (), "owner 2 out of range"),
+    ((0, -1), (), "owner -1 out of range"),
+    ((0, 1), {(1, 1)}, r"cross edge \(1,1\) is a loop"),
+    ((0, 1), {(0, 2)}, r"cross edge \(0,2\) out of range"),
+    ((0, 1), {(1, 0), (-1, 0)}, r"cross edge \(-1,0\) out of range"),
+], ids=["owner-high", "owner-negative", "loop", "edge-high", "edge-negative"])
+def test_cover_rejects_out_of_range_ids(owner, cross, message):
+    with pytest.raises(InputError, match=message):
+        Cover(K2, owner, frozenset(cross))
+
+
+def test_cover_canonicalises_cross_edges():
+    cover = Cover(K2, (0, 0, 1, 1), frozenset({(3, 0), (1, 2)}))
+    assert cover.cross_edges == {(0, 3), (1, 2)}
+    assert Cover(K2, (0, 1), [[1, 0]]).cross_edges == {(0, 1)}
 
 
 def test_validate_cover_detects_violations():
@@ -76,6 +94,18 @@ def test_validate_cover_detects_violations():
     # same-owner cross edge
     bad3 = Cover(K2, (0, 0, 1), frozenset({(0, 1)}))
     assert not validate_cover(bad3).ok
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_validate_cover_matches_the_reference(data):
+    """Random owners and cross edges, most of them breaking some axiom."""
+    g = data.draw(helpers.triangle_free_graphs(max_n=8))
+    owner = data.draw(st.lists(st.integers(0, max(g.n - 1, 0)), max_size=4 * g.n))
+    pairs = list(itertools.combinations(range(len(owner)), 2))
+    cross = data.draw(st.lists(st.sampled_from(pairs), max_size=20)) if pairs else []
+    cover = Cover(g, tuple(owner), frozenset(cross))
+    assert validate_cover(cover) == helpers.reference_validate_cover(cover)
 
 
 def test_finishing_blow_examples():
@@ -216,6 +246,75 @@ def test_random_partial_matches_reference(cover, seed):
     assert _random_partial(cover, rng) == helpers.reference_random_partial(cover, ref_rng)
     # the same random draws were consumed
     assert rng.random() == ref_rng.random()
+
+
+@st.composite
+def dp_instances(draw):
+    """A cover with an ell: a general cover, a list assignment whose lists
+    may be empty, or a hypothesis-satisfying list instance; ell is one
+    value or one per vertex, and may break the hypothesis (below 3, above
+    a list's length, or too small for the star degrees)."""
+    kind = draw(st.sampled_from(["general", "list", "list-instance"]))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    if kind == "general":
+        size = draw(st.integers(min_value=1, max_value=24))
+        cover = helpers.random_cover(
+            draw(st.integers(min_value=0, max_value=30)),
+            draw(st.floats(min_value=0.0, max_value=6.0)),
+            size, draw(st.integers(min_value=1, max_value=3)), seed)
+    elif kind == "list":
+        cover = draw(covers())
+        size = 4
+    else:
+        size = draw(st.sampled_from([16, 24]))
+        cover = helpers.random_list_instance(
+            draw(st.integers(min_value=1, max_value=20)), 3.0, size, 400, seed)[2]
+    target = st.integers(min_value=1, max_value=size + 1)
+    if draw(st.booleans()):
+        return cover, draw(target)
+    return cover, draw(st.lists(target, min_size=cover.base.n, max_size=cover.base.n))
+
+
+def _outcome(call, *args, **kwargs):
+    """The call's result, or the type and text of the error it raised."""
+    try:
+        return call(*args, **kwargs)
+    except (HypothesisError, InputError, SizeError) as exc:
+        return type(exc), str(exc)
+
+
+# Lists of 8 on a path, equal labels: the middle nodes have star degree
+# 2 > 8/8, the end nodes degree 1, exactly the cap.
+@example(instance=(from_list_assignment(path(3), [range(8)] * 3)[0], 8), seed=0)
+@settings(max_examples=150, deadline=None)
+@given(dp_instances(), st.integers(min_value=0, max_value=10**6))
+def test_dp_solve_matches_the_reference_path(instance, seed):
+    """The hypothesis from star degrees, the shared truncation, the
+    per-list-pair slacks and the heap of violated edges give what the
+    partner table, a truncation per use and a rescan per resample give."""
+    cover, ell = instance
+    assert validate_cover(cover) == helpers.reference_validate_cover(cover)
+    report = finishing_blow_hypothesis(cover, ell)
+    assert report == helpers.reference_finishing_blow_hypothesis(cover, ell)
+    if report.ok:
+        assert lll_certify(cover, ell) == helpers.reference_lll_certify(cover, ell)
+    else:
+        with pytest.raises(HypothesisError):
+            lll_certify(cover, ell)
+    for solve_ell in (ell, None):
+        assert _outcome(solve, cover, seed=seed, max_resamples=300, ell=solve_ell) == \
+            _outcome(helpers.reference_solve, cover, seed=seed, max_resamples=300, ell=solve_ell)
+    assert two_phase_colour(cover, ell, rounds=3, seed=seed, max_resamples=300) == \
+        helpers.reference_two_phase_colour(cover, ell, rounds=3, seed=seed, max_resamples=300)
+
+
+def test_truncation_is_shared_by_certify_and_solve():
+    cover = helpers.random_cover(30, 4.0, 24, 3, seed=5)
+    trunc = truncate_lists(cover, 16)
+    assert truncate_lists(cover, [16] * 30) is trunc
+    assert truncate_lists(cover, 15) is not trunc
+    assert lll_certify(cover, 16) == helpers.reference_lll_certify(cover, 16)
+    assert truncate_lists(cover, 16) is trunc
 
 
 def test_residual_cover_structure():
