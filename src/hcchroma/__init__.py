@@ -74,5 +74,4 @@ from .constructions import (
     semi_bipartite_extract,
     structural_not_colourable,
     verify_construction,
-    verify_not_colourable,
 )

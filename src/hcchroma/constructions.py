@@ -10,15 +10,17 @@ plus a structural cross-check.
 
 `semi_bipartite_extract` finds an induced subgraph consisting of all edges
 between an independent set A and its complement with large average degree:
-below the cutoff an exact (max, +) search for the largest boundary-edge
-count, above it the best of several hard-core samples.
+below the cutoff the largest boundary-edge count exactly, from the (max, +)
+form of the hard-core module's exact kernel, above it the best of several
+hard-core samples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
+from functools import partial
+from operator import add
 
 from . import hardcore
 from .errors import HypothesisError, InputError, InternalError, SizeError
@@ -299,15 +301,6 @@ def verify_construction(
     return not colourable, structural
 
 
-def verify_not_colourable(inst: NecessaryInstance, budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff the instance admits no proper list colouring.
-
-    The verdict of `verify_construction`, which also runs the structural
-    cross-check.
-    """
-    return verify_construction(inst, budget)[0]
-
-
 def structural_not_colourable(
     inst: NecessaryInstance, budget: int = DEFAULT_BUDGET
 ) -> bool | None:
@@ -374,56 +367,45 @@ def auto_fugacity(g: Graph) -> float:
     return g.n / s
 
 
-def _boundary_score(g: Graph, members: Iterable[int]) -> int:
-    return sum(g.degree(v) for v in members)
-
-
 def _max_degree_sum_set(g: Graph) -> tuple[VertexSet, int]:
     """The lexicographically first independent set of maximum degree sum.
 
-    The (max, +) form of the independence-polynomial recurrence (Aji &
-    McEliece, "The generalized distributive law", 2000), branching on the
-    lowest vertex v of S: M(S) = max(M(S - v), deg(v) + M(S - N[v])),
-    memoised by bitmask, one score per state.  The set is then read back
-    from the memo, taking v whenever that scores more, or as much and
-    something was left to take without v: the smaller member tuple wins
-    ties, which is the first maximum in canonical enumeration order.
-    SizeError when the recursion, one level per vertex, passes the
-    interpreter's limit.
+    M(S), the largest degree sum over the independent subsets of the
+    vertex bitmask S, is the (max, +) form of the exact kernel
+    (`hardcore._exact_kernel`): zero on the empty set, the sum over the
+    components of a disconnected S, and M(S) = max(M(S - v), deg(v) +
+    M(S - N[v])) at the kernel's branch vertex v.  The set is read back
+    along the lowest vertex v of S, asking the kernel for M(S - N[v]): v
+    is taken when deg(v) + M(S - N[v]) = M(S), else S - v keeps the score
+    M(S), until no score is left.  A member tuple that starts with v is
+    smaller than one that starts higher, and a tuple is smaller than its
+    extensions, so the set is the first maximum in canonical enumeration
+    order.  SizeError when the kernel's recursion passes the interpreter's
+    limit.
     """
-    memo = {0: 0}
+    degrees = tuple(map(len, g.adjacency))
+    best = hardcore._exact_kernel(g, 0, add, partial(_best_branch, degrees))
+    adj = g.adjacency_masks
     s = (1 << g.n) - 1
-    try:
-        best = _best_score(memo, g, s)
-    except RecursionError:
-        raise hardcore._recursion_limit_error(g) from None
+    score = total = best(s)
     members = []
-    while s:
+    while score:
         low = s & -s
         v = low.bit_length() - 1
-        rest = s & ~g.adjacency_masks[v] & ~low
-        skip = memo[s ^ low]
-        take = g.degree(v) + memo[rest]
-        if take > skip or take == skip > 0:
+        rest = s & ~adj[v] & ~low
+        if degrees[v] + best(rest) == score:
             members.append(v)
+            score -= degrees[v]
             s = rest
         else:
             s ^= low
-    return tuple(members), best
+    return tuple(members), total
 
 
-def _best_score(memo: dict, g: Graph, s: int) -> int:
-    """The largest degree sum over the independent subsets of the vertex
-    bitmask ``s``, read from or added to ``memo``.  A module-level
-    function, not a closure that calls itself, which would tie the memo
-    into a reference cycle."""
-    score = memo.get(s)
-    if score is None:
-        low = s & -s
-        v = low.bit_length() - 1
-        take = g.degree(v) + _best_score(memo, g, s & ~g.adjacency_masks[v] & ~low)
-        score = memo[s] = max(_best_score(memo, g, s ^ low), take)
-    return score
+def _best_branch(degrees: tuple[int, ...], v: int, skip: int, take: int) -> int:
+    """M(S) = max(M(S - v), deg(v) + M(S - N[v]))."""
+    take += degrees[v]
+    return take if take > skip else skip
 
 
 def semi_bipartite_extract(
@@ -462,7 +444,7 @@ def semi_bipartite_extract(
         n_steps = hardcore.default_glauber_steps(g.n)
         for t in range(trials):
             members = hardcore.glauber_sample(g, lam, n_steps, seed + t)
-            score = _boundary_score(g, members)
+            score = sum(map(g.degree, members))
             if score > best_score or (score == best_score and (best is None or members < best)):
                 best, best_score = members, score
     assert best is not None

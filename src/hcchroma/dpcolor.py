@@ -59,8 +59,8 @@ class Cover:
     ``cross_edges`` holds the unordered pairs of colour nodes matched
     across lists.  Same-list adjacency is implicit and never stored, so
     the star degree of a node counts cross edges only.  Construction only
-    checks ranges; the four cover axioms are checked by `validate_cover`,
-    which therefore can report on malformed instances.
+    checks types and ranges; the four cover axioms are checked by
+    `validate_cover`, which therefore can report on malformed instances.
     """
 
     base: Graph
@@ -68,7 +68,10 @@ class Cover:
     cross_edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        owner = tuple(map(int, self.owner))
+        owner = tuple(self.owner)
+        if _types(owner) - {int}:
+            bad = next(u for u in owner if type(u) is not int)
+            raise InputError(f"owner {bad!r} is not an int")
         object.__setattr__(self, "owner", owner)
         if owner and not (min(owner) >= 0 and max(owner) < self.base.n):
             for u in owner:

@@ -3,16 +3,17 @@
 The hard-core model at fugacity lambda > 0 is the probability distribution
 on the independent sets of a graph (including the empty set) in which a set
 I occurs with probability lambda^|I| / Z, where Z is the partition function
-(independence polynomial).  Exact statistics come from one memoised kernel
-that computes the independence polynomial of induced subgraphs by the
-recurrence Z(S) = Z(S - v) + x Z(S - N[v]), with integer coefficients, so
-per-vertex occupation probabilities, expected neighbourhood intersections
-and the two conditional-law identities that hold on triangle-free graphs
-are all exact quotients of polynomials evaluated at lambda: floats
-correctly rounded, or exact Fractions from `enumerate_stats(g,
-Fraction(lam))`, for every positive finite lambda.  Only
-frac-colour's oracle enumerates independent sets: it lists G's sets once
-per run, for the fractional colouring's parts, and narrows that list to
+(independence polynomial).  Exact work over the independent sets is one
+memoised fold over induced subgraphs, `_exact_kernel`, that splits a state
+into connected components and branches on a vertex of largest degree.  Its
+sum-product form is Z(S) = Z(S - v) + x Z(S - N[v]) with integer
+coefficients, so occupation probabilities, expected neighbourhood
+intersections and the two conditional-law identities of triangle-free
+graphs are exact quotients of polynomials evaluated at lambda: floats
+correctly rounded, or Fractions from `enumerate_stats(g, Fraction(lam))`,
+for every positive finite lambda.  Its (max, +) form is semibip's exact
+search (`constructions`).  Only frac-colour's oracle enumerates
+independent sets: it lists G's sets once per run and narrows that list to
 the live vertices round by round.  The module also provides a
 Glauber-dynamics sampler for graphs above the exact cutoff, whose steps
 cost O(1) each plus O(deg v) when the chosen vertex v changes state, and
@@ -26,6 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from operator import mul
 from typing import Mapping
 
 from .errors import HypothesisError, InputError, SizeError
@@ -106,7 +108,7 @@ def independent_set_masks(g: Graph) -> list[int]:
     Order is lexicographic on the sorted member tuples, with the empty set
     first; this is the canonical enumeration order used by the fractional
     colouring when it slices measure into per-set interval blocks.  The
-    exact statistics do not enumerate; see `_independence_polynomial`.
+    exact statistics do not enumerate; see `_exact_kernel`.
     The recursion goes one level per member of the set being extended;
     SizeError when it passes the interpreter's limit.
     """
@@ -121,7 +123,7 @@ def independent_set_masks(g: Graph) -> list[int]:
 def _extend_sets(adj, append, mask: int, avail: int) -> None:
     """Append ``mask | T`` for every nonempty independent subset T of
     ``avail``, the vertices that may still join ``mask``, in depth-first
-    preorder.  Module-level for the reason given at `_poly`."""
+    preorder.  Module-level for the reason given at `_fold`."""
     m = avail
     while m:
         b = m & -m
@@ -132,40 +134,36 @@ def _extend_sets(adj, append, mask: int, avail: int) -> None:
         _extend_sets(adj, append, child, m & ~adj[v])
 
 
-def _independence_polynomial(g: Graph):
-    """Memoised independence polynomials of the induced subgraphs of ``g``.
+def _exact_kernel(g: Graph, unit, join, branch):
+    """A memoised fold over the induced subgraphs of ``g``.
 
-    Returns ``(poly, bits)``.  For a vertex bitmask S, ``poly(S)`` is
-    Z(G[S]; x) = sum_k i_k x^k, where i_k counts the independent k-subsets
-    of S, evaluated at x = 2^bits.  Every i_k is below 2^bits, so the
-    integer holds the coefficients in fields of ``bits`` bits, and integer
-    sums and products are the sums and products of the polynomials.  Z
-    multiplies over the connected components of S; a connected S branches
-    on a vertex v of largest degree in S:
-    Z(S) = Z(S - v) + x Z(S - N[v]) (Levit & Mandrescu, "The independence
-    polynomial of a graph - a survey", 2005).  The memo is a plain dict of
-    ints that only ``poly`` refers to, with no reference cycle, so it is
-    freed as soon as the caller drops ``poly``, whether or not the cyclic
-    garbage collector runs.  ``poly`` raises SizeError when the recursion
-    passes the interpreter's limit.
+    Returns ``value``: for a vertex bitmask S, ``value(0)`` is ``unit``; a
+    disconnected S, with C the component of its lowest vertex, gives
+    ``join(value(C), value(S - C))``; a connected S branches on a vertex v
+    of largest degree in S, the lowest on ties, and gives
+    ``branch(v, value(S - v), value(S - N[v]))``.  Z is the sum-product
+    form (Levit & Mandrescu, "The independence polynomial of a graph - a
+    survey", 2005), semibip's largest degree sum the (max, +) form (Aji &
+    McEliece, "The generalized distributive law", 2000).  The memo is a
+    plain dict that only ``value`` refers to, with no reference cycle, so
+    it is freed as soon as the caller drops ``value``, whether or not the
+    cyclic garbage collector runs.  ``value`` raises SizeError when the
+    recursion, at most one level per vertex, passes the interpreter's limit.
     """
-    bits = g.n + 1
-    adj = g.adjacency_masks
-    memo = {0: 1}
-
-    def poly(s: int) -> int:
-        try:
-            return _poly(memo, adj, bits, s)
-        except RecursionError:
-            raise _recursion_limit_error(g) from None
-
-    return poly, bits
+    return partial(_kernel_value, g, {0: unit}, join, branch)
 
 
-def _poly(memo: dict[int, int], adj, bits: int, s: int) -> int:
-    """Z(G[S]) packed as in `_independence_polynomial`, read from or added
-    to ``memo``.  A module-level function, not a closure that calls itself,
-    which would tie the memo into a reference cycle."""
+def _kernel_value(g: Graph, memo: dict, join, branch, s: int):
+    try:
+        return _fold(memo, g.adjacency_masks, join, branch, s)
+    except RecursionError:
+        raise _recursion_limit_error(g) from None
+
+
+def _fold(memo: dict, adj, join, branch, s: int):
+    """The value of `_exact_kernel` at S, read from or added to ``memo``.
+    A module-level function, not a closure that calls itself, which would
+    tie the memo into a reference cycle."""
     value = memo.get(s)
     if value is not None:
         return value
@@ -177,7 +175,8 @@ def _poly(memo: dict[int, int], adj, bits: int, s: int) -> int:
         comp |= new
         frontier |= new
     if comp != s:
-        value = _poly(memo, adj, bits, comp) * _poly(memo, adj, bits, s ^ comp)
+        first = _fold(memo, adj, join, branch, comp)
+        value = join(first, _fold(memo, adj, join, branch, s ^ comp))
     else:
         best = -1
         m = s
@@ -187,10 +186,25 @@ def _poly(memo: dict[int, int], adj, bits: int, s: int) -> int:
             d = (adj[b.bit_length() - 1] & s).bit_count()
             if d > best:
                 best, pick = d, b
-        rest = s & ~adj[pick.bit_length() - 1] & ~pick
-        value = _poly(memo, adj, bits, s ^ pick) + (_poly(memo, adj, bits, rest) << bits)
+        v = pick.bit_length() - 1
+        skip = _fold(memo, adj, join, branch, s ^ pick)
+        value = branch(v, skip, _fold(memo, adj, join, branch, s & ~adj[v] & ~pick))
     memo[s] = value
     return value
+
+
+def _independence_polynomial(g: Graph):
+    """``(poly, bits)``: ``poly(S)`` is Z(G[S]; x) = sum_k i_k x^k, where i_k
+    counts the independent k-subsets of the vertex bitmask S, evaluated at
+    x = 2^bits.  Every i_k is below 2^bits, so the integer holds the
+    coefficients in fields of ``bits`` bits, and integer sums and products
+    are the sums and products of the polynomials."""
+    bits = g.n + 1
+    return _exact_kernel(g, 1, mul, partial(_z_branch, bits)), bits
+
+
+def _z_branch(bits: int, v: int, skip: int, take: int) -> int:
+    return skip + (take << bits)  # Z(S - v) + x Z(S - N[v])
 
 
 def _ratio(num: int, den: int, bits: int, lam):
@@ -278,9 +292,7 @@ def default_glauber_steps(n: int) -> int:
     return max(10_000, 50 * n)
 
 
-def glauber_sample(
-    g: Graph, lam: float, steps: int, seed: int, check_each_step: bool = False
-) -> VertexSet:
+def glauber_sample(g: Graph, lam: float, steps: int, seed: int) -> VertexSet:
     """One draw of single-site Glauber dynamics after ``steps`` updates.
 
     Each step picks a uniform vertex; if it has no occupied neighbour it
@@ -297,8 +309,6 @@ def glauber_sample(
 
     Cost: the state is a flag per vertex plus a count of its occupied
     neighbours, so a step costs O(1), plus O(deg v) when v changes state.
-    ``check_each_step`` asserts after every step, from the adjacency
-    bitmasks rather than the counts, that the state is an independent set.
     """
     import random
 
@@ -331,11 +341,6 @@ def glauber_sample(
             occupied[v] = 0
             for u in adjacency[v]:
                 blocked[u] -= 1
-        if check_each_step:
-            members = [u for u in range(n) if occupied[u]]
-            state = sum(1 << u for u in members)
-            if any(g.adjacency_masks[u] & state for u in members):
-                raise AssertionError("Glauber state left the independent sets")
     return tuple(v for v in range(n) if occupied[v])
 
 

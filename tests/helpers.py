@@ -158,6 +158,25 @@ def triangle_free_graphs(draw, max_n=14):
     return Graph.from_edges(n, list(core.edges()))
 
 
+@st.composite
+def several_component_graphs(draw, max_n=40):
+    """Disjoint unions of two to six random triangle-free graphs plus up to
+    four isolated vertices, at most ``max_n`` vertices in all, with the
+    vertices shuffled so that components interleave in label order."""
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=12), min_size=2, max_size=6))
+    p = draw(st.floats(min_value=0.0, max_value=0.5))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    edges, n = [], 0
+    for i, k in enumerate(sizes):
+        k = min(k, max_n - n)
+        part = random_triangle_free(k, p, seed + i)
+        edges += [(n + u, n + v) for u, v in part.edges()]
+        n += k
+    n = min(max_n, n + draw(st.integers(min_value=0, max_value=4)))
+    label = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
 PERMUTATION_CAP = 120  # class-respecting orderings tried per canonical form
 
 
@@ -740,6 +759,41 @@ def reference_max_degree_sum_set(g: Graph) -> tuple[tuple[int, ...], int]:
         if score > best_score:
             best, best_score = members, score
     return best, best_score
+
+
+def reference_lowest_vertex_max_degree_sum_set(g: Graph) -> tuple[tuple[int, ...], int]:
+    """`constructions._max_degree_sum_set` as it stood before it shared the
+    exact kernel: M(S) branches on the lowest vertex v of S and never splits
+    S into components, M(S) = max(M(S - v), deg(v) + M(S - N[v])), memoised
+    by bitmask; the set is read back from the memo, taking v whenever that
+    scores more, or as much and something was left to take without v."""
+    memo = {0: 0}
+    s = (1 << g.n) - 1
+    best = _lowest_vertex_best_score(memo, g, s)
+    members = []
+    while s:
+        low = s & -s
+        v = low.bit_length() - 1
+        rest = s & ~g.adjacency_masks[v] & ~low
+        skip = memo[s ^ low]
+        take = g.degree(v) + memo[rest]
+        if take > skip or take == skip > 0:
+            members.append(v)
+            s = rest
+        else:
+            s ^= low
+    return tuple(members), best
+
+
+def _lowest_vertex_best_score(memo: dict, g: Graph, s: int) -> int:
+    score = memo.get(s)
+    if score is None:
+        low = s & -s
+        v = low.bit_length() - 1
+        rest = s & ~g.adjacency_masks[v] & ~low
+        take = g.degree(v) + _lowest_vertex_best_score(memo, g, rest)
+        score = memo[s] = max(_lowest_vertex_best_score(memo, g, s ^ low), take)
+    return score
 
 
 def reference_hard_core_oracle(lam: float):

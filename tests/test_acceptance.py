@@ -19,7 +19,7 @@ from hcchroma.constructions import (
     necessary_construction,
     semi_bipartite_lower_bound,
     structural_not_colourable,
-    verify_not_colourable,
+    verify_construction,
     with_extra_colour,
 )
 from hcchroma.dpcolor import (
@@ -191,13 +191,13 @@ def test_criterion_07_necessary_construction():
     inst = necessary_construction(3, 1)
     props = check_recursive_properties(inst)
     assert props.ok, props.failures
-    assert verify_not_colourable(inst)
+    assert verify_construction(inst)[0]
     assert structural_not_colourable(inst) is True
     v1 = inst.special_vertex
     seen = set().union(*inst.lists)
     extras = sorted(seen - inst.lists[v1]) + [(99, 99)]
     for extra in extras:
-        assert not verify_not_colourable(with_extra_colour(inst, v1, extra))
+        assert not verify_construction(with_extra_colour(inst, v1, extra))[0]
     dt = time.time() - t0
     assert dt < 120
     print(

@@ -369,6 +369,18 @@ def test_semibip_auto_mode(tmp_path):
     assert abs(data["lambda"] - 10 / (10 * math.log(3))) <= 1e-12
 
 
+def test_semibip_exact_mode_reaches_sixty_vertices(tmp_path):
+    # exact mode here relies on the kernel's component split: the
+    # lowest-vertex search in helpers, which never splits, takes over 2 s
+    p = tmp_path / "g60.edges"
+    write_edge_list(helpers.triangle_free_base(60, 3.3, 1), p)
+    out = tmp_path / "o.json"
+    assert main(["semibip", "--input", str(p), "--cutoff", "60", "--output", str(out)]) == 0
+    data = _strict_json(out.read_text())
+    assert data["mode"] == "exact"
+    assert data["boundary_edges"] == 84  # the lowest-vertex search's maximum
+
+
 def test_semibip_triangle_is_hypothesis_error(k3_file):
     assert main(["semibip", "--input", str(k3_file), "--lam", "1.0"]) == 2
 

@@ -14,7 +14,7 @@ import types
 
 import pytest
 
-from hcchroma import hardcore
+from hcchroma import constructions, hardcore
 from hcchroma.cli import main
 from hcchroma.dpcolor import dump_cover
 from hcchroma.graph import complete, cycle, random_triangle_free, write_edge_list
@@ -93,11 +93,15 @@ def test_command_leaves_no_hcchroma_cycles(inputs, name):
     assert _hcchroma_garbage(argv) == []
 
 
-@pytest.mark.parametrize("kernel", ["enumerate_stats", "independent_set_masks"])
+@pytest.mark.parametrize(
+    "kernel", ["enumerate_stats", "semi_bipartite_extract", "independent_set_masks"])
 def test_exact_kernel_memory_returns_to_baseline_without_the_collector(kernel):
     if kernel == "enumerate_stats":
         g = random_triangle_free(30, 0.1, 1)
         run = lambda: hardcore.enumerate_stats(g, 1.0, cutoff=g.n)
+    elif kernel == "semi_bipartite_extract":
+        g = random_triangle_free(40, 0.085, 1)
+        run = lambda: constructions.semi_bipartite_extract(g, cutoff=g.n)
     else:
         g = random_triangle_free(18, 0.1, 1)
         run = lambda: hardcore.independent_set_masks(g)

@@ -19,6 +19,7 @@ from hcchroma import (
 )
 from hcchroma.constructions import (
     _list_colourable,
+    _max_degree_sum_set,
     auto_fugacity,
     check_recursive_properties,
     expected_crossing_edges,
@@ -27,7 +28,6 @@ from hcchroma.constructions import (
     semi_bipartite_lower_bound,
     structural_not_colourable,
     verify_construction,
-    verify_not_colourable,
     with_extra_colour,
 )
 from hcchroma.hardcore import enumerate_stats
@@ -57,11 +57,11 @@ def test_level0_star_properties():
 
 def test_level0_not_colourable_and_boundary():
     inst = necessary_construction(3, 0)
-    assert verify_not_colourable(inst)
+    assert verify_construction(inst)[0]
     assert structural_not_colourable(inst) is True
     assert not brute_list_colourable(inst.graph, inst.lists)
     extra = with_extra_colour(inst, inst.special_vertex, (9, 9))
-    assert not verify_not_colourable(extra)
+    assert not verify_construction(extra)[0]
     assert brute_list_colourable(extra.graph, extra.lists)
 
 
@@ -79,7 +79,7 @@ def test_level1_arithmetic():
 
 def test_level1_not_colourable():
     inst = necessary_construction(3, 1)
-    assert verify_not_colourable(inst)
+    assert verify_construction(inst)[0]
     assert structural_not_colourable(inst) is True
 
 
@@ -89,7 +89,7 @@ def test_level1_boundary_extras():
     seen = set().union(*inst.lists)
     candidates = sorted(seen - inst.lists[v1]) + [(99, 99)]
     for extra in candidates:
-        assert not verify_not_colourable(with_extra_colour(inst, v1, extra)), extra
+        assert not verify_construction(with_extra_colour(inst, v1, extra))[0], extra
 
 
 def test_level2_exceeds_cap():
@@ -108,7 +108,7 @@ def test_larger_delta_levels_materialise():
     inst = necessary_construction(4, 1)
     assert inst.graph.n == 14 * 5 + 1
     assert check_recursive_properties(inst).ok
-    assert verify_not_colourable(inst)
+    assert verify_construction(inst)[0]
     # ceil(e^5 / 5) = 30 copies of K_{1,5}
     inst5 = necessary_construction(5, 1)
     assert inst5.graph.n == 30 * 6 + 1
@@ -132,7 +132,7 @@ def test_parameter_validation():
 def test_budget_error():
     inst = necessary_construction(3, 1)
     with pytest.raises(SizeError):
-        verify_not_colourable(inst, budget=3)
+        verify_construction(inst, budget=3)
 
 
 def test_auto_fugacity():
@@ -193,6 +193,14 @@ def test_semi_bipartite_exact_mode_matches_enumeration(n, isolated, p, seed):
     assert b == tuple(v for v in range(g.n) if v not in a)
 
 
+@settings(max_examples=100, deadline=None)
+@given(helpers.several_component_graphs(max_n=40))
+@example(edgeless(5))
+@example(Graph.from_edges(8, [(1, 5), (5, 2), (3, 7), (6, 7)]))
+def test_max_degree_sum_set_matches_the_lowest_vertex_search(g):
+    assert _max_degree_sum_set(g) == helpers.reference_lowest_vertex_max_degree_sum_set(g)
+
+
 def test_semi_bipartite_exact_mode_ignores_fugacity():
     g = petersen()
     results = {semi_bipartite_extract(g, lam=lam) for lam in (1e-6, 1.0, 1e6)}
@@ -241,8 +249,8 @@ def test_search_node_counts_with_extra_colour_are_pinned(colour, nodes):
 def test_smallest_sufficient_budget_is_pinned():
     inst = necessary_construction(3, 1)
     with pytest.raises(SizeError):
-        verify_not_colourable(inst, budget=7)
-    assert verify_not_colourable(inst, budget=8)
+        verify_construction(inst, budget=7)
+    assert verify_construction(inst, budget=8)[0]
 
 
 def test_verify_construction_returns_both_verdicts():
@@ -257,5 +265,5 @@ def test_delta8_level1_verifies():
     inst = necessary_construction(8, 1)
     # ceil(e^8 / 8) = 373 copies of K_{1,8} plus the universal vertex
     assert inst.graph.n == 373 * 9 + 1
-    assert verify_not_colourable(inst)
+    assert verify_construction(inst)[0]
     assert structural_not_colourable(inst) is True

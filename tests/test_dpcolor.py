@@ -73,6 +73,17 @@ def test_cover_rejects_out_of_range_ids(owner, cross, message):
         Cover(K2, owner, frozenset(cross))
 
 
+@pytest.mark.parametrize("owner, message", [
+    ((0.9, 1.5, True), "owner 0.9 is not an int"),
+    ((0, 1.0), "owner 1.0 is not an int"),
+    ((0, True), "owner True is not an int"),
+    ((0, "1"), "owner '1' is not an int"),
+], ids=["floats", "integral-float", "bool", "string"])
+def test_cover_rejects_owners_that_are_not_ints(owner, message):
+    with pytest.raises(InputError, match=message):
+        Cover(edgeless(2), owner, frozenset())
+
+
 def test_cover_canonicalises_cross_edges():
     cover = Cover(K2, (0, 0, 1, 1), frozenset({(3, 0), (1, 2)}))
     assert cover.cross_edges == {(0, 3), (1, 2)}
