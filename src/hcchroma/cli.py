@@ -85,6 +85,8 @@ def cmd_hardcore_stats(args: argparse.Namespace) -> int:
         raise InputError("--fact-check needs --format json; tsv has no place for the residuals")
     g = read_edge_list(args.input)
     hardcore._check_max_distance(g, args.max_distance)
+    if args.fact_check:
+        hardcore._check_cutoff(g, cutoff)  # the check is exact only: fail before any sampling
     lam = args.lam
     if g.n <= cutoff:
         stats = hardcore.enumerate_stats(g, lam, max_distance=args.max_distance, cutoff=cutoff)

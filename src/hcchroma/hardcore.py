@@ -11,14 +11,17 @@ coefficients, so occupation probabilities, expected neighbourhood
 intersections and the two conditional-law identities of triangle-free
 graphs are exact quotients of polynomials evaluated at lambda: floats
 correctly rounded, or Fractions from `enumerate_stats(g, Fraction(lam))`,
-for every positive finite lambda.  Its (max, +) form is semibip's exact
-search (`constructions`).  Only frac-colour's oracle enumerates
-independent sets: it lists G's sets once per run and narrows that list to
-the live vertices round by round.  The module also provides a
-Glauber-dynamics sampler for graphs above the exact cutoff, whose steps
-cost O(1) each plus O(deg v) when the chosen vertex v changes state, and
-the occupancy lower bound used by the fractional-colouring weight
-optimisation.
+for every positive finite lambda.  A marked form, Z(G - v) with a second
+variable z on the neighbours of v, gives every weight of the conditional
+law at v (fact (b)) from one run per vertex that shares its unmarked
+states with Z, so the check never visits the subsets of N(v).  Its
+(max, +) form is semibip's exact search (`constructions`).  Only
+frac-colour's oracle enumerates independent sets: it lists G's sets once
+per run and narrows that list to the live vertices round by round.  The
+module also provides a Glauber-dynamics sampler for graphs above the exact
+cutoff, whose steps cost O(1) each plus O(deg v) when the chosen vertex v
+changes state, and the occupancy lower bound used by the
+fractional-colouring weight optimisation.
 """
 
 from __future__ import annotations
@@ -144,8 +147,9 @@ def _exact_kernel(g: Graph, unit, join, branch):
     ``branch(v, value(S - v), value(S - N[v]))``.  Z is the sum-product
     form (Levit & Mandrescu, "The independence polynomial of a graph - a
     survey", 2005), semibip's largest degree sum the (max, +) form (Aji &
-    McEliece, "The generalized distributive law", 2000).  The memo is a
-    plain dict that only ``value`` refers to, with no reference cycle, so
+    McEliece, "The generalized distributive law", 2000), and fact (b)'s
+    polynomial a marked sum-product form (`_fact_b_weights`).  The memo is
+    a plain dict that only ``value`` refers to, with no reference cycle, so
     it is freed as soon as the caller drops ``value``, whether or not the
     cyclic garbage collector runs.  ``value`` raises SizeError when the
     recursion, at most one level per vertex, passes the interpreter's limit.
@@ -205,6 +209,11 @@ def _independence_polynomial(g: Graph):
 
 def _z_branch(bits: int, v: int, skip: int, take: int) -> int:
     return skip + (take << bits)  # Z(S - v) + x Z(S - N[v])
+
+
+def _marked_branch(bits: int, zshift: int, marked: int, v: int, skip: int, take: int) -> int:
+    # P(S - v) + w P(S - N[v]), with weight w = z on a marked v, else x
+    return skip + (take << (zshift if marked >> v & 1 else bits))
 
 
 def _ratio(num: int, den: int, bits: int, lam):
@@ -344,6 +353,67 @@ def glauber_sample(g: Graph, lam: float, steps: int, seed: int) -> VertexSet:
     return tuple(v for v in range(n) if occupied[v])
 
 
+class _MarkedMemo(dict):
+    """The memo of one marked kernel run, holding the states that meet the
+    vertex bitmask ``marked``.  Any other state has no marked vertex, so
+    its value is Z's: ``get`` answers it from the Z kernel ``poly``, whose
+    memo outlives the run, and `_fold` returns that value without storing
+    it here."""
+
+    __slots__ = ("marked", "poly")
+
+    def __init__(self, marked: int, poly):
+        super().__init__()
+        self.marked = marked
+        self.poly = poly
+
+    def get(self, s: int):
+        return dict.get(self, s) if s & self.marked else self.poly(s)
+
+
+def _fact_b_weights(g: Graph, poly, bits: int, v: int) -> tuple[int, list[int], list[int]]:
+    """``(zx, total, uncov)`` for the vertex v of a triangle-free graph,
+    given its Z kernel ``(poly, bits)`` (`_independence_polynomial`).
+
+    ``zx`` is Z(X) for X = V - N[v].  ``total[j]`` and ``uncov[j]``, for j
+    = 0..deg(v), weigh the independent sets that leave exactly j
+    neighbours of v uncovered: all of them, and those that leave v
+    uncovered too.  Every weight is a packed polynomial in x, as Z is.
+
+    All of them come from one polynomial, P_v(x, z) = Z(G - v) with weight
+    x on X and weight z on N(v): the kernel's sum-product form with N(v)
+    marked, where a branch on a marked vertex shifts by ``zshift`` = (n + 1)
+    fields, so that block i of the integer holds the coefficient c_i(x) of
+    z^i.  N(v) is independent and N(u) lies in X + v for every u in N(v),
+    so an independent set J of X that leaves j of N(v) uncovered extends by
+    any subset of those j, and by nothing else, to a set that avoids v:
+    P_v = sum_j A_j(x) (1 + z)^j, where A_j weighs the J that leave exactly
+    j uncovered, and A_j = sum_{i >= j} (-1)^(i-j) C(i, j) c_i.  v stays
+    uncovered only when the subset is empty; a set that holds v is v plus
+    an independent set of X, with j = 0.  Hence total[j] = A_j (1 + x)^j +
+    [j = 0] x Z(X) and uncov[j] = A_j + [j = 0] x Z(X), and Z(X) = c_0.
+
+    States that meet N(v) go to a `_MarkedMemo` dropped on return; the
+    others are Z states, served by ``poly``.
+    """
+    zshift = (g.n + 1) * bits
+    zmask = (1 << zshift) - 1
+    marked = g.adjacency_masks[v]
+    branch = partial(_marked_branch, bits, zshift, marked)
+    p = _kernel_value(g, _MarkedMemo(marked, poly), mul, branch, ((1 << g.n) - 1) & ~(1 << v))
+    c = [(p >> (i * zshift)) & zmask for i in range(marked.bit_count() + 1)]
+    uncov = [
+        sum((-1) ** (i - j) * math.comb(i, j) * c[i] for i in range(j, len(c)))
+        for j in range(len(c))
+    ]
+    one_x = 1 + (1 << bits)
+    total = [a * one_x**j for j, a in enumerate(uncov)]
+    occupied = c[0] << bits  # x Z(X): v is in the set
+    total[0] += occupied
+    uncov[0] += occupied
+    return c[0], total, uncov
+
+
 def conditional_fact_check(
     g: Graph, lam: float, cutoff: int = DEFAULT_CUTOFF
 ) -> FactCheckReport:
@@ -358,54 +428,39 @@ def conditional_fact_check(
     relies on neighbourhoods being independent sets, so a triangle in the
     graph is a hypothesis error.
 
-    (a) is lam Z(V - N[v]) / Z(V - N(v)); v is an isolated vertex of
-    V - N(v), so this is a sanity check of the kernel rather than a test.
-    (b) is inclusion-exclusion over T subset of N(v): all of T is
-    uncovered exactly when I avoids N(T), which has weight Z(V - N(T)), so
-    the weight of "exactly j of N(v) uncovered" is the sum over k >= j of
-    (-1)^(k-j) C(k, j) S_k, where S_k sums Z(V - N(T)) over |T| = k (and
-    Z(V - N(T) - N(v)) for the joint law with v uncovered).  The kernel's
-    polynomials have integer coefficients, so these signed sums are exact:
-    a count j of probability zero sums to exactly zero and is skipped, and
-    each conditional law is one correctly rounded quotient.  (Float sums
-    of the same terms cancel badly: on star(8) at lambda = 0.7 they report
-    a residual of 0.59 for counts that cannot occur.)
+    (a) is lam Z(X) / Z(V - N(v)) with X = V - N[v]; v is an isolated
+    vertex of V - N(v), so Z(V - N(v)) = (1 + lam) Z(X).  (b) is the
+    quotient of the weights of `_fact_b_weights`, integer polynomials, so a
+    count j of probability zero has weight exactly zero and is skipped, and
+    each conditional law is one correctly rounded quotient.  On a
+    triangle-free graph both hold by construction (the derivation of the
+    weights proves (b): uncov[j] (1 + x)^j = total[j] for j >= 1, and
+    uncov[0] = total[0]), so the residuals are sanity checks of the
+    kernel's arithmetic and of the rounding rather than tests of the
+    model; the tests check the weights themselves against
+    inclusion-exclusion and against enumerating every independent set.
 
-    Cost: two kernel queries per subset of N(v), most of them memo hits.
-    N(v) is independent, so 2^deg(v) <= #IS and the check makes at most
-    2n (#IS + 1) queries, against the n #IS per-vertex updates of
-    enumerating every independent set.
+    Cost: one marked kernel run per vertex, on the n - 1 vertices of G - v,
+    with coefficients up to degree n in x and deg(v) in z, plus O(deg(v)^2)
+    integer operations to read the weights off.  Nothing grows with
+    2^deg(v): star(29) takes milliseconds.  The Z states that a run meets
+    are shared by all n runs; the marked states live for one run only.
     """
     _check_fugacity(lam)
     _check_cutoff(g, cutoff)
     if not is_triangle_free(g):
         raise HypothesisError("conditional_fact_check requires a triangle-free graph")
     poly, bits = _independence_polynomial(g)
-    adj = g.adjacency_masks
-    full = (1 << g.n) - 1
     p_occ = lam / (1.0 + lam)
     res1 = 0.0
     res2 = 0.0
     for v in range(g.n):
-        free = full & ~adj[v]
-        occupied = poly(free & ~(1 << v)) << bits
-        res1 = max(res1, abs(_ratio(occupied, poly(free), bits, lam) - p_occ))
-        d = g.degree(v)
-        covers = [0]  # N(T) for every T subset of N(v), indexed by bitmask
-        for u in g.adjacency[v]:
-            covers += [c | adj[u] for c in covers]
-        total_by_size = [0] * (d + 1)
-        uncov_by_size = [0] * (d + 1)
-        for t, cover in enumerate(covers):
-            rest = full & ~cover
-            total_by_size[t.bit_count()] += poly(rest)
-            uncov_by_size[t.bit_count()] += poly(rest & ~adj[v])
-        for j in range(d + 1):
-            signs = [(-1) ** (k - j) * math.comb(k, j) for k in range(j, d + 1)]
-            tw = sum(c * s for c, s in zip(signs, total_by_size[j:]))
+        zx, total, uncov = _fact_b_weights(g, poly, bits, v)
+        occupied = zx << bits
+        res1 = max(res1, abs(_ratio(occupied, zx + occupied, bits, lam) - p_occ))
+        for j, (tw, uw) in enumerate(zip(total, uncov)):
             if tw == 0:  # no independent set leaves exactly j neighbours uncovered
                 continue
-            uw = sum(c * s for c, s in zip(signs, uncov_by_size[j:]))
             res2 = max(res2, abs(_ratio(uw, tw, bits, lam) - (1.0 + lam) ** (-j)))
     return FactCheckReport(float(lam), res1, res2)
 

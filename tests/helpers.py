@@ -7,9 +7,9 @@ itertools), triangles from a full triple scan, distances from networkx.
 The `reference_*` functions are the implementations that the
 independence-polynomial kernel, the once-per-run hard-core oracle, the
 counter-based Glauber sampler, the two-phase colouring's phase 1, the
-greedy's scores on a built induced subgraph and the copying colouring
-validator replaced; they read distances from networkx, not from
-`distance_layers`.  The dp-solve references build every node's cross
+greedy's scores on a built induced subgraph, the copying colouring
+validator and fact (b)'s inclusion-exclusion replaced; they read
+distances from networkx, not from `distance_layers`.  The dp-solve references build every node's cross
 partners (`star_adjacency`), truncate a cover afresh for each use and
 rescan the edges after every resample.
 """
@@ -748,6 +748,55 @@ def reference_conditional_fact_check(g: Graph, lam: float) -> FactCheckReport:
             cond = uncov_by_j[v].get(j, 0.0) / tw
             res2 = max(res2, abs(cond - (1.0 + lam) ** (-j)))
     return FactCheckReport(float(lam), res1, res2)
+
+
+def reference_fact_b_weights(g: Graph, v: int) -> tuple[list[int], list[int]]:
+    """``(total, uncov)``: for j = 0..deg(v), the weights of the independent
+    sets that leave exactly j neighbours of v uncovered, and of those that
+    leave v uncovered too, as packed polynomials in fields of n + 1 bits.
+
+    This is the inclusion-exclusion that `hardcore.conditional_fact_check`
+    ran before it read the weights off one marked polynomial: all of a
+    subset T of N(v) is uncovered exactly when I avoids N(T), which has
+    weight Z(V - N(T)) (Z(V - N(T) - N(v)) with v uncovered too), so the
+    weight of "exactly j uncovered" is the sum over k >= j of
+    (-1)^(k-j) C(k, j) S_k, where S_k sums those weights over |T| = k.  It
+    builds the 2^deg(v) covers N(T).  Z comes from a memoised recursion on
+    the lowest vertex, not from the package's kernel.
+    """
+    n = g.n
+    bits = n + 1
+    adj = g.adjacency_masks
+    full = (1 << n) - 1
+    memo = {0: 1}
+    d = g.degree(v)
+    covers = [0]  # N(T) for every T subset of N(v), indexed by bitmask
+    for u in g.adjacency[v]:
+        covers += [c | adj[u] for c in covers]
+    total_by_size = [0] * (d + 1)
+    uncov_by_size = [0] * (d + 1)
+    for t, cover in enumerate(covers):
+        rest = full & ~cover
+        total_by_size[t.bit_count()] += _lowest_vertex_z(memo, adj, bits, rest)
+        uncov_by_size[t.bit_count()] += _lowest_vertex_z(memo, adj, bits, rest & ~adj[v])
+    total, uncov = [], []
+    for j in range(d + 1):
+        signs = [(-1) ** (k - j) * math.comb(k, j) for k in range(j, d + 1)]
+        total.append(sum(c * s for c, s in zip(signs, total_by_size[j:])))
+        uncov.append(sum(c * s for c, s in zip(signs, uncov_by_size[j:])))
+    return total, uncov
+
+
+def _lowest_vertex_z(memo: dict, adj, bits: int, s: int) -> int:
+    """Z(G[S]) packed in fields of ``bits`` bits: Z(S - v) + x Z(S - N[v])
+    for the lowest vertex v of S."""
+    z = memo.get(s)
+    if z is None:
+        low = s & -s
+        v = low.bit_length() - 1
+        take = _lowest_vertex_z(memo, adj, bits, s & ~adj[v] & ~low)
+        z = memo[s] = _lowest_vertex_z(memo, adj, bits, s ^ low) + (take << bits)
+    return z
 
 
 def reference_max_degree_sum_set(g: Graph) -> tuple[tuple[int, ...], int]:

@@ -116,6 +116,32 @@ def test_triangle_fact_check_is_hypothesis_error(k3_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("leaves", [22, 29])
+def test_fact_check_on_a_star_at_the_default_cutoff(tmp_path, capsys, leaves):
+    # the centre has 2^leaves subsets of neighbours; star(29) has n = 30,
+    # the default cutoff
+    p = tmp_path / "star.edges"
+    write_edge_list(star(leaves), p)
+    assert main(["hardcore-stats", "--input", str(p), "--lam", "1.0", "--fact-check"]) == 0
+    data = _strict_json(capsys.readouterr().out)
+    assert data["mode"] == "exact"
+    assert data["fact_check"]["fact1_residual"] <= 1e-12
+    assert data["fact_check"]["fact2_residual"] <= 1e-12
+
+
+def test_fact_check_above_the_cutoff_fails_before_sampling(c5_file, monkeypatch, capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a graph that the fact check refuses")
+
+    monkeypatch.setattr(hardcore, "glauber_sample", no_sampling)
+    code = main(["hardcore-stats", "--input", str(c5_file), "--lam", "1.0", "--cutoff", "4",
+                 "--trials", "32", "--fact-check"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_frac_colour_c5(c5_file, tmp_path):
     out = tmp_path / "col.json"
     slack = tmp_path / "slack.tsv"

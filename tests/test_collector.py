@@ -93,12 +93,16 @@ def test_command_leaves_no_hcchroma_cycles(inputs, name):
     assert _hcchroma_garbage(argv) == []
 
 
-@pytest.mark.parametrize(
-    "kernel", ["enumerate_stats", "semi_bipartite_extract", "independent_set_masks"])
+@pytest.mark.parametrize("kernel", ["enumerate_stats", "conditional_fact_check",
+                                    "semi_bipartite_extract", "independent_set_masks"])
 def test_exact_kernel_memory_returns_to_baseline_without_the_collector(kernel):
     if kernel == "enumerate_stats":
         g = random_triangle_free(30, 0.1, 1)
         run = lambda: hardcore.enumerate_stats(g, 1.0, cutoff=g.n)
+    elif kernel == "conditional_fact_check":
+        # the Z memo lives for the whole check, each marked memo for one vertex
+        g = random_triangle_free(30, 0.1, 1)
+        run = lambda: hardcore.conditional_fact_check(g, 1.0, cutoff=g.n)
     elif kernel == "semi_bipartite_extract":
         g = random_triangle_free(40, 0.085, 1)
         run = lambda: constructions.semi_bipartite_extract(g, cutoff=g.n)

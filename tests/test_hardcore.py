@@ -19,6 +19,7 @@ from hcchroma import (
     random_triangle_free,
     star,
 )
+from hcchroma import hardcore
 from hcchroma.fractional import hard_core_oracle
 from hcchroma.hardcore import (
     conditional_fact_check,
@@ -421,3 +422,29 @@ def test_fact_check_skips_counts_of_probability_zero(lam):
     # inclusion-exclusion sum is a different subgraph
     for g in (star(8), GADGET):
         assert conditional_fact_check(g, lam).max_residual <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    helpers.triangle_free_graphs(),
+    helpers.several_component_graphs(max_n=20),
+    st.integers(min_value=0, max_value=12).map(star),
+))
+@example(edgeless(3))
+@example(star(10))
+@example(GADGET)
+@example(petersen())
+def test_marked_kernel_weights_match_inclusion_exclusion(g):
+    # one Z kernel serves every vertex, as in conditional_fact_check
+    poly, bits = hardcore._independence_polynomial(g)
+    for v in range(g.n):
+        _, total, uncov = hardcore._fact_b_weights(g, poly, bits, v)
+        assert (total, uncov) == helpers.reference_fact_b_weights(g, v)
+
+
+@pytest.mark.parametrize("g", [path(1500), star(1500)], ids=["path", "star"])
+def test_fact_check_past_the_recursion_limit_is_size_error(g):
+    # the path recurses deeply through Z states, the star through the
+    # centre's marked states
+    with pytest.raises(SizeError):
+        conditional_fact_check(g, 1.0, cutoff=2000)
