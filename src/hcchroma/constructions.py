@@ -384,7 +384,7 @@ def _max_degree_sum_set(g: Graph) -> tuple[VertexSet, int]:
     limit.
     """
     degrees = tuple(map(len, g.adjacency))
-    best = hardcore._exact_kernel(g, 0, add, partial(_best_branch, degrees))
+    best = hardcore._exact_kernel(g, {0: 0}, {}, add, partial(_best_branch, degrees))
     adj = g.adjacency_masks
     s = (1 << g.n) - 1
     score = total = best(s)

@@ -5,23 +5,27 @@ on the independent sets of a graph (including the empty set) in which a set
 I occurs with probability lambda^|I| / Z, where Z is the partition function
 (independence polynomial).  Exact work over the independent sets is one
 memoised fold over induced subgraphs, `_exact_kernel`, that splits a state
-into connected components and branches on a vertex of largest degree.  Its
-sum-product form is Z(S) = Z(S - v) + x Z(S - N[v]) with integer
+into connected components and branches on a vertex of largest degree.  A
+split depends on the state alone, so each public entry point records each
+split once, in a split table that every kernel it opens reads.  The
+fold's sum-product form is Z(S) = Z(S - v) + x Z(S - N[v]) with integer
 coefficients, so occupation probabilities, expected neighbourhood
 intersections and the two conditional-law identities of triangle-free
 graphs are exact quotients of polynomials evaluated at lambda: floats
 correctly rounded, or Fractions from `enumerate_stats(g, Fraction(lam))`,
-for every positive finite lambda.  A marked form, Z(G - v) with a second
-variable z on the neighbours of v, gives every weight of the conditional
-law at v (fact (b)) from one run per vertex that shares its unmarked
-states with Z, so the check never visits the subsets of N(v).  Its
-(max, +) form is semibip's exact search (`constructions`).  Only
-frac-colour's oracle enumerates independent sets: it lists G's sets once
-per run and narrows that list to the live vertices round by round.  The
-module also provides a Glauber-dynamics sampler for graphs above the exact
-cutoff, whose steps cost O(1) each plus O(deg v) when the chosen vertex v
-changes state, and the occupancy lower bound used by the
-fractional-colouring weight optimisation.
+for every positive finite lambda.  Every occupancy comes from one reverse
+pass over the states of Z (`_occupancy_counts`).  A marked form, Z(G - v)
+with a second variable z on the neighbours of v, gives every weight of the
+conditional law at v (fact (b)) from one run per vertex that shares its
+unmarked states with Z and its splits with every other run, so the check
+never visits the subsets of N(v).  The (max, +) form is semibip's exact
+search (`constructions`).  Only frac-colour's oracle enumerates
+independent sets: it lists G's sets once per run and narrows that list to
+the live vertices round by round.  The module also provides a
+Glauber-dynamics sampler for graphs above the exact cutoff, whose steps
+cost O(1) each plus O(deg v) when the chosen vertex v changes state, and
+the occupancy lower bound used by the fractional-colouring weight
+optimisation.
 """
 
 from __future__ import annotations
@@ -137,10 +141,11 @@ def _extend_sets(adj, append, mask: int, avail: int) -> None:
         _extend_sets(adj, append, child, m & ~adj[v])
 
 
-def _exact_kernel(g: Graph, unit, join, branch):
+def _exact_kernel(g: Graph, memo: dict, splits: dict, join, branch):
     """A memoised fold over the induced subgraphs of ``g``.
 
-    Returns ``value``: for a vertex bitmask S, ``value(0)`` is ``unit``; a
+    Returns ``value``: for a vertex bitmask S, ``value(0)`` is the unit
+    that ``memo`` holds for 0 when it is passed in, a dict {0: unit}; a
     disconnected S, with C the component of its lowest vertex, gives
     ``join(value(C), value(S - C))``; a connected S branches on a vertex v
     of largest degree in S, the lowest on ties, and gives
@@ -148,63 +153,84 @@ def _exact_kernel(g: Graph, unit, join, branch):
     form (Levit & Mandrescu, "The independence polynomial of a graph - a
     survey", 2005), semibip's largest degree sum the (max, +) form (Aji &
     McEliece, "The generalized distributive law", 2000), and fact (b)'s
-    polynomial a marked sum-product form (`_fact_b_weights`).  The memo is
-    a plain dict that only ``value`` refers to, with no reference cycle, so
-    it is freed as soon as the caller drops ``value``, whether or not the
-    cyclic garbage collector runs.  ``value`` raises SizeError when the
-    recursion, at most one level per vertex, passes the interpreter's limit.
+    polynomial a marked sum-product form (`_fact_b_weights`).
+
+    A split depends on S alone, not on the form, so each is found once
+    per split table ``splits`` and recorded there as one int: the bitmask
+    C for a product, ~v (that is, -1 - v) for a branch, from which S - C,
+    S - v and S - N[v] take a few integer operations.  Kernels that share
+    the table share the component searches and degree scans.  An int, not
+    a tuple of the parts, because the interpreter keeps up to 2000 freed
+    tuples of each small size for reuse, which would hold on to a table's
+    memory after it is dropped.  ``memo`` takes each value after those of
+    its parts, so its insertion order is a post-order of the states
+    (`_occupancy_counts` walks it backwards).  Both are plain dicts that
+    only their owners refer to, with no reference cycle, so they are freed
+    as soon as the caller drops them, whether or not the cyclic garbage
+    collector runs.  ``value`` raises SizeError when the recursion, at most
+    one level per vertex, passes the interpreter's limit.
     """
-    return partial(_kernel_value, g, {0: unit}, join, branch)
+    return partial(_kernel_value, g, memo, splits, join, branch)
 
 
-def _kernel_value(g: Graph, memo: dict, join, branch, s: int):
+def _kernel_value(g: Graph, memo: dict, splits: dict, join, branch, s: int):
     try:
-        return _fold(memo, g.adjacency_masks, join, branch, s)
+        return _fold(memo, splits, g.adjacency_masks, join, branch, s)
     except RecursionError:
         raise _recursion_limit_error(g) from None
 
 
-def _fold(memo: dict, adj, join, branch, s: int):
-    """The value of `_exact_kernel` at S, read from or added to ``memo``.
-    A module-level function, not a closure that calls itself, which would
-    tie the memo into a reference cycle."""
+def _fold(memo: dict, splits: dict, adj, join, branch, s: int):
+    """The value of `_exact_kernel` at S, read from or added to ``memo``,
+    with S's split read from or added to ``splits``.  A module-level
+    function, not a closure that calls itself, which would tie the memo
+    into a reference cycle."""
     value = memo.get(s)
     if value is not None:
         return value
-    comp = frontier = s & -s
-    while frontier:
-        b = frontier & -frontier
-        frontier ^= b
-        new = adj[b.bit_length() - 1] & s & ~comp
-        comp |= new
-        frontier |= new
-    if comp != s:
-        first = _fold(memo, adj, join, branch, comp)
-        value = join(first, _fold(memo, adj, join, branch, s ^ comp))
+    split = splits.get(s)
+    if split is None:
+        comp = frontier = s & -s
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            new = adj[b.bit_length() - 1] & s & ~comp
+            comp |= new
+            frontier |= new
+        if comp != s:
+            split = comp
+        else:
+            best = -1
+            m = s
+            while m:
+                b = m & -m
+                m ^= b
+                d = (adj[b.bit_length() - 1] & s).bit_count()
+                if d > best:
+                    best, pick = d, b
+            split = ~(pick.bit_length() - 1)
+        splits[s] = split
+    if split > 0:
+        first = _fold(memo, splits, adj, join, branch, split)
+        value = join(first, _fold(memo, splits, adj, join, branch, s ^ split))
     else:
-        best = -1
-        m = s
-        while m:
-            b = m & -m
-            m ^= b
-            d = (adj[b.bit_length() - 1] & s).bit_count()
-            if d > best:
-                best, pick = d, b
-        v = pick.bit_length() - 1
-        skip = _fold(memo, adj, join, branch, s ^ pick)
-        value = branch(v, skip, _fold(memo, adj, join, branch, s & ~adj[v] & ~pick))
+        v = ~split
+        pick = 1 << v
+        first = _fold(memo, splits, adj, join, branch, s ^ pick)
+        value = branch(v, first, _fold(memo, splits, adj, join, branch, s & ~adj[v] & ~pick))
     memo[s] = value
     return value
 
 
-def _independence_polynomial(g: Graph):
+def _independence_polynomial(g: Graph, memo: dict, splits: dict):
     """``(poly, bits)``: ``poly(S)`` is Z(G[S]; x) = sum_k i_k x^k, where i_k
     counts the independent k-subsets of the vertex bitmask S, evaluated at
     x = 2^bits.  Every i_k is below 2^bits, so the integer holds the
     coefficients in fields of ``bits`` bits, and integer sums and products
-    are the sums and products of the polynomials."""
+    are the sums and products of the polynomials.  ``memo`` is {0: 1},
+    Z of the empty set, and ``splits`` a split table (`_exact_kernel`)."""
     bits = g.n + 1
-    return _exact_kernel(g, 1, mul, partial(_z_branch, bits)), bits
+    return _exact_kernel(g, memo, splits, mul, partial(_z_branch, bits)), bits
 
 
 def _z_branch(bits: int, v: int, skip: int, take: int) -> int:
@@ -240,6 +266,51 @@ def _ratio(num: int, den: int, bits: int, lam):
     return Fraction(top, bottom) if isinstance(lam, Fraction) else top / bottom
 
 
+def _occupancy_counts(g: Graph, splits: dict) -> tuple[int, list[int], int]:
+    """``(total, counts, bits)``: Z and, for every vertex v, the weight
+    x Z(V - N[v]) of the independent sets that hold v, packed as by
+    `_independence_polynomial` with the split table ``splits``.
+
+    The counts come from one reverse (adjoint) pass over Z's memo, with no
+    further kernel query (Griewank & Walther, "Evaluating Derivatives",
+    2008).  The adjoint A(S) weighs the ways to complete an independent
+    set of S to one of V along the kernel's splits, with A(V) = 1.  A
+    product S = C + R passes A(S) Z(R) to C and A(S) Z(C) to R.  A branch
+    on v passes A(S) to S - v and x A(S) to S - N[v], and x A(S)
+    Z(S - N[v]) weighs the sets that take v at S.  Each independent set
+    takes v at one branch at most, so these sum to v's count.  The memo
+    is a post-order, so in reverse every state comes after all the states
+    that split into it: its adjoint is complete when it is read, and it
+    is dropped then.
+    """
+    memo = {0: 1}
+    poly, bits = _independence_polynomial(g, memo, splits)
+    full = (1 << g.n) - 1
+    total = poly(full)
+    adj = g.adjacency_masks
+    counts = [0] * g.n
+    adjoint = {full: 1}
+    for s in reversed(memo):
+        if not s:
+            break  # the empty set, the memo's first entry, has no parts
+        a = adjoint.pop(s)
+        split = splits[s]
+        if split > 0:
+            rest = s ^ split
+            adjoint[split] = adjoint.get(split, 0) + a * memo[rest]
+            adjoint[rest] = adjoint.get(rest, 0) + a * memo[split]
+        else:
+            v = ~split
+            pick = 1 << v
+            skip = s ^ pick
+            take = s & ~adj[v] & ~pick
+            adjoint[skip] = adjoint.get(skip, 0) + a
+            a <<= bits
+            adjoint[take] = adjoint.get(take, 0) + a
+            counts[v] += a * memo[take]
+    return total, counts, bits
+
+
 def enumerate_stats(
     g: Graph, lam, max_distance: int = 1, cutoff: int = DEFAULT_CUTOFF
 ) -> OccupancyStats:
@@ -248,25 +319,25 @@ def enumerate_stats(
     Pr(v in I) = lam Z(V - N[v]) / Z, each the float nearest to the exact
     quotient, or the exact Fraction when ``lam`` is a Fraction; at lam = 1
     the floats are the independent-set counts divided once.
-    ``log_partition`` is a float either way; when Z exceeds every float it
-    is log(numerator) - log(denominator) of Z as an exact Fraction.
+    ``log_partition`` is a float either way: log1p(Z - 1) when Z < 2, so
+    that a Z near 1 keeps its digits, and log(numerator) - log(denominator)
+    of Z as an exact Fraction when Z exceeds every float.
+
+    Cost: one run of the Z kernel and one reverse pass over the states it
+    built (`_occupancy_counts`), so the occupancies cost a small multiple
+    of Z; no vertex opens a kernel query of its own.
     """
     _check_fugacity(lam)
     _check_max_distance(g, max_distance)
     _check_cutoff(g, cutoff)
-    poly, bits = _independence_polynomial(g)
-    full = (1 << g.n) - 1
-    adj = g.adjacency_masks
-    total = poly(full)
+    total, counts, bits = _occupancy_counts(g, {})
     try:
-        log_z = math.log(_ratio(total, 1, bits, lam))
+        z = _ratio(total, 1, bits, lam)
+        log_z = math.log(z) if z >= 2 else math.log1p(_ratio(total - 1, 1, bits, lam))
     except OverflowError:  # Z exceeds every float; log Z from the exact integers
         z = _ratio(total, 1, bits, Fraction(lam))
         log_z = math.log(z.numerator) - math.log(z.denominator)
-    occupancy = tuple(
-        _ratio(poly(full & ~adj[v] & ~(1 << v)) << bits, total, bits, lam)
-        for v in range(g.n)
-    )
+    occupancy = tuple(_ratio(count, total, bits, lam) for count in counts)
     nbr = neighbour_occupancy(g, occupancy, max_distance)
     return OccupancyStats(float(lam), log_z, occupancy, nbr)
 
@@ -371,7 +442,9 @@ class _MarkedMemo(dict):
         return dict.get(self, s) if s & self.marked else self.poly(s)
 
 
-def _fact_b_weights(g: Graph, poly, bits: int, v: int) -> tuple[int, list[int], list[int]]:
+def _fact_b_weights(
+    g: Graph, poly, bits: int, v: int, splits: dict
+) -> tuple[int, list[int], list[int]]:
     """``(zx, total, uncov)`` for the vertex v of a triangle-free graph,
     given its Z kernel ``(poly, bits)`` (`_independence_polynomial`).
 
@@ -394,13 +467,16 @@ def _fact_b_weights(g: Graph, poly, bits: int, v: int) -> tuple[int, list[int], 
     [j = 0] x Z(X) and uncov[j] = A_j + [j = 0] x Z(X), and Z(X) = c_0.
 
     States that meet N(v) go to a `_MarkedMemo` dropped on return; the
-    others are Z states, served by ``poly``.
+    others are Z states, served by ``poly``.  Every state reads its split
+    from, or adds it to, the split table ``splits``, which a split found by
+    Z or by another vertex's run serves too.
     """
     zshift = (g.n + 1) * bits
     zmask = (1 << zshift) - 1
     marked = g.adjacency_masks[v]
     branch = partial(_marked_branch, bits, zshift, marked)
-    p = _kernel_value(g, _MarkedMemo(marked, poly), mul, branch, ((1 << g.n) - 1) & ~(1 << v))
+    memo = _MarkedMemo(marked, poly)
+    p = _kernel_value(g, memo, splits, mul, branch, ((1 << g.n) - 1) & ~(1 << v))
     c = [(p >> (i * zshift)) & zmask for i in range(marked.bit_count() + 1)]
     uncov = [
         sum((-1) ** (i - j) * math.comb(i, j) * c[i] for i in range(j, len(c)))
@@ -445,17 +521,21 @@ def conditional_fact_check(
     integer operations to read the weights off.  Nothing grows with
     2^deg(v): star(29) takes milliseconds.  The Z states that a run meets
     are shared by all n runs; the marked states live for one run only.
+    Z and the n runs share one split table, so a state that several runs
+    meet is searched for components and scanned for degrees once; the
+    table lives until the check returns.
     """
     _check_fugacity(lam)
     _check_cutoff(g, cutoff)
     if not is_triangle_free(g):
         raise HypothesisError("conditional_fact_check requires a triangle-free graph")
-    poly, bits = _independence_polynomial(g)
+    splits = {}
+    poly, bits = _independence_polynomial(g, {0: 1}, splits)
     p_occ = lam / (1.0 + lam)
     res1 = 0.0
     res2 = 0.0
     for v in range(g.n):
-        zx, total, uncov = _fact_b_weights(g, poly, bits, v)
+        zx, total, uncov = _fact_b_weights(g, poly, bits, v, splits)
         occupied = zx << bits
         res1 = max(res1, abs(_ratio(occupied, zx + occupied, bits, lam) - p_occ))
         for j, (tw, uw) in enumerate(zip(total, uncov)):

@@ -8,8 +8,9 @@ The `reference_*` functions are the implementations that the
 independence-polynomial kernel, the once-per-run hard-core oracle, the
 counter-based Glauber sampler, the two-phase colouring's phase 1, the
 greedy's scores on a built induced subgraph, the copying colouring
-validator and fact (b)'s inclusion-exclusion replaced; they read
-distances from networkx, not from `distance_layers`.  The dp-solve references build every node's cross
+validator, fact (b)'s inclusion-exclusion and the per-vertex occupancy
+queries replaced; they read distances from networkx, not from
+`distance_layers`.  The dp-solve references build every node's cross
 partners (`star_adjacency`), truncate a cover afresh for each use and
 rescan the edges after every resample.
 """
@@ -175,6 +176,15 @@ def several_component_graphs(draw, max_n=40):
     n = min(max_n, n + draw(st.integers(min_value=0, max_value=4)))
     label = draw(st.permutations(range(n)))
     return Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+@st.composite
+def graphs(draw, max_n=12):
+    """Any simple graph on 0..max_n vertices, triangles allowed."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
 
 
 PERMUTATION_CAP = 120  # class-respecting orderings tried per canonical form
@@ -697,12 +707,32 @@ def reference_enumerate_stats_rational(g: Graph, lam, max_distance: int = 1) -> 
             occ[v] += w
     occupancy = tuple(occ[v] / z for v in range(n))
     nbr = reference_neighbour_occupancy(g, occupancy, max_distance)
+    return OccupancyStats(float(lam), reference_log(z), occupancy, nbr)
+
+
+def reference_log(z: Fraction) -> float:
+    """log z for a Fraction z >= 1, accurate to a few ulps.
+
+    Below 2 it sums the series of 2 atanh((z - 1) / (z + 1)) in 40-digit
+    decimal arithmetic, which keeps the digits of a z near 1 that float(z)
+    rounds away; above every float it takes the logarithms of numerator and
+    denominator in decimal.
+    """
+    if z < 2:
+        with decimal.localcontext(decimal.Context(prec=40)):
+            t = (z - 1) / (z + 1)
+            t = decimal.Decimal(t.numerator) / decimal.Decimal(t.denominator)
+            total, power, k = decimal.Decimal(0), t, 1
+            while power and abs(power) > abs(total) * decimal.Decimal("1e-40"):
+                total += power / k
+                power *= t * t
+                k += 2
+            return float(2 * total)
     try:
-        log_z = math.log(z)
+        return math.log(z)
     except OverflowError:  # Z exceeds every float: its logarithm in decimal
         with decimal.localcontext(decimal.Context(prec=40)):
-            log_z = float(decimal.Decimal(z.numerator).ln() - decimal.Decimal(z.denominator).ln())
-    return OccupancyStats(float(lam), log_z, occupancy, nbr)
+            return float(decimal.Decimal(z.numerator).ln() - decimal.Decimal(z.denominator).ln())
 
 
 def reference_conditional_fact_check(g: Graph, lam: float) -> FactCheckReport:
@@ -785,6 +815,24 @@ def reference_fact_b_weights(g: Graph, v: int) -> tuple[list[int], list[int]]:
         total.append(sum(c * s for c, s in zip(signs, total_by_size[j:])))
         uncov.append(sum(c * s for c, s in zip(signs, uncov_by_size[j:])))
     return total, uncov
+
+
+def reference_occupancy_counts(g: Graph) -> tuple[int, list[int]]:
+    """``(total, counts)``: Z and, for every vertex v, x Z(V - N[v]), the
+    weight of the independent sets that hold v, packed in fields of n + 1
+    bits.  One query per vertex, as `hardcore.enumerate_stats` made before
+    its reverse pass, with Z from a memoised recursion on the lowest vertex,
+    not from the package's kernel."""
+    n = g.n
+    bits = n + 1
+    adj = g.adjacency_masks
+    full = (1 << n) - 1
+    memo = {0: 1}
+    total = _lowest_vertex_z(memo, adj, bits, full)
+    counts = [
+        _lowest_vertex_z(memo, adj, bits, full & ~adj[v] & ~(1 << v)) << bits for v in range(n)
+    ]
+    return total, counts
 
 
 def _lowest_vertex_z(memo: dict, adj, bits: int, s: int) -> int:

@@ -97,7 +97,8 @@ def test_command_leaves_no_hcchroma_cycles(inputs, name):
                                     "semi_bipartite_extract", "independent_set_masks"])
 def test_exact_kernel_memory_returns_to_baseline_without_the_collector(kernel):
     if kernel == "enumerate_stats":
-        g = random_triangle_free(30, 0.1, 1)
+        # one Z memo and no per-vertex query: at n=30 it peaks under 100 kB
+        g = random_triangle_free(40, 0.085, 1)
         run = lambda: hardcore.enumerate_stats(g, 1.0, cutoff=g.n)
     elif kernel == "conditional_fact_check":
         # the Z memo lives for the whole check, each marked memo for one vertex

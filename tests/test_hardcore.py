@@ -1,5 +1,7 @@
 import math
 from fractions import Fraction
+from functools import partial
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +21,7 @@ from hcchroma import (
     random_triangle_free,
     star,
 )
-from hcchroma import hardcore
+from hcchroma import constructions, hardcore
 from hcchroma.fractional import hard_core_oracle
 from hcchroma.hardcore import (
     conditional_fact_check,
@@ -436,10 +438,69 @@ def test_fact_check_skips_counts_of_probability_zero(lam):
 @example(petersen())
 def test_marked_kernel_weights_match_inclusion_exclusion(g):
     # one Z kernel serves every vertex, as in conditional_fact_check
-    poly, bits = hardcore._independence_polynomial(g)
+    splits = {}
+    poly, bits = hardcore._independence_polynomial(g, {0: 1}, splits)
     for v in range(g.n):
-        _, total, uncov = hardcore._fact_b_weights(g, poly, bits, v)
+        _, total, uncov = hardcore._fact_b_weights(g, poly, bits, v, splits)
         assert (total, uncov) == helpers.reference_fact_b_weights(g, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        helpers.triangle_free_graphs(),
+        helpers.several_component_graphs(max_n=20),
+        st.integers(min_value=0, max_value=12).map(star),
+        helpers.graphs(),
+    ),
+    st.sampled_from([1.0, Fraction(7, 10), 3.0]),
+)
+@example(edgeless(0), 1.0)
+@example(edgeless(1), Fraction(7, 10))
+@example(edgeless(2), 3.0)
+@example(edgeless(3), 1.0)
+@example(petersen(), Fraction(7, 10))
+@example(complete(4), 3.0)
+@example(complete(5), Fraction(7, 10))
+def test_reverse_pass_counts_match_one_query_per_vertex(g, lam):
+    total, counts = helpers.reference_occupancy_counts(g)
+    assert hardcore._occupancy_counts(g, {}) == (total, counts, g.n + 1)
+    stats = enumerate_stats(g, lam)
+    assert stats.occupancy == tuple(hardcore._ratio(c, total, g.n + 1, lam) for c in counts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    helpers.triangle_free_graphs(),
+    helpers.several_component_graphs(max_n=20),
+    st.integers(min_value=0, max_value=12).map(star),
+))
+@example(edgeless(0))
+@example(GADGET)
+@example(petersen())
+def test_splits_found_by_the_max_plus_search_serve_every_sum_product_form(g):
+    # a split depends on the state alone, so a table that semibip's (max, +)
+    # search filled gives Z, the reverse pass and fact (b) their exact values
+    splits = {}
+    degrees = tuple(map(len, g.adjacency))
+    best_branch = partial(constructions._best_branch, degrees)
+    hardcore._exact_kernel(g, {0: 0}, splits, add, best_branch)((1 << g.n) - 1)
+    found = dict(splits)
+    assert hardcore._occupancy_counts(g, splits)[:2] == helpers.reference_occupancy_counts(g)
+    assert splits == found  # Z split no state of its own
+    poly, bits = hardcore._independence_polynomial(g, {0: 1}, splits)
+    for v in range(g.n):
+        weights = hardcore._fact_b_weights(g, poly, bits, v, splits)[1:]
+        assert weights == helpers.reference_fact_b_weights(g, v)
+
+
+@pytest.mark.parametrize("lam", [1e-300, 1e-10, 1e-3])
+@pytest.mark.parametrize("g", [edgeless(3), cycle(5), petersen()], ids=["E3", "C5", "petersen"])
+def test_log_partition_keeps_the_digits_of_z_near_one(g, lam):
+    exact = sum(Fraction(lam) ** m.bit_count() for m in independent_set_masks(g))
+    expected = helpers.reference_log(exact)
+    for x in (lam, Fraction(lam)):
+        assert math.isclose(enumerate_stats(g, x).log_partition, expected, rel_tol=1e-15)
 
 
 @pytest.mark.parametrize("g", [path(1500), star(1500)], ids=["path", "star"])
