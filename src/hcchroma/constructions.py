@@ -10,9 +10,10 @@ plus a structural cross-check.
 
 `semi_bipartite_extract` finds an induced subgraph consisting of all edges
 between an independent set A and its complement with large average degree:
-below the cutoff the largest boundary-edge count exactly, from the (max, +)
-form of the hard-core module's exact kernel, above it the best of several
-hard-core samples.
+below the cutoff the largest boundary-edge count exactly, from one call of
+the (max, +) form of the hard-core module's exact kernel, whose value holds
+the set as well as its count; above it the best of several hard-core
+samples.
 """
 
 from __future__ import annotations
@@ -370,41 +371,36 @@ def auto_fugacity(g: Graph) -> float:
 def _max_degree_sum_set(g: Graph) -> tuple[VertexSet, int]:
     """The lexicographically first independent set of maximum degree sum.
 
-    M(S), the largest degree sum over the independent subsets of the
-    vertex bitmask S, is the (max, +) form of the exact kernel
-    (`hardcore._exact_kernel`): zero on the empty set, the sum over the
-    components of a disconnected S, and M(S) = max(M(S - v), deg(v) +
-    M(S - N[v])) at the kernel's branch vertex v.  The set is read back
-    along the lowest vertex v of S, asking the kernel for M(S - N[v]): v
-    is taken when deg(v) + M(S - N[v]) = M(S), else S - v keeps the score
-    M(S), until no score is left.  A member tuple that starts with v is
-    smaller than one that starts higher, and a tuple is smaller than its
-    extensions, so the set is the first maximum in canonical enumeration
-    order.  SizeError when the kernel's recursion passes the interpreter's
-    limit.
+    One call of the (max, +) form of the exact kernel
+    (`hardcore._exact_kernel`) on V finds it.  M(S), the largest weight of
+    an independent subset of the vertex bitmask S, is zero on the empty
+    set, the sum over the components of a disconnected S, and
+    max(M(S - v), w(v) + M(S - N[v])) at the kernel's branch vertex v.
+    Vertex v weighs w(v) = deg(v) 2^n + 2^(n - 1 - v), so a set's weight
+    is its degree sum above n rank bits that spell the set, and no sum
+    carries out of the rank bits.  Among the sets of largest degree sum, M
+    picks the one that holds the lowest vertex where it differs from any
+    other.  On sorted member tuples that is the lexicographic order,
+    except that a tuple is smaller than its extensions: M's set is the
+    lexicographically first one plus every vertex of degree 0 after that
+    set's last vertex of positive degree, so those are dropped.  SizeError
+    when the kernel's recursion passes the interpreter's limit.
     """
+    n = g.n
     degrees = tuple(map(len, g.adjacency))
-    best = hardcore._exact_kernel(g, {0: 0}, {}, add, partial(_best_branch, degrees))
-    adj = g.adjacency_masks
-    s = (1 << g.n) - 1
-    score = total = best(s)
-    members = []
-    while score:
-        low = s & -s
-        v = low.bit_length() - 1
-        rest = s & ~adj[v] & ~low
-        if degrees[v] + best(rest) == score:
-            members.append(v)
-            score -= degrees[v]
-            s = rest
-        else:
-            s ^= low
-    return tuple(members), total
+    weights = tuple((d << n) | (1 << (n - 1 - v)) for v, d in enumerate(degrees))
+    best = hardcore._exact_kernel(
+        g, {0: 0}, {}, add, partial(_best_branch, weights), (1 << n) - 1
+    )
+    members = [v for v in range(n) if best >> (n - 1 - v) & 1]
+    while members and not degrees[members[-1]]:
+        members.pop()
+    return tuple(members), best >> n
 
 
-def _best_branch(degrees: tuple[int, ...], v: int, skip: int, take: int) -> int:
-    """M(S) = max(M(S - v), deg(v) + M(S - N[v]))."""
-    take += degrees[v]
+def _best_branch(weights: tuple[int, ...], v: int, skip: int, take: int) -> int:
+    """M(S) = max(M(S - v), w(v) + M(S - N[v]))."""
+    take += weights[v]
     return take if take > skip else skip
 
 

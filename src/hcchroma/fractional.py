@@ -413,11 +413,16 @@ def choose_local_weights(g: Graph, epsilon: float) -> tuple[float, LocalWeights]
     alpha_v + beta_v deg(v) = (1 + lam)/lam * e^(W(deg(v) log(1 + lam))).
     Isolated vertices get alpha_v = beta_v = (1 + lam)/lam, the smallest
     weight satisfying the greedy hypothesis when the oracle is the
-    hard-core model.
+    hard-core model.  InputError when lam underflows to 0 or (1 + lam)/lam
+    overflows, as they do for epsilon below about 1.1e-308.
     """
     if not 0.0 < epsilon <= 4.0:
         raise InputError("epsilon must lie in (0, 4]")
     lam = epsilon / 2.0
+    if not (lam > 0.0 and math.isfinite((1.0 + lam) / lam)):
+        raise InputError(
+            f"epsilon {epsilon!r} is too small: (1 + lambda)/lambda is not a finite float"
+        )
     log1l = math.log1p(lam)
     alpha: list[tuple[float, float]] = []
     for v in range(g.n):

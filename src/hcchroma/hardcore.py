@@ -19,13 +19,13 @@ with a second variable z on the neighbours of v, gives every weight of the
 conditional law at v (fact (b)) from one run per vertex that shares its
 unmarked states with Z and its splits with every other run, so the check
 never visits the subsets of N(v).  The (max, +) form is semibip's exact
-search (`constructions`).  Only frac-colour's oracle enumerates
-independent sets: it lists G's sets once per run and narrows that list to
-the live vertices round by round.  The module also provides a
-Glauber-dynamics sampler for graphs above the exact cutoff, whose steps
-cost O(1) each plus O(deg v) when the chosen vertex v changes state, and
-the occupancy lower bound used by the fractional-colouring weight
-optimisation.
+search (`constructions`): one kernel call, whose value spells the set it
+found.  Only frac-colour's oracle enumerates independent sets: it lists
+G's sets once per run and narrows that list to the live vertices round by
+round.  The module also provides a Glauber-dynamics sampler for graphs
+above the exact cutoff, whose steps cost O(1) each plus O(deg v) when the
+chosen vertex v changes state, and the occupancy lower bound used by the
+fractional-colouring weight optimisation.
 """
 
 from __future__ import annotations
@@ -141,19 +141,20 @@ def _extend_sets(adj, append, mask: int, avail: int) -> None:
         _extend_sets(adj, append, child, m & ~adj[v])
 
 
-def _exact_kernel(g: Graph, memo: dict, splits: dict, join, branch):
-    """A memoised fold over the induced subgraphs of ``g``.
+def _exact_kernel(g: Graph, memo: dict, splits: dict, join, branch, s: int):
+    """The value at the vertex bitmask ``s`` of a memoised fold over the
+    induced subgraphs of ``g``.
 
-    Returns ``value``: for a vertex bitmask S, ``value(0)`` is the unit
-    that ``memo`` holds for 0 when it is passed in, a dict {0: unit}; a
-    disconnected S, with C the component of its lowest vertex, gives
-    ``join(value(C), value(S - C))``; a connected S branches on a vertex v
-    of largest degree in S, the lowest on ties, and gives
-    ``branch(v, value(S - v), value(S - N[v]))``.  Z is the sum-product
-    form (Levit & Mandrescu, "The independence polynomial of a graph - a
-    survey", 2005), semibip's largest degree sum the (max, +) form (Aji &
-    McEliece, "The generalized distributive law", 2000), and fact (b)'s
-    polynomial a marked sum-product form (`_fact_b_weights`).
+    The empty set has the unit that ``memo`` holds for 0 when it is passed
+    in, a dict {0: unit}; a disconnected S, with C the component of its
+    lowest vertex, gives ``join(value(C), value(S - C))``; a connected S
+    branches on a vertex v of largest degree in S, the lowest on ties, and
+    gives ``branch(v, value(S - v), value(S - N[v]))``.  Z is the
+    sum-product form (Levit & Mandrescu, "The independence polynomial of a
+    graph - a survey", 2005), semibip's search the (max, +) form (Aji &
+    McEliece, "The generalized distributive law", 2000), whose value holds
+    the best set as well as its degree sum, and fact (b)'s polynomial a
+    marked sum-product form (`_fact_b_weights`).
 
     A split depends on S alone, not on the form, so each is found once
     per split table ``splits`` and recorded there as one int: the bitmask
@@ -167,13 +168,9 @@ def _exact_kernel(g: Graph, memo: dict, splits: dict, join, branch):
     (`_occupancy_counts` walks it backwards).  Both are plain dicts that
     only their owners refer to, with no reference cycle, so they are freed
     as soon as the caller drops them, whether or not the cyclic garbage
-    collector runs.  ``value`` raises SizeError when the recursion, at most
-    one level per vertex, passes the interpreter's limit.
+    collector runs.  SizeError when the recursion, at most one level per
+    vertex, passes the interpreter's limit.
     """
-    return partial(_kernel_value, g, memo, splits, join, branch)
-
-
-def _kernel_value(g: Graph, memo: dict, splits: dict, join, branch, s: int):
     try:
         return _fold(memo, splits, g.adjacency_masks, join, branch, s)
     except RecursionError:
@@ -230,7 +227,7 @@ def _independence_polynomial(g: Graph, memo: dict, splits: dict):
     are the sums and products of the polynomials.  ``memo`` is {0: 1},
     Z of the empty set, and ``splits`` a split table (`_exact_kernel`)."""
     bits = g.n + 1
-    return _exact_kernel(g, memo, splits, mul, partial(_z_branch, bits)), bits
+    return partial(_exact_kernel, g, memo, splits, mul, partial(_z_branch, bits)), bits
 
 
 def _z_branch(bits: int, v: int, skip: int, take: int) -> int:
@@ -476,7 +473,7 @@ def _fact_b_weights(
     marked = g.adjacency_masks[v]
     branch = partial(_marked_branch, bits, zshift, marked)
     memo = _MarkedMemo(marked, poly)
-    p = _kernel_value(g, memo, splits, mul, branch, ((1 << g.n) - 1) & ~(1 << v))
+    p = _exact_kernel(g, memo, splits, mul, branch, ((1 << g.n) - 1) & ~(1 << v))
     c = [(p >> (i * zshift)) & zmask for i in range(marked.bit_count() + 1)]
     uncov = [
         sum((-1) ** (i - j) * math.comb(i, j) * c[i] for i in range(j, len(c)))

@@ -157,6 +157,13 @@ def test_frac_colour_c5(c5_file, tmp_path):
     assert all(float(r.split("\t")[4]) > -1e-9 for r in rows[1:])
 
 
+@pytest.mark.parametrize("eps", ["5e-324", "1e-323", "1e-310"])
+def test_frac_colour_rejects_an_epsilon_too_small_for_floats(c5_file, capsys, eps):
+    assert main(["frac-colour", "--input", str(c5_file), "--epsilon", eps]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "too small" in err and err.count("\n") == 1
+
+
 def test_frac_colour_rejects_triangles(k3_file):
     assert main(["frac-colour", "--input", str(k3_file), "--epsilon", "2.0"]) == 2
 

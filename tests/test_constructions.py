@@ -193,12 +193,29 @@ def test_semi_bipartite_exact_mode_matches_enumeration(n, isolated, p, seed):
     assert b == tuple(v for v in range(g.n) if v not in a)
 
 
+# Graphs whose packed (max, +) values exercise the decoding, with the answer
+# each must give: isolated vertices below and above the members (the trim
+# keeps 0 and drops 4 and 5), and 14 copies of C5 in blocks, whose packed
+# value spans several machine words.
+ISOLATED_AROUND = Graph.from_edges(6, [(1, 2), (2, 3)])
+C5_BLOCKS = Graph.from_edges(70, [(5 * k + i, 5 * k + (i + 1) % 5)
+                                  for k in range(14) for i in range(5)])
+PACKED_ANSWERS = {
+    ISOLATED_AROUND: ((0, 1, 3), 2),
+    C5_BLOCKS: (tuple(5 * k + i for k in range(14) for i in (0, 2)), 56),
+}
+
+
 @settings(max_examples=100, deadline=None)
 @given(helpers.several_component_graphs(max_n=40))
 @example(edgeless(5))
 @example(Graph.from_edges(8, [(1, 5), (5, 2), (3, 7), (6, 7)]))
+@example(ISOLATED_AROUND)
+@example(C5_BLOCKS)
 def test_max_degree_sum_set_matches_the_lowest_vertex_search(g):
-    assert _max_degree_sum_set(g) == helpers.reference_lowest_vertex_max_degree_sum_set(g)
+    found = _max_degree_sum_set(g)
+    assert found == helpers.reference_lowest_vertex_max_degree_sum_set(g)
+    assert found == PACKED_ANSWERS.get(g, found)
 
 
 def test_semi_bipartite_exact_mode_ignores_fugacity():

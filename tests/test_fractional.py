@@ -141,6 +141,10 @@ def test_choose_local_weights_validation():
         choose_local_weights(cycle(5), 0.0)
     with pytest.raises(InputError):
         choose_local_weights(cycle(5), 4.5)
+    # lam = eps/2 underflows to 0 at 5e-324; above that (1 + lam)/lam overflows
+    for eps in (5e-324, 1e-323, 1e-310, 1.1e-308):
+        with pytest.raises(InputError, match="too small"):
+            choose_local_weights(cycle(5), eps)
 
 
 def test_choose_local_weights_identities():

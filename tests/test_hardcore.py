@@ -484,7 +484,7 @@ def test_splits_found_by_the_max_plus_search_serve_every_sum_product_form(g):
     splits = {}
     degrees = tuple(map(len, g.adjacency))
     best_branch = partial(constructions._best_branch, degrees)
-    hardcore._exact_kernel(g, {0: 0}, splits, add, best_branch)((1 << g.n) - 1)
+    hardcore._exact_kernel(g, {0: 0}, splits, add, best_branch, (1 << g.n) - 1)
     found = dict(splits)
     assert hardcore._occupancy_counts(g, splits)[:2] == helpers.reference_occupancy_counts(g)
     assert splits == found  # Z split no state of its own
