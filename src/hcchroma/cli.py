@@ -132,10 +132,6 @@ def cmd_frac_colour(args: argparse.Namespace) -> int:
         raise SizeError(
             f"graph has {g.n} vertices, above the exact-oracle cutoff {cutoff}"
         )
-    if g.n == 0:
-        with _open_output(args.output) as fh:
-            fractional.FractionalColouring({}, 0.0).write_json(fh)
-        return EXIT_OK
     lam, weights = fractional.choose_local_weights(g, args.epsilon)
     # no name holds the oracle, so its rows go when the greedy returns
     colouring = fractional.greedy_fractional_colouring(

@@ -25,7 +25,7 @@ from operator import add
 
 from . import hardcore
 from .errors import HypothesisError, InputError, InternalError, SizeError
-from .graph import Graph, VertexSet, is_triangle_free, vertex_set
+from .graph import Graph, VertexSet, induced_subgraph, is_triangle_free
 
 Colour = tuple[int, int]  # (index, level)
 
@@ -153,27 +153,28 @@ def necessary_construction(
             raise SizeError(
                 f"level {lvl} needs {new_n} vertices, above the cap {size_cap}"
             )
+        # copy j is the previous level shifted by j * size; both sides stay sorted
+        prev_edges = list(inst.graph.edges())
+        prev_b = set(inst.b_side)
         edges: list[tuple[int, int]] = []
         new_lists: list[frozenset] = []
         a_side: list[int] = []
         b_side: list[int] = []
         blocks: list[VertexSet] = []
-        b_all: list[int] = []
         for j in range(copies_needed):
             off = j * size
             blocks.append(tuple(range(off, off + size)))
-            edges.extend((off + u, off + v) for u, v in inst.graph.edges())
+            edges.extend((off + u, off + v) for u, v in prev_edges)
             copy_colour = (j + 1, lvl)
             for v in range(size):
-                if v in inst.b_side:
+                if v in prev_b:
                     new_lists.append(inst.lists[v] | {copy_colour})
                     b_side.append(off + v)
-                    b_all.append(off + v)
                 else:
                     new_lists.append(inst.lists[v])
                     a_side.append(off + v)
         new_vertex = copies_needed * size
-        edges.extend((b, new_vertex) for b in b_all)
+        edges.extend((b, new_vertex) for b in b_side)
         new_lists.append(frozenset((j + 1, lvl) for j in range(copies_needed)))
         a_side.append(new_vertex)
         inst = NecessaryInstance(
@@ -181,8 +182,8 @@ def necessary_construction(
             lists=tuple(new_lists),
             level=lvl,
             delta=delta,
-            a_side=vertex_set(a_side),
-            b_side=vertex_set(b_side),
+            a_side=tuple(a_side),
+            b_side=tuple(b_side),
             special_vertex=new_vertex,
             copies=tuple(blocks),
         )
@@ -312,9 +313,9 @@ def structural_not_colourable(
     vertex must be a copy colour (j, level) whose copy, with that colour
     removed, is itself not colourable.  Returns True only when every
     branch is refuted; a modified instance (extra colours, missing
-    metadata) yields False or None rather than a wrong claim.  Each copy's
-    subgraph is read off its own vertices' adjacency, numbered in block
-    order.
+    metadata) yields False or None rather than a wrong claim.  Each copy is
+    read through `induced_subgraph`, numbered in increasing id order with a
+    repeated id counted once; an id outside the graph is an InputError.
     """
     g = inst.graph
     if inst.level == 0:
@@ -333,16 +334,8 @@ def structural_not_colourable(
         j, lvl = colour
         if lvl != inst.level or not 1 <= j <= len(inst.copies):
             return False
-        block = inst.copies[j - 1]
-        local = {v: i for i, v in enumerate(block)}
-        sub_lists = [inst.lists[v] - {colour} for v in block]
-        sub_edges = [
-            (local[u], local[v])
-            for u in local
-            for v in g.adjacency[u]
-            if v > u and v in local
-        ]
-        sub_g = Graph.from_edges(len(block), sub_edges)
+        sub_g, relabel = induced_subgraph(g, inst.copies[j - 1])
+        sub_lists = [inst.lists[v] - {colour} for v in relabel]
         if _list_colourable(sub_g, sub_lists, budget, counter):
             return False
     return True

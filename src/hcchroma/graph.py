@@ -63,7 +63,8 @@ class Graph:
         """Build a graph from an edge list, rejecting loops and duplicates.
 
         The adjacency built here is sorted, symmetric, in range and
-        loop-free by construction, so it skips the constructor's checks.
+        loop-free by construction, so `_unchecked_graph` wraps it without
+        the constructor's checks.
         """
         if n < 0:
             raise InputError("vertex count must be non-negative")
@@ -77,10 +78,7 @@ class Graph:
                 raise InputError(f"duplicate edge ({u},{v})")
             adj[u].add(v)
             adj[v].add(u)
-        g = object.__new__(Graph)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "adjacency", tuple(tuple(sorted(s)) for s in adj))
-        return g
+        return _unchecked_graph(n, tuple(tuple(sorted(s)) for s in adj))
 
     @cached_property
     def m(self) -> int:
@@ -107,6 +105,14 @@ class Graph:
             for v in self.adjacency[u]:
                 if v > u:
                     yield (u, v)
+
+
+def _unchecked_graph(n: int, adjacency: tuple[tuple[int, ...], ...]) -> Graph:
+    """A Graph on an adjacency its caller built valid, without the checks."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adjacency", adjacency)
+    return g
 
 
 def distance_layers(g: Graph, v: int, r: int, within=None) -> tuple[VertexSet, ...]:
@@ -156,7 +162,8 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, in
     """Induced subgraph on ``keep`` plus the relabelling map old id -> new id.
 
     New ids are assigned in increasing order of the old ids, so
-    ``sorted(keep)[new_id]`` recovers the original vertex.
+    ``sorted(keep)[new_id]`` recovers the original vertex.  Only ``keep``
+    is checked; `_unchecked_graph` wraps the valid adjacency read off ``g``.
     """
     kept = vertex_set(keep)
     for v in kept:
@@ -167,7 +174,7 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, in
         tuple(relabel[u] for u in g.adjacency[old] if u in relabel)
         for old in kept
     )
-    return Graph(len(kept), adj), relabel
+    return _unchecked_graph(len(kept), adj), relabel
 
 
 # ---------------------------------------------------------------------------

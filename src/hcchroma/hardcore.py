@@ -66,8 +66,7 @@ def _recursion_limit_error(g: Graph) -> SizeError:
 def _check_cutoff(g: Graph, cutoff: int) -> None:
     if g.n > cutoff:
         raise SizeError(
-            f"graph has {g.n} vertices, above the exact-enumeration cutoff "
-            f"{cutoff}; use glauber_sample for larger graphs"
+            f"graph has {g.n} vertices, above the exact-enumeration cutoff {cutoff}"
         )
 
 

@@ -140,6 +140,9 @@ def test_fact_check_above_the_cutoff_fails_before_sampling(c5_file, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err == (
+        "error: graph has 5 vertices, above the exact-enumeration cutoff 4\n"
+    )
 
 
 def test_frac_colour_c5(c5_file, tmp_path):
@@ -168,7 +171,7 @@ def test_frac_colour_rejects_triangles(k3_file):
     assert main(["frac-colour", "--input", str(k3_file), "--epsilon", "2.0"]) == 2
 
 
-def test_frac_colour_empty_graph(tmp_path):
+def test_frac_colour_empty_graph(tmp_path, capsys):
     p = tmp_path / "empty0.edges"
     p.write_text("0 0\n")
     out = tmp_path / "col.json"
@@ -176,6 +179,17 @@ def test_frac_colour_empty_graph(tmp_path):
                  "--output", str(out)])
     assert code == 0
     assert _strict_json(out.read_text()) == {"total": 0.0, "parts": []}
+    # the empty graph takes the same path as any other: its slack table
+    # is the header alone, and an epsilon out of range is refused
+    slack = tmp_path / "slack.tsv"
+    assert main(["frac-colour", "--input", str(p), "--epsilon", "1.0",
+                 "--output", str(out), "--slack-tsv", str(slack)]) == 0
+    assert slack.read_text() == "vertex\tdegree\tmeasure\tbound\tslack\n"
+    capsys.readouterr()
+    assert main(["frac-colour", "--input", str(p), "--epsilon", "99"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_frac_colour_cutoff_resource_error(c5_file, monkeypatch):
@@ -349,6 +363,35 @@ def test_construct_level1(tmp_path):
     assert report["n"] == 29
     lists = _strict_json(lists_out.read_text())
     assert len(lists["lists"]) == 29
+
+
+# sha256 of the construct report, --out-graph and --out-lists files,
+# recorded with the builder that assembled each level vertex by vertex and
+# sorted both sides afterwards; any change to the bytes fails here.
+GOLDEN_CONSTRUCT = {
+    (3, 0): ("0b88e6a7cd20e5f2dd2ab1fd2d81e624e33ddce086b210ceb67b4c69788b5c66",
+             "1cd2cff3e7a906da42813fa79f6d676010ff1b42c0473dd341efa7b72f2d7611",
+             "23a6c82613009094e92e6d50f52570877cb661da09800bc373f0d8ffae19fd84"),
+    (3, 1): ("a1ecde2128892926f2250875ca3183c67f2ba717cf6493929ea709f4e8f7bf3e",
+             "ab57cf687ed235b252793702c764c18e14d8ff18ba3aa640be97ee6b8a8f0c16",
+             "69162f074d3a0e0814372dbe4a300c434c6c70f1fb5fb2f61ab882e5d0c60db5"),
+    (6, 1): ("2ae33cfd53e72a168e50b73f853c3118bbbd117f04b7eaeea5f760c74ffe4e4c",
+             "5008f3103774f452ddc45eaf833466969b760ffc7220e798b32e79c47bf1e537",
+             "d3749a76dbec7d98d883af988cef47ed351bd830fd147e90fd371ec889d2dc75"),
+    (8, 1): ("5db126a485e32c2830686d95e618f34dc59ddb5021adc9be8e927eb99291f50c",
+             "d334fd29cced743ce2527f034f46edfd9edd96867d3445d4821488f3da10b9f2",
+             "c04b450df33aee6ecd3a4a0167673bb661008e1275b259713ce951dbfc60221f"),
+}
+
+
+@pytest.mark.parametrize("delta, level", sorted(GOLDEN_CONSTRUCT))
+def test_construct_output_bytes_are_golden(tmp_path, delta, level):
+    files = [tmp_path / name for name in ("report.json", "inst.edges", "lists.json")]
+    assert main(["construct", "--delta", str(delta), "--level", str(level),
+                 "--output", str(files[0]), "--out-graph", str(files[1]),
+                 "--out-lists", str(files[2])]) == 0
+    digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in files)
+    assert digests == GOLDEN_CONSTRUCT[delta, level]
 
 
 def test_construct_delta8_level1(capsys):

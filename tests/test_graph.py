@@ -203,6 +203,9 @@ def test_induced_preserves_triangle_freeness(g, data):
     sub, _ = induced_subgraph(g, keep)
     if is_triangle_free(g):
         assert is_triangle_free(sub)
+    # both graphs skipped the constructor's checks; it accepts them
+    assert Graph(g.n, g.adjacency) == g
+    assert Graph(sub.n, sub.adjacency) == sub
 
 
 def test_random_triangle_free_is_triangle_free():

@@ -16,6 +16,7 @@ from hcchroma.constructions import (
     verify_construction,
     with_extra_colour,
 )
+from hcchroma.errors import InputError
 from hcchroma.graph import Graph
 
 
@@ -71,3 +72,12 @@ def test_repeated_id_in_a_block_keeps_its_verdict(inst):
     first = inst.copies[0]
     doubled = replace(inst, copies=(first + (first[0],),) + inst.copies[1:])
     assert structural_not_colourable(doubled) is True
+
+
+@pytest.mark.parametrize("stray", [-1, 29], ids=["minus-one", "n"])
+def test_block_id_outside_the_graph_is_an_input_error(inst, stray):
+    assert inst.graph.n == 29
+    first = inst.copies[0]
+    bad = replace(inst, copies=(first + (stray,),) + inst.copies[1:])
+    with pytest.raises(InputError):
+        structural_not_colourable(bad)
