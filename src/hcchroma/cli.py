@@ -18,9 +18,9 @@ cycle: on the 2000-vertex list cover of the perfbench dp-construct
 workload that was about a seventh of `dp-solve --certify` (100 of 700 ms)
 and of `--two-phase` (54 of 360 ms; CPython 3.11.7, 2 cores).  The pause
 is safe because nothing a command runs builds a reference cycle: the
-exact kernels recurse through module-level functions over plain memo
-dicts, not closures that call themselves, so a memo is freed by
-reference counting as soon as its caller drops it.
+exact kernel's one recursion is a module-level function that fills a
+plain dict, not a closure that calls itself, and every exact quantity is
+a loop over that dict, so reference counting frees them all.
 tests/test_collector.py holds every subcommand to that.  Library calls
 are unaffected.
 """
@@ -89,9 +89,16 @@ def cmd_hardcore_stats(args: argparse.Namespace) -> int:
         hardcore._check_cutoff(g, cutoff)  # the check is exact only: fail before any sampling
     lam = args.lam
     if g.n <= cutoff:
-        stats = hardcore.enumerate_stats(g, lam, max_distance=args.max_distance, cutoff=cutoff)
-        payload = stats.to_json_dict()
+        hardcore._check_fugacity(lam)
+        if args.fact_check:
+            hardcore._check_triangle_free(g)  # before any exact work
+        exact = hardcore._Exact(g)  # one model serves the stats and the check
+        payload = exact.stats(lam, args.max_distance).to_json_dict()
         payload["mode"] = "exact"
+        if args.fact_check:
+            report = exact.fact_check(lam)
+            payload["fact_check"] = {"fact1_residual": report.fact1_residual,
+                                     "fact2_residual": report.fact2_residual}
     else:
         steps = args.steps
         if steps is None:
@@ -106,12 +113,6 @@ def cmd_hardcore_stats(args: argparse.Namespace) -> int:
         nbr = hardcore.neighbour_occupancy(g, occ, args.max_distance)
         payload = hardcore.OccupancyStats(lam, None, occ, nbr).to_json_dict()
         payload.update(mode="sampled", trials=args.trials, steps=steps)
-    if args.fact_check:
-        report = hardcore.conditional_fact_check(g, lam, cutoff=cutoff)
-        payload["fact_check"] = {
-            "fact1_residual": report.fact1_residual,
-            "fact2_residual": report.fact2_residual,
-        }
     if args.format == "tsv":
         rows = ["vertex\tdegree\toccupancy\tneighbour_occupancy_1"]
         nbr1 = payload["neighbour_occupancy"]["1"]

@@ -10,9 +10,9 @@ plus a structural cross-check.
 
 `semi_bipartite_extract` finds an induced subgraph consisting of all edges
 between an independent set A and its complement with large average degree:
-below the cutoff the largest boundary-edge count exactly, from one call of
-the (max, +) form of the hard-core module's exact kernel, whose value holds
-the set as well as its count; above it the best of several hard-core
+below the cutoff the largest boundary-edge count exactly, from one (max, +)
+pass over the hard-core module's exact split table, whose value holds the
+set as well as its count; above it the best of several hard-core
 samples.
 """
 
@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
-from operator import add
 
 from . import hardcore
 from .errors import HypothesisError, InputError, InternalError, SizeError
@@ -364,8 +362,8 @@ def auto_fugacity(g: Graph) -> float:
 def _max_degree_sum_set(g: Graph) -> tuple[VertexSet, int]:
     """The lexicographically first independent set of maximum degree sum.
 
-    One call of the (max, +) form of the exact kernel
-    (`hardcore._exact_kernel`) on V finds it.  M(S), the largest weight of
+    One (max, +) forward pass over the exact kernel's split table
+    (`hardcore._record`) finds it.  M(S), the largest weight of
     an independent subset of the vertex bitmask S, is zero on the empty
     set, the sum over the components of a disconnected S, and
     max(M(S - v), w(v) + M(S - N[v])) at the kernel's branch vertex v.
@@ -380,21 +378,26 @@ def _max_degree_sum_set(g: Graph) -> tuple[VertexSet, int]:
     when the kernel's recursion passes the interpreter's limit.
     """
     n = g.n
+    adj = g.adjacency_masks
     degrees = tuple(map(len, g.adjacency))
     weights = tuple((d << n) | (1 << (n - 1 - v)) for v, d in enumerate(degrees))
-    best = hardcore._exact_kernel(
-        g, {0: 0}, {}, add, partial(_best_branch, weights), (1 << n) - 1
-    )
+    table = hardcore._record(g)
+    m = dict.fromkeys(table)  # sized once, so it never grows while it fills
+    m[0] = 0
+    for s, split in table.items():
+        if split > 0:
+            m[s] = m[split] + m[s ^ split]
+        else:
+            v = ~split
+            pick = 1 << v
+            skip = m[s ^ pick]
+            take = m[s & ~adj[v] & ~pick] + weights[v]
+            m[s] = take if take > skip else skip
+    best = m[(1 << n) - 1]
     members = [v for v in range(n) if best >> (n - 1 - v) & 1]
     while members and not degrees[members[-1]]:
         members.pop()
     return tuple(members), best >> n
-
-
-def _best_branch(weights: tuple[int, ...], v: int, skip: int, take: int) -> int:
-    """M(S) = max(M(S - v), w(v) + M(S - N[v]))."""
-    take += weights[v]
-    return take if take > skip else skip
 
 
 def semi_bipartite_extract(

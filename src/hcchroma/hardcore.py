@@ -3,24 +3,23 @@
 The hard-core model at fugacity lambda > 0 is the probability distribution
 on the independent sets of a graph (including the empty set) in which a set
 I occurs with probability lambda^|I| / Z, where Z is the partition function
-(independence polynomial).  Exact work over the independent sets is one
-memoised fold over induced subgraphs, `_exact_kernel`, that splits a state
-into connected components and branches on a vertex of largest degree.  A
-split depends on the state alone, so each public entry point records each
-split once, in a split table that every kernel it opens reads.  The
-fold's sum-product form is Z(S) = Z(S - v) + x Z(S - N[v]) with integer
-coefficients, so occupation probabilities, expected neighbourhood
-intersections and the two conditional-law identities of triangle-free
-graphs are exact quotients of polynomials evaluated at lambda: floats
-correctly rounded, or Fractions from `enumerate_stats(g, Fraction(lam))`,
-for every positive finite lambda.  Every occupancy comes from one reverse
-pass over the states of Z (`_occupancy_counts`).  A marked form, Z(G - v)
-with a second variable z on the neighbours of v, gives every weight of the
-conditional law at v (fact (b)) from one run per vertex that shares its
-unmarked states with Z and its splits with every other run, so the check
-never visits the subsets of N(v).  The (max, +) form is semibip's exact
-search (`constructions`): one kernel call, whose value spells the set it
-found.  Only frac-colour's oracle enumerates independent sets: it lists
+(independence polynomial).  Exact work over the independent sets rests on
+one recursion, `_record`, that splits each induced subgraph it reaches
+from V into connected components, or branches on a vertex of largest
+degree, and records each state's split once, in post-order.  Every exact
+quantity is a loop over that split table (`_Exact`): Z(S) = Z(S - v) +
+x Z(S - N[v]) with integer coefficients in one forward pass; every
+occupancy in one reverse pass that reads Z; the weights of the
+conditional law at v (fact (b)) in one forward pass over the states that
+meet N[v], with weight 0 on v and a second variable z on its neighbours,
+that reads Z for every other state, so the check never visits the
+subsets of N(v); semibip's exact search (`constructions`) in one (max, +)
+forward pass, whose value spells the set it found.  So occupation
+probabilities, expected neighbourhood intersections and the two
+conditional-law identities of triangle-free graphs are exact quotients of
+polynomials evaluated at lambda: floats correctly rounded, or Fractions
+from `enumerate_stats(g, Fraction(lam))`, for every positive finite
+lambda.  Only frac-colour's oracle enumerates independent sets: it lists
 G's sets once per run and narrows that list to the live vertices round by
 round.  The module also provides a Glauber-dynamics sampler for graphs
 above the exact cutoff, whose steps cost O(1) each plus O(deg v) when the
@@ -34,7 +33,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from operator import mul
 from typing import Mapping
 
 from .errors import HypothesisError, InputError, SizeError
@@ -114,7 +112,7 @@ def independent_set_masks(g: Graph) -> list[int]:
     Order is lexicographic on the sorted member tuples, with the empty set
     first; this is the canonical enumeration order used by the fractional
     colouring when it slices measure into per-set interval blocks.  The
-    exact statistics do not enumerate; see `_exact_kernel`.
+    exact statistics do not enumerate; see `_record`.
     The recursion goes one level per member of the set being extended;
     SizeError when it passes the interpreter's limit.
     """
@@ -140,102 +138,60 @@ def _extend_sets(adj, append, mask: int, avail: int) -> None:
         _extend_sets(adj, append, child, m & ~adj[v])
 
 
-def _exact_kernel(g: Graph, memo: dict, splits: dict, join, branch, s: int):
-    """The value at the vertex bitmask ``s`` of a memoised fold over the
-    induced subgraphs of ``g``.
+def _record(g: Graph) -> dict[int, int]:
+    """The exact kernel's split table: every nonempty state S reached from
+    V, mapped to its split, in post-order (each state after its parts).
 
-    The empty set has the unit that ``memo`` holds for 0 when it is passed
-    in, a dict {0: unit}; a disconnected S, with C the component of its
-    lowest vertex, gives ``join(value(C), value(S - C))``; a connected S
-    branches on a vertex v of largest degree in S, the lowest on ties, and
-    gives ``branch(v, value(S - v), value(S - N[v]))``.  Z is the
-    sum-product form (Levit & Mandrescu, "The independence polynomial of a
-    graph - a survey", 2005), semibip's search the (max, +) form (Aji &
-    McEliece, "The generalized distributive law", 2000), whose value holds
-    the best set as well as its degree sum, and fact (b)'s polynomial a
-    marked sum-product form (`_fact_b_weights`).
-
-    A split depends on S alone, not on the form, so each is found once
-    per split table ``splits`` and recorded there as one int: the bitmask
-    C for a product, ~v (that is, -1 - v) for a branch, from which S - C,
-    S - v and S - N[v] take a few integer operations.  Kernels that share
-    the table share the component searches and degree scans.  An int, not
-    a tuple of the parts, because the interpreter keeps up to 2000 freed
-    tuples of each small size for reuse, which would hold on to a table's
-    memory after it is dropped.  ``memo`` takes each value after those of
-    its parts, so its insertion order is a post-order of the states
-    (`_occupancy_counts` walks it backwards).  Both are plain dicts that
-    only their owners refer to, with no reference cycle, so they are freed
-    as soon as the caller drops them, whether or not the cyclic garbage
-    collector runs.  SizeError when the recursion, at most one level per
-    vertex, passes the interpreter's limit.
+    A disconnected S splits into C, the component of its lowest vertex,
+    and S - C; a connected S branches on a vertex v of largest degree, the
+    lowest on ties, into S - v and S - N[v].  A split is one int, C for a
+    product and ~v for a branch, not a tuple of the parts: the interpreter
+    keeps up to 2000 freed tuples of each small size for reuse, which
+    would hold on to a dropped table's memory.  The table is the DAG of
+    the generalised distributive law (Aji & McEliece, 2000), so each form
+    of the kernel is one loop over it (`_Exact`; semibip's (max, +) search
+    in `constructions`).  SizeError when the recursion, one level per
+    vertex at most, passes the interpreter's limit.
     """
+    table = {}
     try:
-        return _fold(memo, splits, g.adjacency_masks, join, branch, s)
+        if g.n:
+            _fold(table, g.adjacency_masks, (1 << g.n) - 1)
     except RecursionError:
         raise _recursion_limit_error(g) from None
+    return table
 
 
-def _fold(memo: dict, splits: dict, adj, join, branch, s: int):
-    """The value of `_exact_kernel` at S, read from or added to ``memo``,
-    with S's split read from or added to ``splits``.  A module-level
-    function, not a closure that calls itself, which would tie the memo
-    into a reference cycle."""
-    value = memo.get(s)
-    if value is not None:
-        return value
-    split = splits.get(s)
-    if split is None:
-        comp = frontier = s & -s
-        while frontier:
-            b = frontier & -frontier
-            frontier ^= b
-            new = adj[b.bit_length() - 1] & s & ~comp
-            comp |= new
-            frontier |= new
-        if comp != s:
-            split = comp
-        else:
-            best = -1
-            m = s
-            while m:
-                b = m & -m
-                m ^= b
-                d = (adj[b.bit_length() - 1] & s).bit_count()
-                if d > best:
-                    best, pick = d, b
-            split = ~(pick.bit_length() - 1)
-        splits[s] = split
-    if split > 0:
-        first = _fold(memo, splits, adj, join, branch, split)
-        value = join(first, _fold(memo, splits, adj, join, branch, s ^ split))
+def _fold(table: dict, adj, s: int) -> None:
+    """Add S, after any part of it not yet in ``table``, to ``table``.  The
+    one function that recurses over the kernel's states; module-level, not
+    a closure that calls itself, which would tie the table into a reference
+    cycle."""
+    comp = frontier = s & -s
+    while frontier:
+        b = frontier & -frontier
+        frontier ^= b
+        new = adj[b.bit_length() - 1] & s & ~comp
+        comp |= new
+        frontier |= new
+    if comp != s:
+        split, first, second = comp, comp, s ^ comp
     else:
-        v = ~split
-        pick = 1 << v
-        first = _fold(memo, splits, adj, join, branch, s ^ pick)
-        value = branch(v, first, _fold(memo, splits, adj, join, branch, s & ~adj[v] & ~pick))
-    memo[s] = value
-    return value
-
-
-def _independence_polynomial(g: Graph, memo: dict, splits: dict):
-    """``(poly, bits)``: ``poly(S)`` is Z(G[S]; x) = sum_k i_k x^k, where i_k
-    counts the independent k-subsets of the vertex bitmask S, evaluated at
-    x = 2^bits.  Every i_k is below 2^bits, so the integer holds the
-    coefficients in fields of ``bits`` bits, and integer sums and products
-    are the sums and products of the polynomials.  ``memo`` is {0: 1},
-    Z of the empty set, and ``splits`` a split table (`_exact_kernel`)."""
-    bits = g.n + 1
-    return partial(_exact_kernel, g, memo, splits, mul, partial(_z_branch, bits)), bits
-
-
-def _z_branch(bits: int, v: int, skip: int, take: int) -> int:
-    return skip + (take << bits)  # Z(S - v) + x Z(S - N[v])
-
-
-def _marked_branch(bits: int, zshift: int, marked: int, v: int, skip: int, take: int) -> int:
-    # P(S - v) + w P(S - N[v]), with weight w = z on a marked v, else x
-    return skip + (take << (zshift if marked >> v & 1 else bits))
+        best = -1
+        m = s
+        while m:
+            b = m & -m
+            m ^= b
+            d = (adj[b.bit_length() - 1] & s).bit_count()
+            if d > best:
+                best, pick = d, b
+        v = pick.bit_length() - 1
+        split, first, second = ~v, s ^ pick, s & ~adj[v] & ~pick
+    if first and first not in table:
+        _fold(table, adj, first)
+    if second and second not in table:
+        _fold(table, adj, second)
+    table[s] = split
 
 
 def _ratio(num: int, den: int, bits: int, lam):
@@ -262,49 +218,167 @@ def _ratio(num: int, den: int, bits: int, lam):
     return Fraction(top, bottom) if isinstance(lam, Fraction) else top / bottom
 
 
-def _occupancy_counts(g: Graph, splits: dict) -> tuple[int, list[int], int]:
-    """``(total, counts, bits)``: Z and, for every vertex v, the weight
-    x Z(V - N[v]) of the independent sets that hold v, packed as by
-    `_independence_polynomial` with the split table ``splits``.
-
-    The counts come from one reverse (adjoint) pass over Z's memo, with no
-    further kernel query (Griewank & Walther, "Evaluating Derivatives",
-    2008).  The adjoint A(S) weighs the ways to complete an independent
-    set of S to one of V along the kernel's splits, with A(V) = 1.  A
-    product S = C + R passes A(S) Z(R) to C and A(S) Z(C) to R.  A branch
-    on v passes A(S) to S - v and x A(S) to S - N[v], and x A(S)
-    Z(S - N[v]) weighs the sets that take v at S.  Each independent set
-    takes v at one branch at most, so these sum to v's count.  The memo
-    is a post-order, so in reverse every state comes after all the states
-    that split into it: its adjoint is complete when it is read, and it
-    is dropped then.
+class _Exact:
+    """The exact model of one graph: its split table (`_record`) and ``z``,
+    which maps 0 and every state S of the table to Z(G[S]; x) = sum_k i_k
+    x^k, where i_k counts the independent k-subsets of S, evaluated at x =
+    2^bits with ``bits`` = n + 1.  Every i_k is below 2^bits, so integer
+    sums and products are those of the polynomials.  Z is the kernel's
+    sum-product form (Levit & Mandrescu, "The independence polynomial of a
+    graph - a survey", 2005), one forward pass over the table; the
+    occupancies and fact (b) are further passes that read it and record
+    nothing.  No reference cycle: the holder is freed as soon as its
+    caller drops it, whether or not the cyclic garbage collector runs.
     """
-    memo = {0: 1}
-    poly, bits = _independence_polynomial(g, memo, splits)
-    full = (1 << g.n) - 1
-    total = poly(full)
-    adj = g.adjacency_masks
-    counts = [0] * g.n
-    adjoint = {full: 1}
-    for s in reversed(memo):
-        if not s:
-            break  # the empty set, the memo's first entry, has no parts
-        a = adjoint.pop(s)
-        split = splits[s]
-        if split > 0:
-            rest = s ^ split
-            adjoint[split] = adjoint.get(split, 0) + a * memo[rest]
-            adjoint[rest] = adjoint.get(rest, 0) + a * memo[split]
-        else:
-            v = ~split
-            pick = 1 << v
+
+    __slots__ = ("g", "bits", "table", "z")
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.bits = bits = g.n + 1
+        self.table = table = _record(g)
+        adj = g.adjacency_masks
+        self.z = z = dict.fromkeys(table)  # sized once, so it never grows while it fills
+        z[0] = 1
+        for s, split in table.items():
+            if split > 0:
+                z[s] = z[split] * z[s ^ split]
+            else:
+                v = ~split
+                pick = 1 << v
+                z[s] = z[s ^ pick] + (z[s & ~adj[v] & ~pick] << bits)
+
+    def occupancy_counts(self) -> list[int]:
+        """For every vertex v, the weight x Z(V - N[v]) of the independent
+        sets that hold v, packed as Z is.
+
+        The counts come from one reverse (adjoint) pass over the table,
+        with no further kernel query (Griewank & Walther, "Evaluating
+        Derivatives", 2008).  The adjoint A(S) weighs the ways to complete
+        an independent set of S to one of V along the kernel's splits, with
+        A(V) = 1.  A product S = C + R passes A(S) Z(R) to C and A(S) Z(C)
+        to R.  A branch on v passes A(S) to S - v and x A(S) to S - N[v],
+        and x A(S) Z(S - N[v]) weighs the sets that take v at S.  Each
+        independent set takes v at one branch at most, so these sum to v's
+        count.  The table is a post-order, so in reverse every state comes
+        after all the states that split into it: its adjoint is complete
+        when it is read, and it is dropped then.
+        """
+        n, bits, z = self.g.n, self.bits, self.z
+        adj = self.g.adjacency_masks
+        counts = [0] * n
+        adjoint = {(1 << n) - 1: 1}
+        for s, split in reversed(self.table.items()):
+            a = adjoint.pop(s)
+            if split > 0:
+                rest = s ^ split
+                adjoint[split] = adjoint.get(split, 0) + a * z[rest]
+                adjoint[rest] = adjoint.get(rest, 0) + a * z[split]
+            else:
+                v = ~split
+                pick = 1 << v
+                skip = s ^ pick
+                take = s & ~adj[v] & ~pick
+                adjoint[skip] = adjoint.get(skip, 0) + a
+                a <<= bits
+                adjoint[take] = adjoint.get(take, 0) + a
+                counts[v] += a * z[take]
+        return counts
+
+    def fact_b_weights(self, v: int) -> tuple[int, list[int], list[int]]:
+        """``(zx, total, uncov)`` for the vertex v of a triangle-free graph.
+
+        ``zx`` is Z(X) for X = V - N[v].  ``total[j]`` and ``uncov[j]``,
+        for j = 0..deg(v), weigh the independent sets that leave exactly j
+        neighbours of v uncovered: all of them, and those that leave v
+        uncovered too.  Every weight is a packed polynomial in x, as Z is.
+
+        All of them come from one polynomial, P_v(x, z) = Z(G - v) with
+        weight x on X and weight z on N(v): the kernel's sum-product form
+        on V with weight 0 on v, where a branch on a vertex of N(v) shifts
+        by ``zshift`` = (n + 1) fields, so that block i of the integer
+        holds the coefficient c_i(x) of z^i.  N(v) is independent and N(u)
+        lies in X + v for every u in N(v), so an independent set J of X
+        that leaves j of N(v) uncovered extends by any subset of those j,
+        and by nothing else, to a set that avoids v: P_v = sum_j A_j(x) (1
+        + z)^j, where A_j weighs the J that leave exactly j uncovered, and
+        A_j = sum_{i >= j} (-1)^(i-j) C(i, j) c_i.  v stays uncovered only
+        when the subset is empty; a set that holds v is v plus an
+        independent set of X, with j = 0.  Hence total[j] = A_j (1 + x)^j
+        + [j = 0] x Z(X) and uncov[j] = A_j + [j = 0] x Z(X), and Z(X) =
+        c_0.
+
+        One forward pass over the table computes P_v at the states that
+        meet N[v]; any other state has neither v nor a marked vertex, so
+        its value is Z's and is read from ``z``.  The pass adds no state to
+        the table, and its values are dropped on return.
+        """
+        n, bits, z = self.g.n, self.bits, self.z
+        adj = self.g.adjacency_masks
+        marked = adj[v]
+        near = marked | 1 << v
+        zshift = (n + 1) * bits
+        p = {}
+        for s, split in self.table.items():
+            if not s & near:
+                continue
+            if split > 0:
+                rest = s ^ split
+                p[s] = (p[split] if split & near else z[split]) * (
+                    p[rest] if rest & near else z[rest])
+                continue
+            u = ~split
+            pick = 1 << u
             skip = s ^ pick
-            take = s & ~adj[v] & ~pick
-            adjoint[skip] = adjoint.get(skip, 0) + a
-            a <<= bits
-            adjoint[take] = adjoint.get(take, 0) + a
-            counts[v] += a * memo[take]
-    return total, counts, bits
+            value = p[skip] if skip & near else z[skip]
+            if u != v:  # v weighs 0: no set of G - v holds it
+                take = s & ~adj[u] & ~pick
+                shift = zshift if marked >> u & 1 else bits
+                value += (p[take] if take & near else z[take]) << shift
+            p[s] = value
+        whole = p[(1 << n) - 1]
+        zmask = (1 << zshift) - 1
+        c = [(whole >> (i * zshift)) & zmask for i in range(marked.bit_count() + 1)]
+        uncov = [
+            sum((-1) ** (i - j) * math.comb(i, j) * c[i] for i in range(j, len(c)))
+            for j in range(len(c))
+        ]
+        one_x = 1 + (1 << bits)
+        total = [a * one_x**j for j, a in enumerate(uncov)]
+        occupied = c[0] << bits  # x Z(X): v is in the set
+        total[0] += occupied
+        uncov[0] += occupied
+        return c[0], total, uncov
+
+    def stats(self, lam, max_distance: int) -> OccupancyStats:
+        """`enumerate_stats` of the graph, without its checks."""
+        bits = self.bits
+        total = self.z[(1 << self.g.n) - 1]
+        try:
+            z = _ratio(total, 1, bits, lam)
+            log_z = math.log(z) if z >= 2 else math.log1p(_ratio(total - 1, 1, bits, lam))
+        except OverflowError:  # Z exceeds every float; log Z from the exact integers
+            z = _ratio(total, 1, bits, Fraction(lam))
+            log_z = math.log(z.numerator) - math.log(z.denominator)
+        occupancy = tuple(_ratio(count, total, bits, lam) for count in self.occupancy_counts())
+        nbr = neighbour_occupancy(self.g, occupancy, max_distance)
+        return OccupancyStats(float(lam), log_z, occupancy, nbr)
+
+    def fact_check(self, lam: float) -> FactCheckReport:
+        """`conditional_fact_check` of the graph, without its checks."""
+        bits = self.bits
+        p_occ = lam / (1.0 + lam)
+        res1 = 0.0
+        res2 = 0.0
+        for v in range(self.g.n):
+            zx, total, uncov = self.fact_b_weights(v)
+            occupied = zx << bits
+            res1 = max(res1, abs(_ratio(occupied, zx + occupied, bits, lam) - p_occ))
+            for j, (tw, uw) in enumerate(zip(total, uncov)):
+                if tw == 0:  # no independent set leaves exactly j neighbours uncovered
+                    continue
+                res2 = max(res2, abs(_ratio(uw, tw, bits, lam) - (1.0 + lam) ** (-j)))
+        return FactCheckReport(float(lam), res1, res2)
 
 
 def enumerate_stats(
@@ -319,23 +393,15 @@ def enumerate_stats(
     that a Z near 1 keeps its digits, and log(numerator) - log(denominator)
     of Z as an exact Fraction when Z exceeds every float.
 
-    Cost: one run of the Z kernel and one reverse pass over the states it
-    built (`_occupancy_counts`), so the occupancies cost a small multiple
-    of Z; no vertex opens a kernel query of its own.
+    Cost: the split table and Z's forward pass over it (`_Exact`), then
+    one reverse pass over the same table (`_Exact.occupancy_counts`), so
+    the occupancies cost a small multiple of Z; no vertex opens a kernel
+    query of its own.
     """
     _check_fugacity(lam)
     _check_max_distance(g, max_distance)
     _check_cutoff(g, cutoff)
-    total, counts, bits = _occupancy_counts(g, {})
-    try:
-        z = _ratio(total, 1, bits, lam)
-        log_z = math.log(z) if z >= 2 else math.log1p(_ratio(total - 1, 1, bits, lam))
-    except OverflowError:  # Z exceeds every float; log Z from the exact integers
-        z = _ratio(total, 1, bits, Fraction(lam))
-        log_z = math.log(z.numerator) - math.log(z.denominator)
-    occupancy = tuple(_ratio(count, total, bits, lam) for count in counts)
-    nbr = neighbour_occupancy(g, occupancy, max_distance)
-    return OccupancyStats(float(lam), log_z, occupancy, nbr)
+    return _Exact(g).stats(lam, max_distance)
 
 
 def neighbour_occupancy(
@@ -420,72 +486,6 @@ def glauber_sample(g: Graph, lam: float, steps: int, seed: int) -> VertexSet:
     return tuple(v for v in range(n) if occupied[v])
 
 
-class _MarkedMemo(dict):
-    """The memo of one marked kernel run, holding the states that meet the
-    vertex bitmask ``marked``.  Any other state has no marked vertex, so
-    its value is Z's: ``get`` answers it from the Z kernel ``poly``, whose
-    memo outlives the run, and `_fold` returns that value without storing
-    it here."""
-
-    __slots__ = ("marked", "poly")
-
-    def __init__(self, marked: int, poly):
-        super().__init__()
-        self.marked = marked
-        self.poly = poly
-
-    def get(self, s: int):
-        return dict.get(self, s) if s & self.marked else self.poly(s)
-
-
-def _fact_b_weights(
-    g: Graph, poly, bits: int, v: int, splits: dict
-) -> tuple[int, list[int], list[int]]:
-    """``(zx, total, uncov)`` for the vertex v of a triangle-free graph,
-    given its Z kernel ``(poly, bits)`` (`_independence_polynomial`).
-
-    ``zx`` is Z(X) for X = V - N[v].  ``total[j]`` and ``uncov[j]``, for j
-    = 0..deg(v), weigh the independent sets that leave exactly j
-    neighbours of v uncovered: all of them, and those that leave v
-    uncovered too.  Every weight is a packed polynomial in x, as Z is.
-
-    All of them come from one polynomial, P_v(x, z) = Z(G - v) with weight
-    x on X and weight z on N(v): the kernel's sum-product form with N(v)
-    marked, where a branch on a marked vertex shifts by ``zshift`` = (n + 1)
-    fields, so that block i of the integer holds the coefficient c_i(x) of
-    z^i.  N(v) is independent and N(u) lies in X + v for every u in N(v),
-    so an independent set J of X that leaves j of N(v) uncovered extends by
-    any subset of those j, and by nothing else, to a set that avoids v:
-    P_v = sum_j A_j(x) (1 + z)^j, where A_j weighs the J that leave exactly
-    j uncovered, and A_j = sum_{i >= j} (-1)^(i-j) C(i, j) c_i.  v stays
-    uncovered only when the subset is empty; a set that holds v is v plus
-    an independent set of X, with j = 0.  Hence total[j] = A_j (1 + x)^j +
-    [j = 0] x Z(X) and uncov[j] = A_j + [j = 0] x Z(X), and Z(X) = c_0.
-
-    States that meet N(v) go to a `_MarkedMemo` dropped on return; the
-    others are Z states, served by ``poly``.  Every state reads its split
-    from, or adds it to, the split table ``splits``, which a split found by
-    Z or by another vertex's run serves too.
-    """
-    zshift = (g.n + 1) * bits
-    zmask = (1 << zshift) - 1
-    marked = g.adjacency_masks[v]
-    branch = partial(_marked_branch, bits, zshift, marked)
-    memo = _MarkedMemo(marked, poly)
-    p = _exact_kernel(g, memo, splits, mul, branch, ((1 << g.n) - 1) & ~(1 << v))
-    c = [(p >> (i * zshift)) & zmask for i in range(marked.bit_count() + 1)]
-    uncov = [
-        sum((-1) ** (i - j) * math.comb(i, j) * c[i] for i in range(j, len(c)))
-        for j in range(len(c))
-    ]
-    one_x = 1 + (1 << bits)
-    total = [a * one_x**j for j, a in enumerate(uncov)]
-    occupied = c[0] << bits  # x Z(X): v is in the set
-    total[0] += occupied
-    uncov[0] += occupied
-    return c[0], total, uncov
-
-
 def conditional_fact_check(
     g: Graph, lam: float, cutoff: int = DEFAULT_CUTOFF
 ) -> FactCheckReport:
@@ -502,43 +502,31 @@ def conditional_fact_check(
 
     (a) is lam Z(X) / Z(V - N(v)) with X = V - N[v]; v is an isolated
     vertex of V - N(v), so Z(V - N(v)) = (1 + lam) Z(X).  (b) is the
-    quotient of the weights of `_fact_b_weights`, integer polynomials, so a
-    count j of probability zero has weight exactly zero and is skipped, and
-    each conditional law is one correctly rounded quotient.  On a
-    triangle-free graph both hold by construction (the derivation of the
-    weights proves (b): uncov[j] (1 + x)^j = total[j] for j >= 1, and
-    uncov[0] = total[0]), so the residuals are sanity checks of the
-    kernel's arithmetic and of the rounding rather than tests of the
-    model; the tests check the weights themselves against
+    quotient of the weights of `_Exact.fact_b_weights`, integer
+    polynomials, so a count j of probability zero has weight exactly zero
+    and is skipped, and each conditional law is one correctly rounded
+    quotient.  On a triangle-free graph both hold by construction (the
+    derivation of the weights proves (b): uncov[j] (1 + x)^j = total[j]
+    for j >= 1, and uncov[0] = total[0]), so the residuals are sanity
+    checks of the kernel's arithmetic and of the rounding rather than
+    tests of the model; the tests check the weights themselves against
     inclusion-exclusion and against enumerating every independent set.
 
-    Cost: one marked kernel run per vertex, on the n - 1 vertices of G - v,
-    with coefficients up to degree n in x and deg(v) in z, plus O(deg(v)^2)
-    integer operations to read the weights off.  Nothing grows with
-    2^deg(v): star(29) takes milliseconds.  The Z states that a run meets
-    are shared by all n runs; the marked states live for one run only.
-    Z and the n runs share one split table, so a state that several runs
-    meet is searched for components and scanned for degrees once; the
-    table lives until the check returns.
+    Cost: Z, as for `enumerate_stats`, then per vertex v one forward pass
+    over the same table that evaluates the states meeting N[v], with
+    coefficients up to degree n in x and deg(v) in z, and reads Z for the
+    rest, plus O(deg(v)^2) integer operations.  Nothing grows with
+    2^deg(v): star(29) takes milliseconds.  No pass records a state.
     """
     _check_fugacity(lam)
     _check_cutoff(g, cutoff)
+    _check_triangle_free(g)
+    return _Exact(g).fact_check(lam)
+
+
+def _check_triangle_free(g: Graph) -> None:
     if not is_triangle_free(g):
         raise HypothesisError("conditional_fact_check requires a triangle-free graph")
-    splits = {}
-    poly, bits = _independence_polynomial(g, {0: 1}, splits)
-    p_occ = lam / (1.0 + lam)
-    res1 = 0.0
-    res2 = 0.0
-    for v in range(g.n):
-        zx, total, uncov = _fact_b_weights(g, poly, bits, v, splits)
-        occupied = zx << bits
-        res1 = max(res1, abs(_ratio(occupied, zx + occupied, bits, lam) - p_occ))
-        for j, (tw, uw) in enumerate(zip(total, uncov)):
-            if tw == 0:  # no independent set leaves exactly j neighbours uncovered
-                continue
-            res2 = max(res2, abs(_ratio(uw, tw, bits, lam) - (1.0 + lam) ** (-j)))
-    return FactCheckReport(float(lam), res1, res2)
 
 
 def hcm_lower_bound(lam: float, alpha_v: float, beta_v: float) -> float:

@@ -16,6 +16,7 @@ import hcchroma
 from hcchroma import constructions, dpcolor, hardcore
 from hcchroma.cli import main
 from hcchroma.graph import (
+    Graph,
     complete,
     cycle,
     edgeless,
@@ -569,12 +570,51 @@ def test_sampled_output_bytes_are_golden(tmp_path, name, command):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SAMPLED[name, command]
 
 
+# sha256 of exact-mode output, recorded with a kernel that recursed through
+# per-form join and branch functions and ran fact (b) as one marked kernel
+# per vertex; any change to the bytes fails here.  The graphs are those of
+# GOLDEN_GRAPHS.
+GOLDEN_EXACT = {
+    ("c5", "fact-check"): "6b53732898cd68dc6f49e5cc8e7ad98114a19bca29299bf9fdd83414078b0677",
+    ("c5", "semibip"): "53082ec2687d422d5f82451b44c9077121e38588f1d7db0360be47e1129c534a",
+    ("c5", "tsv"): "9ba6209eeb6b495db7828b5d6a784bbbb4daddf4f229cb4571fb692cb6363941",
+    ("petersen", "fact-check"): "8630f530b60fa12d9311afbc6e9b075a8e69fded95e321f67d97b7a9eb7ef367",
+    ("petersen", "fact-check-distance-2"):
+        "c7036db94ac1ee1623892c1ec0e9022c52a0d402066886bf30661ef67637b37a",
+    ("petersen", "semibip"): "be4442be4a1f245e3223b92765b36773e98bee38e2d8580f11f3c0f333d792dc",
+    ("petersen", "tsv"): "4c47778f82808e66ad8d3a8a06b6b0ab91d92ae4cb1647902149fca7c65e796b",
+    ("rtf16", "fact-check"): "e52dc7abc696d1830cef70084de1195a3981a4a9cd0a9035d6a2d708c912b0a3",
+    ("rtf16", "semibip"): "0c68f3d4872fc9c441e38f5f65c31b5905341d363145229f08a17d6ea139eb25",
+    ("rtf16", "tsv"): "b5e4c3ab947db3f70bf1fc0109d2e1783b3a263367393d569a67cb382595095a",
+}
+EXACT_FLAGS = {
+    "fact-check": ["hardcore-stats", "--lam", "0.7", "--fact-check"],
+    "fact-check-distance-2": ["hardcore-stats", "--lam", "0.7", "--fact-check",
+                              "--max-distance", "2"],
+    "semibip": ["semibip"],
+    "tsv": ["hardcore-stats", "--lam", "0.7", "--format", "tsv"],
+}
+
+
+@pytest.mark.parametrize("name, case", sorted(GOLDEN_EXACT))
+def test_exact_output_bytes_are_golden(tmp_path, name, case):
+    p = tmp_path / f"{name}.edges"
+    write_edge_list(GOLDEN_GRAPHS[name](), p)
+    out = tmp_path / "out"
+    assert main([*EXACT_FLAGS[case], "--input", str(p), "--output", str(out)]) == 0
+    if case != "tsv":
+        assert _strict_json(out.read_text())["mode"] == "exact"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_EXACT[name, case]
+
+
 @pytest.mark.parametrize("argv, g", [
     (["hardcore-stats", "--lam", "1.0"], edgeless(1500)),
     (["hardcore-stats", "--lam", "1.0"], path(1500)),
+    (["hardcore-stats", "--lam", "1.0", "--fact-check"], path(1500)),
     (["semibip"], path(1500)),
     (["frac-colour", "--epsilon", "2.0"], edgeless(1500)),
-], ids=["stats-edgeless", "stats-path", "semibip-path", "frac-colour-edgeless"])
+], ids=["stats-edgeless", "stats-path", "fact-check-path", "semibip-path",
+        "frac-colour-edgeless"])
 def test_exact_kernel_past_the_recursion_limit_is_resource_error(tmp_path, capsys, argv, g):
     p = tmp_path / "big.edges"
     write_edge_list(g, p)
@@ -582,6 +622,19 @@ def test_exact_kernel_past_the_recursion_limit_is_resource_error(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_fact_check_reports_a_triangle_before_any_exact_work(tmp_path, capsys):
+    # the path alone recurses past the interpreter's limit (exit 3), so
+    # exit 2 shows that the triangle was found first
+    g = Graph.from_edges(1500, [*path(1500).edges(), (0, 2)])
+    p = tmp_path / "big.edges"
+    write_edge_list(g, p)
+    assert main(["hardcore-stats", "--lam", "1.0", "--fact-check", "--input", str(p),
+                 "--cutoff", "2000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: conditional_fact_check requires a triangle-free graph\n"
 
 
 def test_byte_identical_reruns(c5_file, tmp_path):

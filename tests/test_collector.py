@@ -101,8 +101,9 @@ def test_exact_kernel_memory_returns_to_baseline_without_the_collector(kernel):
         g = random_triangle_free(40, 0.085, 1)
         run = lambda: hardcore.enumerate_stats(g, 1.0, cutoff=g.n)
     elif kernel == "conditional_fact_check":
-        # the Z memo lives for the whole check, each marked memo for one vertex
-        g = random_triangle_free(30, 0.1, 1)
+        # the split table and Z live for the whole check, each vertex's
+        # fact-(b) values for one pass: at n=30 it peaks under 100 kB
+        g = random_triangle_free(40, 0.085, 1)
         run = lambda: hardcore.conditional_fact_check(g, 1.0, cutoff=g.n)
     elif kernel == "semi_bipartite_extract":
         g = random_triangle_free(40, 0.085, 1)
@@ -140,7 +141,7 @@ def test_main_pauses_the_collector_and_restores_its_state(
     k3 = tmp_path / "k3.edges"
     write_edge_list(complete(3), k3)
     seen = []
-    real = hardcore.enumerate_stats
+    real = hardcore._Exact
 
     def recording(*args, **kwargs):
         seen.append(gc.isenabled())
@@ -148,7 +149,7 @@ def test_main_pauses_the_collector_and_restores_its_state(
             raise _Boom
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(hardcore, "enumerate_stats", recording)
+    monkeypatch.setattr(hardcore, "_Exact", recording)
     stats = ["hardcore-stats", "--lam", "1.0", "--output", str(tmp_path / "out.json")]
     argv, code = {
         "ok": (stats + ["--input", str(c5)], 0),

@@ -1,7 +1,5 @@
 import math
 from fractions import Fraction
-from functools import partial
-from operator import add
 
 import pytest
 from hypothesis import example, given, settings
@@ -437,12 +435,15 @@ def test_fact_check_skips_counts_of_probability_zero(lam):
 @example(GADGET)
 @example(petersen())
 def test_marked_kernel_weights_match_inclusion_exclusion(g):
-    # one Z kernel serves every vertex, as in conditional_fact_check
-    splits = {}
-    poly, bits = hardcore._independence_polynomial(g, {0: 1}, splits)
+    # one exact model serves every vertex, as in conditional_fact_check,
+    # and no vertex's pass records a state of its own
+    exact = hardcore._Exact(g)
+    states = len(exact.table)
     for v in range(g.n):
-        _, total, uncov = hardcore._fact_b_weights(g, poly, bits, v, splits)
+        _, total, uncov = exact.fact_b_weights(v)
         assert (total, uncov) == helpers.reference_fact_b_weights(g, v)
+    assert len(exact.table) == states
+    assert len(exact.z) == states + 1  # and Z is read, not added to
 
 
 @settings(max_examples=60, deadline=None)
@@ -464,7 +465,9 @@ def test_marked_kernel_weights_match_inclusion_exclusion(g):
 @example(complete(5), Fraction(7, 10))
 def test_reverse_pass_counts_match_one_query_per_vertex(g, lam):
     total, counts = helpers.reference_occupancy_counts(g)
-    assert hardcore._occupancy_counts(g, {}) == (total, counts, g.n + 1)
+    exact = hardcore._Exact(g)
+    assert (exact.z[(1 << g.n) - 1], exact.occupancy_counts()) == (total, counts)
+    assert exact.bits == g.n + 1
     stats = enumerate_stats(g, lam)
     assert stats.occupancy == tuple(hardcore._ratio(c, total, g.n + 1, lam) for c in counts)
 
@@ -479,19 +482,30 @@ def test_reverse_pass_counts_match_one_query_per_vertex(g, lam):
 @example(GADGET)
 @example(petersen())
 def test_splits_found_by_the_max_plus_search_serve_every_sum_product_form(g):
-    # a split depends on the state alone, so a table that semibip's (max, +)
-    # search filled gives Z, the reverse pass and fact (b) their exact values
-    splits = {}
-    degrees = tuple(map(len, g.adjacency))
-    best_branch = partial(constructions._best_branch, degrees)
-    hardcore._exact_kernel(g, {0: 0}, splits, add, best_branch, (1 << g.n) - 1)
-    found = dict(splits)
-    assert hardcore._occupancy_counts(g, splits)[:2] == helpers.reference_occupancy_counts(g)
-    assert splits == found  # Z split no state of its own
-    poly, bits = hardcore._independence_polynomial(g, {0: 1}, splits)
+    # a split depends on the state alone, so the one table that semibip's
+    # (max, +) search reads gives Z, the reverse pass and fact (b) their
+    # exact values
+    table = hardcore._record(g)
+    adj = g.adjacency_masks
+    done = set()
+    for s, split in table.items():  # a post-order: every part comes first
+        if split > 0:
+            parts = (split, s ^ split)
+        else:
+            pick = 1 << ~split
+            parts = (s ^ pick, s & ~adj[~split] & ~pick)
+        assert all(part in done for part in parts if part)
+        done.add(s)
+    assert list(table)[-1:] == ([(1 << g.n) - 1] if g.n else [])
+    found = constructions._max_degree_sum_set(g)
+    assert found == helpers.reference_lowest_vertex_max_degree_sum_set(g)
+    exact = hardcore._Exact(g)
+    assert list(exact.table.items()) == list(table.items())
+    total, counts = helpers.reference_occupancy_counts(g)
+    assert (exact.z[(1 << g.n) - 1], exact.occupancy_counts()) == (total, counts)
     for v in range(g.n):
-        weights = hardcore._fact_b_weights(g, poly, bits, v, splits)[1:]
-        assert weights == helpers.reference_fact_b_weights(g, v)
+        assert exact.fact_b_weights(v)[1:] == helpers.reference_fact_b_weights(g, v)
+    assert len(exact.table) == len(table)
 
 
 @pytest.mark.parametrize("lam", [1e-300, 1e-10, 1e-3])
@@ -505,7 +519,7 @@ def test_log_partition_keeps_the_digits_of_z_near_one(g, lam):
 
 @pytest.mark.parametrize("g", [path(1500), star(1500)], ids=["path", "star"])
 def test_fact_check_past_the_recursion_limit_is_size_error(g):
-    # the path recurses deeply through Z states, the star through the
-    # centre's marked states
+    # the path recurses deeply through its states, the star through the
+    # components of its leaves once the centre is branched on
     with pytest.raises(SizeError):
         conditional_fact_check(g, 1.0, cutoff=2000)
