@@ -92,11 +92,11 @@ def cmd_hardcore_stats(args: argparse.Namespace) -> int:
         hardcore._check_fugacity(lam)
         if args.fact_check:
             hardcore._check_triangle_free(g)  # before any exact work
-        exact = hardcore._Exact(g)  # one model serves the stats and the check
-        payload = exact.stats(lam, args.max_distance).to_json_dict()
+        exact = hardcore._Exact(g, lam)  # one model serves the stats and the check
+        payload = exact.stats(args.max_distance).to_json_dict()
         payload["mode"] = "exact"
         if args.fact_check:
-            report = exact.fact_check(lam)
+            report = exact.fact_check()
             payload["fact_check"] = {"fact1_residual": report.fact1_residual,
                                      "fact2_residual": report.fact2_residual}
     else:
@@ -252,8 +252,8 @@ def cmd_semibip(args: argparse.Namespace) -> int:
     cutoff = _resolve_cutoff(args.cutoff)
     g = read_edge_list(args.input)
     lam = args.lam
-    a_side, b_side, avg_degree = constructions.semi_bipartite_extract(
-        g, lam=lam, trials=args.trials, seed=args.seed, cutoff=cutoff
+    a_side, b_side, avg_degree, table = constructions._semi_bipartite(
+        g, lam, args.trials, args.seed, cutoff
     )
     a_set = set(a_side)
     for u in a_side:
@@ -271,8 +271,9 @@ def cmd_semibip(args: argparse.Namespace) -> int:
         "avg_degree": avg_degree,
         "mode": "exact" if g.n <= cutoff else "sampled",
     }
-    if g.n <= cutoff and g.n > 0:
-        f1, f2 = constructions.expected_crossing_edges(g, payload["lambda"], cutoff=cutoff)
+    if table is not None:  # exact: the search's split table serves the expectation too
+        stats = hardcore._Exact(g, payload["lambda"], table).stats(1)
+        f1, f2 = constructions._crossing_edges(g, stats)
         payload["expected_boundary_edges"] = f1
         if abs(f1 - f2) > 1e-9:
             raise HcchromaError("double-count forms of the expectation disagree")

@@ -359,10 +359,10 @@ def auto_fugacity(g: Graph) -> float:
     return g.n / s
 
 
-def _max_degree_sum_set(g: Graph) -> tuple[VertexSet, int]:
+def _max_degree_sum_set(g: Graph, table: dict[int, int]) -> tuple[VertexSet, int]:
     """The lexicographically first independent set of maximum degree sum.
 
-    One (max, +) forward pass over the exact kernel's split table
+    One (max, +) forward pass over the exact kernel's split table of g
     (`hardcore._record`) finds it.  M(S), the largest weight of
     an independent subset of the vertex bitmask S, is zero on the empty
     set, the sum over the components of a disconnected S, and
@@ -374,14 +374,12 @@ def _max_degree_sum_set(g: Graph) -> tuple[VertexSet, int]:
     other.  On sorted member tuples that is the lexicographic order,
     except that a tuple is smaller than its extensions: M's set is the
     lexicographically first one plus every vertex of degree 0 after that
-    set's last vertex of positive degree, so those are dropped.  SizeError
-    when the kernel's recursion passes the interpreter's limit.
+    set's last vertex of positive degree, so those are dropped.
     """
     n = g.n
     adj = g.adjacency_masks
     degrees = tuple(map(len, g.adjacency))
     weights = tuple((d << n) | (1 << (n - 1 - v)) for v, d in enumerate(degrees))
-    table = hardcore._record(g)
     m = dict.fromkeys(table)  # sized once, so it never grows while it fills
     m[0] = 0
     for s, split in table.items():
@@ -419,17 +417,27 @@ def semi_bipartite_extract(
     are scored instead.  Ties break towards the lexicographically smallest
     A.  Returns (A, B, average degree 2 e(A, B) / n).
     """
+    return _semi_bipartite(g, lam, trials, seed, cutoff)[:3]
+
+
+def _semi_bipartite(g: Graph, lam, trials: int, seed: int, cutoff: int):
+    """`semi_bipartite_extract`, plus the split table its exact search read
+    (None when it sampled or g is empty), so that the `semibip` command
+    reads the expected boundary edges off the same table.  SizeError when
+    the kernel's recursion passes the interpreter's limit."""
     if not is_triangle_free(g):
         raise HypothesisError("semi_bipartite_extract requires a triangle-free graph")
     if lam == "auto":
         lam = auto_fugacity(g)
     hardcore._check_fugacity(lam)
     if g.n == 0:
-        return (), (), 0.0
+        return (), (), 0.0, None
     best: VertexSet | None = None
     best_score = -1
+    table = None
     if g.n <= cutoff:
-        best, best_score = _max_degree_sum_set(g)
+        table = hardcore._record(g)
+        best, best_score = _max_degree_sum_set(g, table)
     else:
         if trials < 1:
             raise InputError("trials must be at least 1")
@@ -443,7 +451,7 @@ def semi_bipartite_extract(
     a_set = set(best)
     b_side = tuple(v for v in range(g.n) if v not in a_set)
     avg_degree = 2.0 * best_score / g.n
-    return best, b_side, avg_degree
+    return best, b_side, avg_degree, table
 
 
 def expected_crossing_edges(
@@ -451,7 +459,10 @@ def expected_crossing_edges(
 ) -> tuple[float, float]:
     """E[boundary edge count] written both ways: sum deg * Pr(v in I) and
     sum of expected occupied neighbours.  The two must agree exactly."""
-    stats = hardcore.enumerate_stats(g, lam, max_distance=1, cutoff=cutoff)
+    return _crossing_edges(g, hardcore.enumerate_stats(g, lam, max_distance=1, cutoff=cutoff))
+
+
+def _crossing_edges(g: Graph, stats: hardcore.OccupancyStats) -> tuple[float, float]:
     by_degree = math.fsum(g.degree(v) * stats.occupancy[v] for v in range(g.n))
     by_neighbours = math.fsum(stats.neighbour_occupancy[1])
     return by_degree, by_neighbours

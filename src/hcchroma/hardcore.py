@@ -7,24 +7,26 @@ I occurs with probability lambda^|I| / Z, where Z is the partition function
 one recursion, `_record`, that splits each induced subgraph it reaches
 from V into connected components, or branches on a vertex of largest
 degree, and records each state's split once, in post-order.  Every exact
-quantity is a loop over that split table (`_Exact`): Z(S) = Z(S - v) +
-x Z(S - N[v]) with integer coefficients in one forward pass; every
-occupancy in one reverse pass that reads Z; the weights of the
-conditional law at v (fact (b)) in one forward pass over the states that
-meet N[v], with weight 0 on v and a second variable z on its neighbours,
-that reads Z for every other state, so the check never visits the
-subsets of N(v); semibip's exact search (`constructions`) in one (max, +)
-forward pass, whose value spells the set it found.  So occupation
-probabilities, expected neighbourhood intersections and the two
-conditional-law identities of triangle-free graphs are exact quotients of
-polynomials evaluated at lambda: floats correctly rounded, or Fractions
-from `enumerate_stats(g, Fraction(lam))`, for every positive finite
-lambda.  Only frac-colour's oracle enumerates independent sets: it lists
-G's sets once per run and narrows that list to the live vertices round by
-round.  The module also provides a Glauber-dynamics sampler for graphs
-above the exact cutoff, whose steps cost O(1) each plus O(deg v) when the
-chosen vertex v changes state, and the occupancy lower bound used by the
-fractional-colouring weight optimisation.
+quantity is a loop over that split table (`_Exact`), in integers at one
+point x: lambda itself when it is an integer below 2^(n + 1), else
+2^(n + 1), where each integer packs a polynomial's coefficients.  Z(S) =
+Z(S - v) + x Z(S - N[v]) is one forward pass; every occupancy one
+reverse pass that reads Z; the weights of the conditional law at v
+(fact (b)) one forward pass over the states that meet N[v], with weight
+0 on v and a second variable z on its neighbours, packed in fields as
+wide as Z, that reads Z for every other state, so the check never visits
+the subsets of N(v); semibip's exact search (`constructions`) one
+(max, +) forward pass, whose value spells the set it found.  So
+occupation probabilities, expected neighbourhood intersections and the
+two conditional-law identities of triangle-free graphs are exact
+quotients of polynomials evaluated at lambda: floats correctly rounded,
+or Fractions from `enumerate_stats(g, Fraction(lam))`, for every
+positive finite lambda.  Only frac-colour's oracle enumerates independent
+sets: it lists G's sets once per run and narrows that list to the live
+vertices round by round.  The module also provides a Glauber-dynamics
+sampler for graphs above the exact cutoff, whose steps cost O(1) each
+plus O(deg v) when the chosen vertex v changes state, and the occupancy
+lower bound used by the fractional-colouring weight optimisation.
 """
 
 from __future__ import annotations
@@ -194,49 +196,65 @@ def _fold(table: dict, adj, s: int) -> None:
     table[s] = split
 
 
-def _ratio(num: int, den: int, bits: int, lam):
-    """num(lam) / den(lam) for packed polynomials with nonnegative coefficients.
+def _ratio(num: int, den: int, x: int, lam):
+    """num(lam) / den(lam) for two polynomials with nonnegative integer
+    coefficients, given as their values at the point x of `_Exact`.
 
-    With lam = p / r in lowest terms, both polynomials are evaluated as
-    integers scaled by the same power of r, so the quotient is exact: a
-    Fraction when ``lam`` is one, else the float nearest to it (nothing
-    underflows or cancels on the way; OverflowError when it exceeds every
-    float).
+    The quotient is exact: a Fraction when ``lam`` is one, else the float
+    nearest to it (nothing underflows or cancels on the way; OverflowError
+    when it exceeds every float).  At x = lam the values are the
+    polynomials at lambda, so it is one division, correctly rounded by the
+    interpreter.  Otherwise x = 2^bits packs every coefficient in a field
+    of ``bits`` bits; with lam = p / r in lowest terms, both polynomials
+    are evaluated from their fields as integers scaled by the same power
+    of r.
     """
-    p, r = lam.as_integer_ratio()
-    mask = (1 << bits) - 1
-    fields = -(-max(num.bit_length(), den.bit_length()) // bits)
+    if x != lam:
+        bits = x.bit_length() - 1
+        p, r = lam.as_integer_ratio()
+        mask = x - 1
+        fields = -(-max(num.bit_length(), den.bit_length()) // bits)
 
-    def scaled(packed: int) -> int:
-        acc, rk = 0, 1
-        for k in range(fields - 1, -1, -1):
-            acc = acc * p + ((packed >> (k * bits)) & mask) * rk
-            rk *= r
-        return acc
+        def scaled(packed: int) -> int:
+            acc, rk = 0, 1
+            for k in range(fields - 1, -1, -1):
+                acc = acc * p + ((packed >> (k * bits)) & mask) * rk
+                rk *= r
+            return acc
 
-    top, bottom = scaled(num), scaled(den)
-    return Fraction(top, bottom) if isinstance(lam, Fraction) else top / bottom
+        num, den = scaled(num), scaled(den)
+    return Fraction(num, den) if isinstance(lam, Fraction) else num / den
 
 
 class _Exact:
-    """The exact model of one graph: its split table (`_record`) and ``z``,
-    which maps 0 and every state S of the table to Z(G[S]; x) = sum_k i_k
-    x^k, where i_k counts the independent k-subsets of S, evaluated at x =
-    2^bits with ``bits`` = n + 1.  Every i_k is below 2^bits, so integer
-    sums and products are those of the polynomials.  Z is the kernel's
-    sum-product form (Levit & Mandrescu, "The independence polynomial of a
-    graph - a survey", 2005), one forward pass over the table; the
-    occupancies and fact (b) are further passes that read it and record
-    nothing.  No reference cycle: the holder is freed as soon as its
-    caller drops it, whether or not the cyclic garbage collector runs.
+    """The exact model of one graph at the fugacity ``lam``: its split
+    table (`_record`, or the one the caller already holds) and ``z``, which
+    maps 0 and every state S of the table to Z(G[S]; x) = sum_k i_k x^k,
+    where i_k counts the independent k-subsets of S, at one integer point
+    x.  With lam = p / r in lowest terms, x = lam when r = 1 and p <
+    2^(n + 1): every weight is then its polynomial's value at lambda.
+    Otherwise x = 2^(n + 1): every i_k is below 2^(n + 1), so the integer
+    holds the coefficients in fields of n + 1 bits, and integer sums and
+    products are those of the polynomials.  Either way `_ratio` turns two
+    weights into their quotient at lambda.  Z(S; x) grows with x, so a
+    value at x = lambda is never a wider integer than the packed one.
+
+    Z is the kernel's sum-product form (Levit & Mandrescu, "The
+    independence polynomial of a graph - a survey", 2005), one forward
+    pass over the table; the occupancies and fact (b) are further passes
+    that read it and record nothing.  No reference cycle: the holder is
+    freed as soon as its caller drops it, whether or not the cyclic
+    garbage collector runs.
     """
 
-    __slots__ = ("g", "bits", "table", "z")
+    __slots__ = ("g", "lam", "x", "table", "z")
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, lam, table: dict[int, int] | None = None):
         self.g = g
-        self.bits = bits = g.n + 1
-        self.table = table = _record(g)
+        self.lam = lam
+        p, r = lam.as_integer_ratio()
+        self.x = x = p if r == 1 and p < 2 << g.n else 2 << g.n
+        self.table = table = _record(g) if table is None else table
         adj = g.adjacency_masks
         self.z = z = dict.fromkeys(table)  # sized once, so it never grows while it fills
         z[0] = 1
@@ -246,11 +264,11 @@ class _Exact:
             else:
                 v = ~split
                 pick = 1 << v
-                z[s] = z[s ^ pick] + (z[s & ~adj[v] & ~pick] << bits)
+                z[s] = z[s ^ pick] + x * z[s & ~adj[v] & ~pick]
 
     def occupancy_counts(self) -> list[int]:
         """For every vertex v, the weight x Z(V - N[v]) of the independent
-        sets that hold v, packed as Z is.
+        sets that hold v, at the same x as Z.
 
         The counts come from one reverse (adjoint) pass over the table,
         with no further kernel query (Griewank & Walther, "Evaluating
@@ -264,7 +282,7 @@ class _Exact:
         after all the states that split into it: its adjoint is complete
         when it is read, and it is dropped then.
         """
-        n, bits, z = self.g.n, self.bits, self.z
+        n, x, z = self.g.n, self.x, self.z
         adj = self.g.adjacency_masks
         counts = [0] * n
         adjoint = {(1 << n) - 1: 1}
@@ -280,7 +298,7 @@ class _Exact:
                 skip = s ^ pick
                 take = s & ~adj[v] & ~pick
                 adjoint[skip] = adjoint.get(skip, 0) + a
-                a <<= bits
+                a *= x
                 adjoint[take] = adjoint.get(take, 0) + a
                 counts[v] += a * z[take]
         return counts
@@ -291,33 +309,36 @@ class _Exact:
         ``zx`` is Z(X) for X = V - N[v].  ``total[j]`` and ``uncov[j]``,
         for j = 0..deg(v), weigh the independent sets that leave exactly j
         neighbours of v uncovered: all of them, and those that leave v
-        uncovered too.  Every weight is a packed polynomial in x, as Z is.
+        uncovered too.  Every weight is a polynomial in x at the same x as
+        Z.
 
         All of them come from one polynomial, P_v(x, z) = Z(G - v) with
         weight x on X and weight z on N(v): the kernel's sum-product form
-        on V with weight 0 on v, where a branch on a vertex of N(v) shifts
-        by ``zshift`` = (n + 1) fields, so that block i of the integer
-        holds the coefficient c_i(x) of z^i.  N(v) is independent and N(u)
-        lies in X + v for every u in N(v), so an independent set J of X
-        that leaves j of N(v) uncovered extends by any subset of those j,
-        and by nothing else, to a set that avoids v: P_v = sum_j A_j(x) (1
-        + z)^j, where A_j weighs the J that leave exactly j uncovered, and
-        A_j = sum_{i >= j} (-1)^(i-j) C(i, j) c_i.  v stays uncovered only
-        when the subset is empty; a set that holds v is v plus an
-        independent set of X, with j = 0.  Hence total[j] = A_j (1 + x)^j
-        + [j = 0] x Z(X) and uncov[j] = A_j + [j = 0] x Z(X), and Z(X) =
-        c_0.
+        on V with weight 0 on v, evaluated at z = 2^zshift, so that a
+        branch on a vertex of N(v) shifts by ``zshift`` bits and block i of
+        the integer holds the coefficient c_i(x) of z^i.  ``zshift`` is the
+        bit length of Z(V; x): since x >= 1, c_i(x) <= P_v(x, 1) <=
+        P_v(x, x) = Z(G - v; x) <= Z(V; x), so no block carries into the
+        next.  N(v) is independent and N(u) lies in X + v for every u in
+        N(v), so an independent set J of X that leaves j of N(v) uncovered
+        extends by any subset of those j, and by nothing else, to a set
+        that avoids v: P_v = sum_j A_j(x) (1 + z)^j, where A_j weighs the J
+        that leave exactly j uncovered, and A_j = sum_{i >= j} (-1)^(i-j)
+        C(i, j) c_i.  v stays uncovered only when the subset is empty; a
+        set that holds v is v plus an independent set of X, with j = 0.
+        Hence total[j] = A_j (1 + x)^j + [j = 0] x Z(X) and uncov[j] = A_j
+        + [j = 0] x Z(X), and Z(X) = c_0.
 
         One forward pass over the table computes P_v at the states that
         meet N[v]; any other state has neither v nor a marked vertex, so
         its value is Z's and is read from ``z``.  The pass adds no state to
         the table, and its values are dropped on return.
         """
-        n, bits, z = self.g.n, self.bits, self.z
+        n, x, z = self.g.n, self.x, self.z
         adj = self.g.adjacency_masks
         marked = adj[v]
         near = marked | 1 << v
-        zshift = (n + 1) * bits
+        zshift = z[(1 << n) - 1].bit_length()
         p = {}
         for s, split in self.table.items():
             if not s & near:
@@ -333,8 +354,8 @@ class _Exact:
             value = p[skip] if skip & near else z[skip]
             if u != v:  # v weighs 0: no set of G - v holds it
                 take = s & ~adj[u] & ~pick
-                shift = zshift if marked >> u & 1 else bits
-                value += (p[take] if take & near else z[take]) << shift
+                taken = p[take] if take & near else z[take]
+                value += taken << zshift if marked >> u & 1 else x * taken
             p[s] = value
         whole = p[(1 << n) - 1]
         zmask = (1 << zshift) - 1
@@ -343,41 +364,40 @@ class _Exact:
             sum((-1) ** (i - j) * math.comb(i, j) * c[i] for i in range(j, len(c)))
             for j in range(len(c))
         ]
-        one_x = 1 + (1 << bits)
-        total = [a * one_x**j for j, a in enumerate(uncov)]
-        occupied = c[0] << bits  # x Z(X): v is in the set
+        total = [a * (1 + x) ** j for j, a in enumerate(uncov)]
+        occupied = x * c[0]  # x Z(X): v is in the set
         total[0] += occupied
         uncov[0] += occupied
         return c[0], total, uncov
 
-    def stats(self, lam, max_distance: int) -> OccupancyStats:
+    def stats(self, max_distance: int) -> OccupancyStats:
         """`enumerate_stats` of the graph, without its checks."""
-        bits = self.bits
+        lam, x = self.lam, self.x
         total = self.z[(1 << self.g.n) - 1]
         try:
-            z = _ratio(total, 1, bits, lam)
-            log_z = math.log(z) if z >= 2 else math.log1p(_ratio(total - 1, 1, bits, lam))
+            z = _ratio(total, 1, x, lam)
+            log_z = math.log(z) if z >= 2 else math.log1p(_ratio(total - 1, 1, x, lam))
         except OverflowError:  # Z exceeds every float; log Z from the exact integers
-            z = _ratio(total, 1, bits, Fraction(lam))
+            z = _ratio(total, 1, x, Fraction(lam))
             log_z = math.log(z.numerator) - math.log(z.denominator)
-        occupancy = tuple(_ratio(count, total, bits, lam) for count in self.occupancy_counts())
+        occupancy = tuple(_ratio(count, total, x, lam) for count in self.occupancy_counts())
         nbr = neighbour_occupancy(self.g, occupancy, max_distance)
         return OccupancyStats(float(lam), log_z, occupancy, nbr)
 
-    def fact_check(self, lam: float) -> FactCheckReport:
+    def fact_check(self) -> FactCheckReport:
         """`conditional_fact_check` of the graph, without its checks."""
-        bits = self.bits
+        lam, x = self.lam, self.x
         p_occ = lam / (1.0 + lam)
         res1 = 0.0
         res2 = 0.0
         for v in range(self.g.n):
             zx, total, uncov = self.fact_b_weights(v)
-            occupied = zx << bits
-            res1 = max(res1, abs(_ratio(occupied, zx + occupied, bits, lam) - p_occ))
+            occupied = x * zx
+            res1 = max(res1, abs(_ratio(occupied, zx + occupied, x, lam) - p_occ))
             for j, (tw, uw) in enumerate(zip(total, uncov)):
                 if tw == 0:  # no independent set leaves exactly j neighbours uncovered
                     continue
-                res2 = max(res2, abs(_ratio(uw, tw, bits, lam) - (1.0 + lam) ** (-j)))
+                res2 = max(res2, abs(_ratio(uw, tw, x, lam) - (1.0 + lam) ** (-j)))
         return FactCheckReport(float(lam), res1, res2)
 
 
@@ -401,7 +421,7 @@ def enumerate_stats(
     _check_fugacity(lam)
     _check_max_distance(g, max_distance)
     _check_cutoff(g, cutoff)
-    return _Exact(g).stats(lam, max_distance)
+    return _Exact(g, lam).stats(max_distance)
 
 
 def neighbour_occupancy(
@@ -513,15 +533,19 @@ def conditional_fact_check(
     inclusion-exclusion and against enumerating every independent set.
 
     Cost: Z, as for `enumerate_stats`, then per vertex v one forward pass
-    over the same table that evaluates the states meeting N[v], with
-    coefficients up to degree n in x and deg(v) in z, and reads Z for the
-    rest, plus O(deg(v)^2) integer operations.  Nothing grows with
-    2^deg(v): star(29) takes milliseconds.  No pass records a state.
+    over the same table that evaluates the states meeting N[v], of degree
+    deg(v) in z, and reads Z for the rest, plus O(deg(v)^2) integer
+    operations.  Each value holds deg(v) + 1 fields as wide as Z at the
+    model's point x, so its integers are at most deg(v) + 1 times as wide
+    as Z's: at an integer lambda below 2^(n + 1), x = lambda and Z has at
+    most n log2(1 + lambda) + 1 bits, else Z packs its coefficients in at
+    most (n + 1)^2 bits.  Nothing grows with 2^deg(v):
+    star(29) takes milliseconds.  No pass records a state.
     """
     _check_fugacity(lam)
     _check_cutoff(g, cutoff)
     _check_triangle_free(g)
-    return _Exact(g).fact_check(lam)
+    return _Exact(g, lam).fact_check()
 
 
 def _check_triangle_free(g: Graph) -> None:

@@ -42,6 +42,7 @@ from hcchroma.dpcolor import (
 )
 from hcchroma.errors import HypothesisError, InputError, SizeError
 from hcchroma.fractional import SATURATE_TOL, Interval, SetDistribution, ValidationReport
+from hcchroma import hardcore
 from hcchroma.hardcore import FactCheckReport, OccupancyStats, independent_set_masks
 
 
@@ -833,6 +834,16 @@ def reference_occupancy_counts(g: Graph) -> tuple[int, list[int]]:
         _lowest_vertex_z(memo, adj, bits, full & ~adj[v] & ~(1 << v)) << bits for v in range(n)
     ]
     return total, counts
+
+
+def packed_model(g: Graph, lam) -> hardcore._Exact:
+    """The exact model of g at lam with every weight packed in fields of
+    n + 1 bits, x = 2^(n + 1), even where lam would pick x = lam: built at a
+    fugacity that is no integer, then pointed at lam, so that every
+    quotient takes `hardcore._ratio`'s field-by-field evaluation."""
+    model = hardcore._Exact(g, 0.5)
+    model.lam = lam
+    return model
 
 
 def _lowest_vertex_z(memo: dict, adj, bits: int, s: int) -> int:

@@ -469,11 +469,13 @@ def test_semibip_triangle_is_hypothesis_error(k3_file):
     ((0, 2, 4), 2),  # the edge 0-4 joins the first and the last member
 ])
 def test_semibip_rejects_a_dependent_part(c5_file, capsys, monkeypatch, a_side, code):
-    def extract(g, **kwargs):
+    # the command reads the part, and the split table of its exact search,
+    # from semi_bipartite_extract's private form
+    def extract(g, *args):
         b_side = tuple(v for v in range(g.n) if v not in a_side)
-        return a_side, b_side, 2.0 * sum(g.degree(v) for v in a_side) / g.n
+        return a_side, b_side, 2.0 * sum(g.degree(v) for v in a_side) / g.n, hardcore._record(g)
 
-    monkeypatch.setattr(constructions, "semi_bipartite_extract", extract)
+    monkeypatch.setattr(constructions, "_semi_bipartite", extract)
     assert main(["semibip", "--input", str(c5_file)]) == code
     out, err = capsys.readouterr()
     if code:
@@ -573,19 +575,42 @@ def test_sampled_output_bytes_are_golden(tmp_path, name, command):
 # sha256 of exact-mode output, recorded with a kernel that recursed through
 # per-form join and branch functions and ran fact (b) as one marked kernel
 # per vertex; any change to the bytes fails here.  The graphs are those of
-# GOLDEN_GRAPHS.
+# GOLDEN_GRAPHS.  The cases at an integer fugacity (lam-1, lam-3, lam-63)
+# were recorded with every polynomial packed in fields of n + 1 bits and
+# evaluated at lambda afterwards; C5 at lambda 63 and 64 sits on each side
+# of the rule that evaluates at x = lambda only below 2^(n + 1).
 GOLDEN_EXACT = {
     ("c5", "fact-check"): "6b53732898cd68dc6f49e5cc8e7ad98114a19bca29299bf9fdd83414078b0677",
+    ("c5", "fact-check-lam-1"):
+        "bacacd5f5a8b59409c3e499ac616519d877cfcdbb03ae940154030ccd14f1a67",
+    ("c5", "fact-check-lam-3"):
+        "9368d0a98395baed7ac2d05437778ef915ad219caa28c47f2ddab9827721e680",
+    ("c5", "fact-check-lam-63"):
+        "b0cbf14cae9fa28c12a8b27feeec42ebdfc9449bfe93a9e54e1e1e51b0cb241c",
+    ("c5", "fact-check-lam-64"):
+        "fbbc69a1f91140ea49153ff96bbc3673ea109b69bde47ab75f2d5996b9f55234",
     ("c5", "semibip"): "53082ec2687d422d5f82451b44c9077121e38588f1d7db0360be47e1129c534a",
     ("c5", "tsv"): "9ba6209eeb6b495db7828b5d6a784bbbb4daddf4f229cb4571fb692cb6363941",
+    ("c5", "tsv-lam-1"): "2ecf080a7b376507af77047577abda4e9d4d1bc905ba990f737fa5e645b2d791",
     ("petersen", "fact-check"): "8630f530b60fa12d9311afbc6e9b075a8e69fded95e321f67d97b7a9eb7ef367",
     ("petersen", "fact-check-distance-2"):
         "c7036db94ac1ee1623892c1ec0e9022c52a0d402066886bf30661ef67637b37a",
+    ("petersen", "fact-check-lam-1"):
+        "d6a8620cf8508fdbde1a99b94967942ac83868b051419dc0786151071b0ad8e3",
+    ("petersen", "fact-check-lam-3"):
+        "050f575c93bedc0d12541e4ba02c16461b8aee896ee9d08df6a4bbf7732a9526",
     ("petersen", "semibip"): "be4442be4a1f245e3223b92765b36773e98bee38e2d8580f11f3c0f333d792dc",
     ("petersen", "tsv"): "4c47778f82808e66ad8d3a8a06b6b0ab91d92ae4cb1647902149fca7c65e796b",
+    ("petersen", "tsv-lam-1"):
+        "7225d55624fae87b79bc75a76398b1cf161852347d43714d59bd3f2648c2971b",
     ("rtf16", "fact-check"): "e52dc7abc696d1830cef70084de1195a3981a4a9cd0a9035d6a2d708c912b0a3",
+    ("rtf16", "fact-check-lam-1"):
+        "f4cf41de31eafb45b8cf6b40c9c0bd88a4720b77fbd0e34b75e83908d1f0620b",
+    ("rtf16", "fact-check-lam-3"):
+        "f8ae18e573effcea9d434cc8fbe39aed34db68d86928a922d13eb9bde19aea04",
     ("rtf16", "semibip"): "0c68f3d4872fc9c441e38f5f65c31b5905341d363145229f08a17d6ea139eb25",
     ("rtf16", "tsv"): "b5e4c3ab947db3f70bf1fc0109d2e1783b3a263367393d569a67cb382595095a",
+    ("rtf16", "tsv-lam-1"): "478abad1bd808902d90ee290ff2668eb4218be4d51a28d876c4f8efd24ebaf18",
 }
 EXACT_FLAGS = {
     "fact-check": ["hardcore-stats", "--lam", "0.7", "--fact-check"],
@@ -593,6 +618,9 @@ EXACT_FLAGS = {
                               "--max-distance", "2"],
     "semibip": ["semibip"],
     "tsv": ["hardcore-stats", "--lam", "0.7", "--format", "tsv"],
+    **{f"fact-check-lam-{lam}": ["hardcore-stats", "--lam", lam, "--fact-check"]
+       for lam in ("1", "3", "63", "64")},
+    "tsv-lam-1": ["hardcore-stats", "--lam", "1", "--format", "tsv"],
 }
 
 
@@ -602,7 +630,7 @@ def test_exact_output_bytes_are_golden(tmp_path, name, case):
     write_edge_list(GOLDEN_GRAPHS[name](), p)
     out = tmp_path / "out"
     assert main([*EXACT_FLAGS[case], "--input", str(p), "--output", str(out)]) == 0
-    if case != "tsv":
+    if not case.startswith("tsv"):
         assert _strict_json(out.read_text())["mode"] == "exact"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_EXACT[name, case]
 
@@ -622,6 +650,22 @@ def test_exact_kernel_past_the_recursion_limit_is_resource_error(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_exact_log_z_past_every_float_at_an_integer_fugacity(tmp_path):
+    # Z = (1 + 2^20)^60 is about 2^1200: the weights are evaluated at
+    # x = lambda, Z / 1 overflows, and log Z comes from the exact integer,
+    # as it does from the packed weights
+    g = edgeless(60)
+    p = tmp_path / "e60.edges"
+    write_edge_list(g, p)
+    out = tmp_path / "out.json"
+    assert main(["hardcore-stats", "--lam", "1048576", "--cutoff", "60", "--input", str(p),
+                 "--output", str(out)]) == 0
+    log_z = _strict_json(out.read_text())["log_Z"]
+    assert math.isfinite(log_z) and log_z > 709
+    assert log_z == helpers.packed_model(g, 1048576.0).stats(1).log_partition
+    assert math.isclose(log_z, 60 * math.log1p(2.0 ** 20), rel_tol=1e-14)
 
 
 def test_fact_check_reports_a_triangle_before_any_exact_work(tmp_path, capsys):

@@ -94,17 +94,20 @@ def test_command_leaves_no_hcchroma_cycles(inputs, name):
 
 
 @pytest.mark.parametrize("kernel", ["enumerate_stats", "conditional_fact_check",
+                                    "conditional_fact_check-lam-0.7",
                                     "semi_bipartite_extract", "independent_set_masks"])
 def test_exact_kernel_memory_returns_to_baseline_without_the_collector(kernel):
     if kernel == "enumerate_stats":
         # one Z memo and no per-vertex query: at n=30 it peaks under 100 kB
         g = random_triangle_free(40, 0.085, 1)
         run = lambda: hardcore.enumerate_stats(g, 1.0, cutoff=g.n)
-    elif kernel == "conditional_fact_check":
+    elif kernel.startswith("conditional_fact_check"):
         # the split table and Z live for the whole check, each vertex's
-        # fact-(b) values for one pass: at n=30 it peaks under 100 kB
+        # fact-(b) values for one pass: at n=30 it peaks under 100 kB;
+        # lambda 1 evaluates every weight at x = 1, 0.7 packs them
         g = random_triangle_free(40, 0.085, 1)
-        run = lambda: hardcore.conditional_fact_check(g, 1.0, cutoff=g.n)
+        lam = 0.7 if kernel.endswith("0.7") else 1.0
+        run = lambda: hardcore.conditional_fact_check(g, lam, cutoff=g.n)
     elif kernel == "semi_bipartite_extract":
         g = random_triangle_free(40, 0.085, 1)
         run = lambda: constructions.semi_bipartite_extract(g, cutoff=g.n)

@@ -17,6 +17,7 @@ from hcchroma import (
     random_triangle_free,
     star,
 )
+from hcchroma import hardcore
 from hcchroma.constructions import (
     _list_colourable,
     _max_degree_sum_set,
@@ -213,7 +214,7 @@ PACKED_ANSWERS = {
 @example(ISOLATED_AROUND)
 @example(C5_BLOCKS)
 def test_max_degree_sum_set_matches_the_lowest_vertex_search(g):
-    found = _max_degree_sum_set(g)
+    found = _max_degree_sum_set(g, hardcore._record(g))
     assert found == helpers.reference_lowest_vertex_max_degree_sum_set(g)
     assert found == PACKED_ANSWERS.get(g, found)
 

@@ -367,6 +367,23 @@ def test_max_distance_is_at_most_the_vertex_count():
 GADGET = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (2, 4), (3, 5), (4, 5)])
 
 
+def _point(g: Graph, lam) -> int:
+    """The point x at which `hardcore._Exact` evaluates every weight:
+    lambda when it is an integer below 2^(n + 1), else 2^(n + 1)."""
+    p, r = lam.as_integer_ratio()
+    return p if r == 1 and p < 2 ** (g.n + 1) else 2 ** (g.n + 1)
+
+
+def _at(packed: int, n: int, x: int) -> int:
+    """A polynomial given packed in fields of n + 1 bits, evaluated at x."""
+    bits = n + 1
+    fields = []
+    while packed:
+        fields.append(packed & ((1 << bits) - 1))
+        packed >>= bits
+    return sum(c * x**k for k, c in enumerate(fields))
+
+
 def _close(a, b):
     return math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
 
@@ -425,23 +442,30 @@ def test_fact_check_skips_counts_of_probability_zero(lam):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(
-    helpers.triangle_free_graphs(),
-    helpers.several_component_graphs(max_n=20),
-    st.integers(min_value=0, max_value=12).map(star),
-))
-@example(edgeless(3))
-@example(star(10))
-@example(GADGET)
-@example(petersen())
-def test_marked_kernel_weights_match_inclusion_exclusion(g):
+@given(
+    st.one_of(
+        helpers.triangle_free_graphs(),
+        helpers.several_component_graphs(max_n=20),
+        st.integers(min_value=0, max_value=12).map(star),
+    ),
+    st.sampled_from([0.7, 3]),  # the packed point, and x = lambda
+)
+@example(edgeless(3), 0.7)
+@example(star(10), 3)
+@example(GADGET, 3)
+@example(petersen(), 0.7)
+@example(petersen(), 3)
+def test_marked_kernel_weights_match_inclusion_exclusion(g, lam):
     # one exact model serves every vertex, as in conditional_fact_check,
     # and no vertex's pass records a state of its own
-    exact = hardcore._Exact(g)
+    exact = hardcore._Exact(g, lam)
+    assert exact.x == _point(g, lam)
     states = len(exact.table)
     for v in range(g.n):
         _, total, uncov = exact.fact_b_weights(v)
-        assert (total, uncov) == helpers.reference_fact_b_weights(g, v)
+        ref_total, ref_uncov = helpers.reference_fact_b_weights(g, v)
+        assert total == [_at(w, g.n, exact.x) for w in ref_total]
+        assert uncov == [_at(w, g.n, exact.x) for w in ref_uncov]
     assert len(exact.table) == states
     assert len(exact.z) == states + 1  # and Z is read, not added to
 
@@ -464,12 +488,18 @@ def test_marked_kernel_weights_match_inclusion_exclusion(g):
 @example(complete(4), 3.0)
 @example(complete(5), Fraction(7, 10))
 def test_reverse_pass_counts_match_one_query_per_vertex(g, lam):
+    # the references are packed in fields of n + 1 bits; at x = lambda (here
+    # 1 and 3) they are judged at that point, and the occupancies against
+    # the packed quotient
     total, counts = helpers.reference_occupancy_counts(g)
-    exact = hardcore._Exact(g)
-    assert (exact.z[(1 << g.n) - 1], exact.occupancy_counts()) == (total, counts)
-    assert exact.bits == g.n + 1
+    exact = hardcore._Exact(g, lam)
+    x = exact.x
+    assert x == _point(g, lam)
+    assert exact.z[(1 << g.n) - 1] == _at(total, g.n, x)
+    assert exact.occupancy_counts() == [_at(c, g.n, x) for c in counts]
     stats = enumerate_stats(g, lam)
-    assert stats.occupancy == tuple(hardcore._ratio(c, total, g.n + 1, lam) for c in counts)
+    packed = 2 << g.n
+    assert stats.occupancy == tuple(hardcore._ratio(c, total, packed, lam) for c in counts)
 
 
 @settings(max_examples=40, deadline=None)
@@ -497,15 +527,43 @@ def test_splits_found_by_the_max_plus_search_serve_every_sum_product_form(g):
         assert all(part in done for part in parts if part)
         done.add(s)
     assert list(table)[-1:] == ([(1 << g.n) - 1] if g.n else [])
-    found = constructions._max_degree_sum_set(g)
+    found = constructions._max_degree_sum_set(g, table)
     assert found == helpers.reference_lowest_vertex_max_degree_sum_set(g)
-    exact = hardcore._Exact(g)
+    exact = hardcore._Exact(g, 0.5)
     assert list(exact.table.items()) == list(table.items())
     total, counts = helpers.reference_occupancy_counts(g)
     assert (exact.z[(1 << g.n) - 1], exact.occupancy_counts()) == (total, counts)
     for v in range(g.n):
         assert exact.fact_b_weights(v)[1:] == helpers.reference_fact_b_weights(g, v)
     assert len(exact.table) == len(table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        helpers.triangle_free_graphs(),
+        helpers.several_component_graphs(max_n=20),
+        st.integers(min_value=0, max_value=12).map(star),
+    ),
+    st.sampled_from(["1", "2", "3", "Fraction(2)", "2^(n+1) - 1", "2^(n+1)",
+                     "Fraction(2^(n+1) - 1)"]),
+)
+@example(edgeless(0), "1")
+@example(petersen(), "2^(n+1) - 1")
+@example(GADGET, "Fraction(2^(n+1) - 1)")
+def test_weights_at_an_integer_fugacity_give_the_packed_results(g, which):
+    # x = lambda below 2^(n + 1), else the packed point: either way every
+    # statistic, residual and Fraction is the one the packed model gives
+    top = 2 ** (g.n + 1)
+    lam = {"1": 1.0, "2": 2.0, "3": 3, "Fraction(2)": Fraction(2),
+           "2^(n+1) - 1": float(top - 1), "2^(n+1)": float(top),
+           "Fraction(2^(n+1) - 1)": Fraction(top - 1)}[which]
+    exact = hardcore._Exact(g, lam)
+    assert exact.x == _point(g, lam) == min(lam, top)
+    packed = helpers.packed_model(g, lam)
+    depth = min(2, max(1, g.n))
+    assert exact.stats(depth) == packed.stats(depth)
+    assert exact.fact_check() == packed.fact_check()
 
 
 @pytest.mark.parametrize("lam", [1e-300, 1e-10, 1e-3])
