@@ -83,6 +83,9 @@ def cmd_hardcore_stats(args: argparse.Namespace) -> int:
     cutoff = _resolve_cutoff(args.cutoff)
     if args.fact_check and args.format == "tsv":
         raise InputError("--fact-check needs --format json; tsv has no place for the residuals")
+    if args.trials < 1 or (args.steps is not None and args.steps < 1):
+        # checked in either mode, though only sampled mode reads them
+        raise InputError("sampled mode needs --trials and --steps of at least 1")
     g = read_edge_list(args.input)
     hardcore._check_max_distance(g, args.max_distance)
     if args.fact_check:
@@ -96,15 +99,13 @@ def cmd_hardcore_stats(args: argparse.Namespace) -> int:
         payload = exact.stats(args.max_distance).to_json_dict()
         payload["mode"] = "exact"
         if args.fact_check:
-            report = exact.fact_check()
+            report = exact.fact_check(lam)
             payload["fact_check"] = {"fact1_residual": report.fact1_residual,
                                      "fact2_residual": report.fact2_residual}
     else:
         steps = args.steps
         if steps is None:
             steps = hardcore.default_glauber_steps(g.n)
-        if args.trials < 1 or steps < 1:
-            raise InputError("sampled mode needs --trials and --steps of at least 1")
         counts = [0] * g.n
         for t in range(args.trials):
             for v in hardcore.glauber_sample(g, lam, steps, args.seed + t):
@@ -251,9 +252,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def cmd_semibip(args: argparse.Namespace) -> int:
     cutoff = _resolve_cutoff(args.cutoff)
     g = read_edge_list(args.input)
-    lam = args.lam
-    a_side, b_side, avg_degree, table = constructions._semi_bipartite(
-        g, lam, args.trials, args.seed, cutoff
+    a_side, b_side, avg_degree, lam, table = constructions._semi_bipartite(
+        g, args.lam, args.trials, args.seed, cutoff
     )
     a_set = set(a_side)
     for u in a_side:
@@ -264,7 +264,7 @@ def cmd_semibip(args: argparse.Namespace) -> int:
     if g.n and abs(avg_degree - 2.0 * boundary / g.n) > 1e-9:
         raise HcchromaError("reported average degree disagrees with recount")
     payload = {
-        "lambda": constructions.auto_fugacity(g) if lam == "auto" else lam,
+        "lambda": lam,
         "A": list(a_side),
         "B": list(b_side),
         "boundary_edges": boundary,
@@ -272,7 +272,7 @@ def cmd_semibip(args: argparse.Namespace) -> int:
         "mode": "exact" if g.n <= cutoff else "sampled",
     }
     if table is not None:  # exact: the search's split table serves the expectation too
-        stats = hardcore._Exact(g, payload["lambda"], table).stats(1)
+        stats = hardcore._Exact(g, lam, table).stats(1)
         f1, f2 = constructions._crossing_edges(g, stats)
         payload["expected_boundary_edges"] = f1
         if abs(f1 - f2) > 1e-9:

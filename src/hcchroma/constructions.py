@@ -414,24 +414,28 @@ def semi_bipartite_extract(
     result is the lexicographically first independent set of maximum
     degree sum.  Above it, ``trials`` Glauber samples at fugacity ``lam``
     (seeds ``seed``, ``seed + 1``, ..., `default_glauber_steps` steps each)
-    are scored instead.  Ties break towards the lexicographically smallest
-    A.  Returns (A, B, average degree 2 e(A, B) / n).
+    are scored instead; ``trials`` is checked in either mode.  Ties break
+    towards the lexicographically smallest A.  Returns (A, B, average
+    degree 2 e(A, B) / n).
     """
     return _semi_bipartite(g, lam, trials, seed, cutoff)[:3]
 
 
 def _semi_bipartite(g: Graph, lam, trials: int, seed: int, cutoff: int):
-    """`semi_bipartite_extract`, plus the split table its exact search read
-    (None when it sampled or g is empty), so that the `semibip` command
-    reads the expected boundary edges off the same table.  SizeError when
-    the kernel's recursion passes the interpreter's limit."""
+    """`semi_bipartite_extract`, plus the fugacity it used and the split
+    table its exact search read (None when it sampled or g is empty), so
+    that the `semibip` command reads the expected boundary edges off the
+    same table.  SizeError when the kernel's recursion passes the
+    interpreter's limit."""
+    if trials < 1:
+        raise InputError("trials must be at least 1")
     if not is_triangle_free(g):
         raise HypothesisError("semi_bipartite_extract requires a triangle-free graph")
     if lam == "auto":
         lam = auto_fugacity(g)
     hardcore._check_fugacity(lam)
     if g.n == 0:
-        return (), (), 0.0, None
+        return (), (), 0.0, lam, None
     best: VertexSet | None = None
     best_score = -1
     table = None
@@ -439,8 +443,6 @@ def _semi_bipartite(g: Graph, lam, trials: int, seed: int, cutoff: int):
         table = hardcore._record(g)
         best, best_score = _max_degree_sum_set(g, table)
     else:
-        if trials < 1:
-            raise InputError("trials must be at least 1")
         n_steps = hardcore.default_glauber_steps(g.n)
         for t in range(trials):
             members = hardcore.glauber_sample(g, lam, n_steps, seed + t)
@@ -451,7 +453,7 @@ def _semi_bipartite(g: Graph, lam, trials: int, seed: int, cutoff: int):
     a_set = set(best)
     b_side = tuple(v for v in range(g.n) if v not in a_set)
     avg_degree = 2.0 * best_score / g.n
-    return best, b_side, avg_degree, table
+    return best, b_side, avg_degree, lam, table
 
 
 def expected_crossing_edges(

@@ -11,19 +11,21 @@ quantity is a loop over that split table (`_Exact`), in integers at one
 point x: lambda itself when it is an integer below 2^(n + 1), else
 2^(n + 1), where each integer packs a polynomial's coefficients.  Z(S) =
 Z(S - v) + x Z(S - N[v]) is one forward pass; every occupancy one
-reverse pass that reads Z; the weights of the conditional law at v
-(fact (b)) one forward pass over the states that meet N[v], with weight
-0 on v and a second variable z on its neighbours, packed in fields as
-wide as Z, that reads Z for every other state, so the check never visits
-the subsets of N(v); semibip's exact search (`constructions`) one
-(max, +) forward pass, whose value spells the set it found.  So
-occupation probabilities, expected neighbourhood intersections and the
-two conditional-law identities of triangle-free graphs are exact
-quotients of polynomials evaluated at lambda: floats correctly rounded,
-or Fractions from `enumerate_stats(g, Fraction(lam))`, for every
-positive finite lambda.  Only frac-colour's oracle enumerates independent
-sets: it lists G's sets once per run and narrows that list to the live
-vertices round by round.  The module also provides a Glauber-dynamics
+reverse pass that reads Z; which counts of uncovered neighbours of v
+occur (fact (b)), one forward pass at x = 1 over the states that meet
+N[v], with weight 0 on v and a second variable z on its neighbours,
+packed in fields of at most n + 1 bits, that reads Z for every other
+state, so the check never visits the subsets of N(v); semibip's exact
+search (`constructions`) one (max, +) forward pass, whose value spells
+the set it found.  So occupation probabilities and expected
+neighbourhood intersections are exact quotients of polynomials evaluated
+at lambda: floats correctly rounded, or Fractions from
+`enumerate_stats(g, Fraction(lam))`, for every positive finite lambda;
+the residuals of the two conditional-law identities of triangle-free
+graphs set exact quotients in lambda, rounded once, against their float
+formulas.  Only frac-colour's oracle enumerates independent sets: it
+lists G's sets once per run and narrows that list to the live vertices
+round by round.  The module also provides a Glauber-dynamics
 sampler for graphs above the exact cutoff, whose steps cost O(1) each
 plus O(deg v) when the chosen vertex v changes state, and the occupancy
 lower bound used by the fractional-colouring weight optimisation.
@@ -242,9 +244,9 @@ class _Exact:
     Z is the kernel's sum-product form (Levit & Mandrescu, "The
     independence polynomial of a graph - a survey", 2005), one forward
     pass over the table; the occupancies and fact (b) are further passes
-    that read it and record nothing.  No reference cycle: the holder is
-    freed as soon as its caller drops it, whether or not the cyclic
-    garbage collector runs.
+    that read it and record nothing, fact (b) at x = 1, where Z counts
+    independent sets.  No reference cycle: the holder is freed as soon as
+    its caller drops it, whether or not the cyclic garbage collector runs.
     """
 
     __slots__ = ("g", "lam", "x", "table", "z")
@@ -303,38 +305,31 @@ class _Exact:
                 counts[v] += a * z[take]
         return counts
 
-    def fact_b_weights(self, v: int) -> tuple[int, list[int], list[int]]:
-        """``(zx, total, uncov)`` for the vertex v of a triangle-free graph.
+    def uncovered_counts(self, v: int) -> list[int]:
+        """For j = 0..deg(v), A_j: the number of independent sets of X =
+        V - N[v] that leave exactly j neighbours of v uncovered, for the
+        vertex v of a triangle-free graph.  The model's x must be 1, so
+        that ``z`` holds the independent-set counts.
 
-        ``zx`` is Z(X) for X = V - N[v].  ``total[j]`` and ``uncov[j]``,
-        for j = 0..deg(v), weigh the independent sets that leave exactly j
-        neighbours of v uncovered: all of them, and those that leave v
-        uncovered too.  Every weight is a polynomial in x at the same x as
-        Z.
-
-        All of them come from one polynomial, P_v(x, z) = Z(G - v) with
-        weight x on X and weight z on N(v): the kernel's sum-product form
+        All of them come from one polynomial, P_v(z) = Z(G - v) with
+        weight 1 on X and weight z on N(v): the kernel's sum-product form
         on V with weight 0 on v, evaluated at z = 2^zshift, so that a
         branch on a vertex of N(v) shifts by ``zshift`` bits and block i of
-        the integer holds the coefficient c_i(x) of z^i.  ``zshift`` is the
-        bit length of Z(V; x): since x >= 1, c_i(x) <= P_v(x, 1) <=
-        P_v(x, x) = Z(G - v; x) <= Z(V; x), so no block carries into the
-        next.  N(v) is independent and N(u) lies in X + v for every u in
-        N(v), so an independent set J of X that leaves j of N(v) uncovered
-        extends by any subset of those j, and by nothing else, to a set
-        that avoids v: P_v = sum_j A_j(x) (1 + z)^j, where A_j weighs the J
-        that leave exactly j uncovered, and A_j = sum_{i >= j} (-1)^(i-j)
-        C(i, j) c_i.  v stays uncovered only when the subset is empty; a
-        set that holds v is v plus an independent set of X, with j = 0.
-        Hence total[j] = A_j (1 + x)^j + [j = 0] x Z(X) and uncov[j] = A_j
-        + [j = 0] x Z(X), and Z(X) = c_0.
+        the integer holds c_i, the number of independent sets of G - v
+        with i vertices in N(v).  ``zshift`` is the bit length of Z(V), the
+        number of independent sets of G, at most n + 1 bits, so no block
+        carries into the next.  N(v) is independent and N(u) lies in X + v
+        for every u in N(v), so an independent set J of X that leaves j of
+        N(v) uncovered extends by any subset of those j, and by nothing
+        else, to a set that avoids v: P_v = sum_j A_j (1 + z)^j, and A_j =
+        sum_{i >= j} (-1)^(i-j) C(i, j) c_i.
 
         One forward pass over the table computes P_v at the states that
         meet N[v]; any other state has neither v nor a marked vertex, so
         its value is Z's and is read from ``z``.  The pass adds no state to
         the table, and its values are dropped on return.
         """
-        n, x, z = self.g.n, self.x, self.z
+        n, z = self.g.n, self.z
         adj = self.g.adjacency_masks
         marked = adj[v]
         near = marked | 1 << v
@@ -355,20 +350,15 @@ class _Exact:
             if u != v:  # v weighs 0: no set of G - v holds it
                 take = s & ~adj[u] & ~pick
                 taken = p[take] if take & near else z[take]
-                value += taken << zshift if marked >> u & 1 else x * taken
+                value += taken << zshift if marked >> u & 1 else taken
             p[s] = value
         whole = p[(1 << n) - 1]
         zmask = (1 << zshift) - 1
         c = [(whole >> (i * zshift)) & zmask for i in range(marked.bit_count() + 1)]
-        uncov = [
+        return [
             sum((-1) ** (i - j) * math.comb(i, j) * c[i] for i in range(j, len(c)))
             for j in range(len(c))
         ]
-        total = [a * (1 + x) ** j for j, a in enumerate(uncov)]
-        occupied = x * c[0]  # x Z(X): v is in the set
-        total[0] += occupied
-        uncov[0] += occupied
-        return c[0], total, uncov
 
     def stats(self, max_distance: int) -> OccupancyStats:
         """`enumerate_stats` of the graph, without its checks."""
@@ -384,20 +374,17 @@ class _Exact:
         nbr = neighbour_occupancy(self.g, occupancy, max_distance)
         return OccupancyStats(float(lam), log_z, occupancy, nbr)
 
-    def fact_check(self) -> FactCheckReport:
-        """`conditional_fact_check` of the graph, without its checks."""
-        lam, x = self.lam, self.x
-        p_occ = lam / (1.0 + lam)
-        res1 = 0.0
-        res2 = 0.0
+    def fact_check(self, lam) -> FactCheckReport:
+        """`conditional_fact_check` of the graph at ``lam``, without its
+        checks.  The counts j that occur come from passes at x = 1: on this
+        model when its x is 1, else on a counting model on its table."""
+        counting = self if self.x == 1 else _Exact(self.g, 1, self.table)
+        occurring = set()
         for v in range(self.g.n):
-            zx, total, uncov = self.fact_b_weights(v)
-            occupied = x * zx
-            res1 = max(res1, abs(_ratio(occupied, zx + occupied, x, lam) - p_occ))
-            for j, (tw, uw) in enumerate(zip(total, uncov)):
-                if tw == 0:  # no independent set leaves exactly j neighbours uncovered
-                    continue
-                res2 = max(res2, abs(_ratio(uw, tw, x, lam) - (1.0 + lam) ** (-j)))
+            occurring.update(j for j, a in enumerate(counting.uncovered_counts(v)) if j and a)
+        q = Fraction(lam)  # exact; a Fraction minus a float rounds the Fraction first
+        res1 = abs(q / (1 + q) - lam / (1.0 + lam)) if self.g.n else 0.0
+        res2 = max((abs((1 + q) ** -j - (1.0 + lam) ** -j) for j in occurring), default=0.0)
         return FactCheckReport(float(lam), res1, res2)
 
 
@@ -521,31 +508,29 @@ def conditional_fact_check(
     graph is a hypothesis error.
 
     (a) is lam Z(X) / Z(V - N(v)) with X = V - N[v]; v is an isolated
-    vertex of V - N(v), so Z(V - N(v)) = (1 + lam) Z(X).  (b) is the
-    quotient of the weights of `_Exact.fact_b_weights`, integer
-    polynomials, so a count j of probability zero has weight exactly zero
-    and is skipped, and each conditional law is one correctly rounded
-    quotient.  On a triangle-free graph both hold by construction (the
-    derivation of the weights proves (b): uncov[j] (1 + x)^j = total[j]
-    for j >= 1, and uncov[0] = total[0]), so the residuals are sanity
-    checks of the kernel's arithmetic and of the rounding rather than
-    tests of the model; the tests check the weights themselves against
-    inclusion-exclusion and against enumerating every independent set.
+    vertex of V - N(v), so Z(V - N(v)) = (1 + lam) Z(X).  In (b), the sets
+    that leave exactly j >= 1 neighbours uncovered weigh A_j(lam) (1 +
+    lam)^j, and those that leave v uncovered too A_j(lam), where A_j is a
+    polynomial with nonnegative coefficients (`_Exact.uncovered_counts`),
+    and j = 0 leaves v uncovered surely.  So both identities hold by
+    construction, and the check depends on the graph only through the
+    counts j with A_j(1) > 0, which are those with A_j(lam) > 0.  Each
+    residual is the exact quotient in lambda, rounded once, against the
+    float formula: a sanity check of the rounding, not of the model; the
+    tests check the counts against inclusion-exclusion and the residuals
+    against enumerating every independent set.
 
-    Cost: Z, as for `enumerate_stats`, then per vertex v one forward pass
-    over the same table that evaluates the states meeting N[v], of degree
-    deg(v) in z, and reads Z for the rest, plus O(deg(v)^2) integer
-    operations.  Each value holds deg(v) + 1 fields as wide as Z at the
-    model's point x, so its integers are at most deg(v) + 1 times as wide
-    as Z's: at an integer lambda below 2^(n + 1), x = lambda and Z has at
-    most n log2(1 + lambda) + 1 bits, else Z packs its coefficients in at
-    most (n + 1)^2 bits.  Nothing grows with 2^deg(v):
-    star(29) takes milliseconds.  No pass records a state.
+    Cost, whatever lambda is: the split table and its states'
+    independent-set counts, then per vertex v one forward pass over the
+    same table that evaluates the states meeting N[v], with deg(v) + 1
+    fields of at most n + 1 bits, and reads the counts for the rest.
+    Nothing grows with 2^deg(v): star(29) takes milliseconds.  No pass
+    records a state.
     """
     _check_fugacity(lam)
     _check_cutoff(g, cutoff)
     _check_triangle_free(g)
-    return _Exact(g, lam).fact_check()
+    return _Exact(g, 1).fact_check(lam)
 
 
 def _check_triangle_free(g: Graph) -> None:

@@ -469,11 +469,12 @@ def test_semibip_triangle_is_hypothesis_error(k3_file):
     ((0, 2, 4), 2),  # the edge 0-4 joins the first and the last member
 ])
 def test_semibip_rejects_a_dependent_part(c5_file, capsys, monkeypatch, a_side, code):
-    # the command reads the part, and the split table of its exact search,
-    # from semi_bipartite_extract's private form
+    # the command reads the part, the fugacity and the split table of its
+    # exact search from semi_bipartite_extract's private form
     def extract(g, *args):
         b_side = tuple(v for v in range(g.n) if v not in a_side)
-        return a_side, b_side, 2.0 * sum(g.degree(v) for v in a_side) / g.n, hardcore._record(g)
+        return (a_side, b_side, 2.0 * sum(g.degree(v) for v in a_side) / g.n,
+                constructions.auto_fugacity(g), hardcore._record(g))
 
     monkeypatch.setattr(constructions, "_semi_bipartite", extract)
     assert main(["semibip", "--input", str(c5_file)]) == code
@@ -512,6 +513,10 @@ GOLDEN_GRAPHS = {
     "petersen": petersen,
     "rtf14": lambda: random_triangle_free(14, 0.3, 3),
     "rtf16": lambda: random_triangle_free(16, 0.35, 0),
+    # fact (b)'s count j of uncovered neighbours never takes some values
+    # here: star(8)'s centre sees 0 or 8, GADGET's vertex 0 never exactly 1
+    "gadget": lambda: Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (2, 4), (3, 5), (4, 5)]),
+    "star8": lambda: star(8),
 }
 
 
@@ -578,7 +583,10 @@ def test_sampled_output_bytes_are_golden(tmp_path, name, command):
 # GOLDEN_GRAPHS.  The cases at an integer fugacity (lam-1, lam-3, lam-63)
 # were recorded with every polynomial packed in fields of n + 1 bits and
 # evaluated at lambda afterwards; C5 at lambda 63 and 64 sits on each side
-# of the rule that evaluates at x = lambda only below 2^(n + 1).
+# of the rule that evaluates at x = lambda only below 2^(n + 1).  The gadget
+# and star8 cases were recorded while fact (b)'s weights were evaluated at
+# lambda's point and divided per count j, before the check read which
+# counts occur off passes at lambda = 1.
 GOLDEN_EXACT = {
     ("c5", "fact-check"): "6b53732898cd68dc6f49e5cc8e7ad98114a19bca29299bf9fdd83414078b0677",
     ("c5", "fact-check-lam-1"):
@@ -592,6 +600,9 @@ GOLDEN_EXACT = {
     ("c5", "semibip"): "53082ec2687d422d5f82451b44c9077121e38588f1d7db0360be47e1129c534a",
     ("c5", "tsv"): "9ba6209eeb6b495db7828b5d6a784bbbb4daddf4f229cb4571fb692cb6363941",
     ("c5", "tsv-lam-1"): "2ecf080a7b376507af77047577abda4e9d4d1bc905ba990f737fa5e645b2d791",
+    ("gadget", "fact-check"): "59ec9806c4b35f682d527c42abeb1c6a850f02d421ebfbbeebdb50f0231fc474",
+    ("gadget", "fact-check-lam-1e-10"):
+        "e2268b2fb2ba431c635dacd1d971ee3fee589b08b6c215195d16199e6e06beb9",
     ("petersen", "fact-check"): "8630f530b60fa12d9311afbc6e9b075a8e69fded95e321f67d97b7a9eb7ef367",
     ("petersen", "fact-check-distance-2"):
         "c7036db94ac1ee1623892c1ec0e9022c52a0d402066886bf30661ef67637b37a",
@@ -611,6 +622,9 @@ GOLDEN_EXACT = {
     ("rtf16", "semibip"): "0c68f3d4872fc9c441e38f5f65c31b5905341d363145229f08a17d6ea139eb25",
     ("rtf16", "tsv"): "b5e4c3ab947db3f70bf1fc0109d2e1783b3a263367393d569a67cb382595095a",
     ("rtf16", "tsv-lam-1"): "478abad1bd808902d90ee290ff2668eb4218be4d51a28d876c4f8efd24ebaf18",
+    ("star8", "fact-check"): "1e9f78e55083294beff8399a4be83f458eea7ead5bf0eb693653c6f805564e0a",
+    ("star8", "fact-check-lam-1e-10"):
+        "dfd232f39e0f78d0f3b02cd1c7fb7bb1ca6962ebcc9ee480938f76ea0e3248ac",
 }
 EXACT_FLAGS = {
     "fact-check": ["hardcore-stats", "--lam", "0.7", "--fact-check"],
@@ -619,7 +633,7 @@ EXACT_FLAGS = {
     "semibip": ["semibip"],
     "tsv": ["hardcore-stats", "--lam", "0.7", "--format", "tsv"],
     **{f"fact-check-lam-{lam}": ["hardcore-stats", "--lam", lam, "--fact-check"]
-       for lam in ("1", "3", "63", "64")},
+       for lam in ("1", "3", "63", "64", "1e-10")},
     "tsv-lam-1": ["hardcore-stats", "--lam", "1", "--format", "tsv"],
 }
 
@@ -733,6 +747,19 @@ def test_hardcore_stats_sampled_rejects_zero_counts(c5_file, flag, capsys):
                  "--cutoff", "3", flag, "0"])
     assert code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("cutoff", ["3", "30"], ids=["sampled", "exact"])
+@pytest.mark.parametrize("argv", [
+    ["hardcore-stats", "--lam", "1", "--trials", "0"],
+    ["hardcore-stats", "--lam", "1", "--steps", "-3"],
+    ["semibip", "--trials", "0"],
+], ids=["stats-trials", "stats-steps", "semibip-trials"])
+def test_sampled_counts_are_checked_on_either_side_of_the_cutoff(c5_file, capsys, argv,
+                                                                 cutoff):
+    assert main([*argv, "--input", str(c5_file), "--cutoff", cutoff]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "at least 1" in err and err.count("\n") == 1
 
 
 def _write_cover(tmp_path, body, graph=None):

@@ -102,9 +102,10 @@ def test_exact_kernel_memory_returns_to_baseline_without_the_collector(kernel):
         g = random_triangle_free(40, 0.085, 1)
         run = lambda: hardcore.enumerate_stats(g, 1.0, cutoff=g.n)
     elif kernel.startswith("conditional_fact_check"):
-        # the split table and Z live for the whole check, each vertex's
-        # fact-(b) values for one pass: at n=30 it peaks under 100 kB;
-        # lambda 1 evaluates every weight at x = 1, 0.7 packs them
+        # the split table and its independent-set counts live for the
+        # whole check, each vertex's fact-(b) values for one pass: at n=30
+        # it peaks under 100 kB; the passes count at lambda 1 whatever
+        # lambda is, so 0.7 builds the same counting model as 1
         g = random_triangle_free(40, 0.085, 1)
         lam = 0.7 if kernel.endswith("0.7") else 1.0
         run = lambda: hardcore.conditional_fact_check(g, lam, cutoff=g.n)

@@ -177,6 +177,14 @@ def test_semi_bipartite_rejects_bad_fugacity(lam):
             semi_bipartite_extract(g, lam=lam)
 
 
+@pytest.mark.parametrize("trials", [0, -2])
+@pytest.mark.parametrize("cutoff", [3, 30], ids=["sampled", "exact"])
+def test_semi_bipartite_rejects_bad_trials_in_either_mode(trials, cutoff):
+    for g in (cycle(5), edgeless(0)):
+        with pytest.raises(InputError, match="trials must be at least 1"):
+            semi_bipartite_extract(g, lam=1.0, trials=trials, cutoff=cutoff)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=14), st.integers(min_value=0, max_value=3),
        st.floats(min_value=0.0, max_value=0.6), st.integers(min_value=0, max_value=10_000))

@@ -448,26 +448,122 @@ def test_fact_check_skips_counts_of_probability_zero(lam):
         helpers.several_component_graphs(max_n=20),
         st.integers(min_value=0, max_value=12).map(star),
     ),
-    st.sampled_from([0.7, 3]),  # the packed point, and x = lambda
 )
-@example(edgeless(3), 0.7)
-@example(star(10), 3)
-@example(GADGET, 3)
-@example(petersen(), 0.7)
-@example(petersen(), 3)
-def test_marked_kernel_weights_match_inclusion_exclusion(g, lam):
-    # one exact model serves every vertex, as in conditional_fact_check,
-    # and no vertex's pass records a state of its own
-    exact = hardcore._Exact(g, lam)
-    assert exact.x == _point(g, lam)
+@example(edgeless(3))
+@example(star(10))
+@example(GADGET)
+@example(petersen())
+def test_marked_kernel_weights_match_inclusion_exclusion(g):
+    # one counting model serves every vertex, as in conditional_fact_check,
+    # and no vertex's pass records a state of its own; the reference
+    # weights are packed, so they are read at x = 1
+    exact = hardcore._Exact(g, 1)
+    assert exact.x == 1
     states = len(exact.table)
+    adj, memo = g.adjacency_masks, {0: 1}
     for v in range(g.n):
-        _, total, uncov = exact.fact_b_weights(v)
-        ref_total, ref_uncov = helpers.reference_fact_b_weights(g, v)
-        assert total == [_at(w, g.n, exact.x) for w in ref_total]
-        assert uncov == [_at(w, g.n, exact.x) for w in ref_uncov]
+        counts = exact.uncovered_counts(v)
+        _, ref_uncov = helpers.reference_fact_b_weights(g, v)
+        assert counts[1:] == [_at(w, g.n, 1) for w in ref_uncov[1:]]
+        # at j = 0 the reference also counts the sets that hold v, one per
+        # independent set of X = V - N[v]
+        zx = helpers._lowest_vertex_z(memo, adj, g.n + 1, (1 << g.n) - 1 & ~adj[v] & ~(1 << v))
+        assert counts[0] + _at(zx, g.n, 1) == _at(ref_uncov[0], g.n, 1)
     assert len(exact.table) == states
     assert len(exact.z) == states + 1  # and Z is read, not added to
+
+
+def _reference_fact_check(g: Graph, lam) -> hardcore.FactCheckReport:
+    """Both residuals with exact Fractions: fact (a) from Z(X) and
+    Z(V - N(v)), fact (b) from the inclusion-exclusion weights of
+    `helpers.reference_fact_b_weights`, over the counts j of nonzero
+    weight, each quotient rounded once as the package rounds it."""
+    n = g.n
+    adj = g.adjacency_masks
+    x = 2 ** (n + 1)  # the point at which the references pack their weights
+    at = Fraction(lam)
+    rounded = (lambda q: q) if isinstance(lam, Fraction) else float
+    full = (1 << n) - 1
+    memo = {0: 1}
+    res1 = res2 = 0.0
+    for v in range(n):
+        ref_total, ref_uncov = helpers.reference_fact_b_weights(g, v)
+        assert ref_total[0] == ref_uncov[0]  # no neighbour uncovered: v is
+        for j in range(1, len(ref_total)):
+            # fact (b) on the reference weights, as integer polynomials
+            assert ref_total[j] == ref_uncov[j] * (1 + x) ** j
+        for j, (tw, uw) in enumerate(zip(ref_total, ref_uncov)):
+            if tw:
+                q = rounded(_at(uw, n, at) / _at(tw, n, at))
+                res2 = max(res2, abs(q - (1.0 + lam) ** (-j)))
+        zx = helpers._lowest_vertex_z(memo, adj, n + 1, full & ~adj[v] & ~(1 << v))
+        zu = helpers._lowest_vertex_z(memo, adj, n + 1, full & ~adj[v])
+        q = rounded(at * _at(zx, n, at) / _at(zu, n, at))
+        res1 = max(res1, abs(q - lam / (1.0 + lam)))
+    return hardcore.FactCheckReport(float(lam), res1, res2)
+
+
+FACT_CHECK_FUGACITIES = {
+    "0.7": lambda n: 0.7,
+    "1.3": lambda n: 1.3,  # fact (a)'s float formula misses its exact value here
+    "3": lambda n: 3,
+    "1e-10": lambda n: 1e-10,
+    "1e300": lambda n: 1e300,
+    "Fraction(7, 5)": lambda n: Fraction(7, 5),
+    "2^(n+1) - 1": lambda n: float(2 ** (n + 1) - 1),
+}
+
+
+@pytest.mark.parametrize("which", sorted(FACT_CHECK_FUGACITIES))
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(helpers.triangle_free_graphs(max_n=12),
+                 st.integers(min_value=0, max_value=12).map(star)))
+@example(star(8))
+@example(GADGET)
+@example(petersen())
+def test_fact_check_is_the_exact_residual_of_every_count_that_occurs(which, g):
+    # the check reads only which counts j occur off its counting passes;
+    # every residual must still be the one that the weights at lambda give
+    lam = FACT_CHECK_FUGACITIES[which](g.n)
+    assert conditional_fact_check(g, lam) == _reference_fact_check(g, lam)
+
+
+@pytest.mark.parametrize("lam", [0.7, 1.0, 3, Fraction(7, 5)], ids=["0.7", "1", "3", "7/5"])
+@pytest.mark.parametrize("g", [star(8), GADGET, petersen()], ids=["star8", "gadget", "petersen"])
+def test_fact_check_counts_on_one_table_at_lambda_one(monkeypatch, g, lam):
+    # conditional_fact_check records one table and builds only a counting
+    # model; a model at lambda serves the check through a counting model
+    # on its own table (itself at lambda 1), and no pass adds a state
+    tables, models, passes = [], [], []
+    real_record, real_exact = hardcore._record, hardcore._Exact
+    real_counts = real_exact.uncovered_counts
+
+    def record(g):
+        tables.append(real_record(g))
+        return tables[-1]
+
+    def exact(*args):
+        models.append(real_exact(*args))
+        return models[-1]
+
+    def counts(model, v):
+        passes.append(model)
+        return real_counts(model, v)
+
+    monkeypatch.setattr(hardcore, "_record", record)
+    monkeypatch.setattr(hardcore, "_Exact", exact)
+    monkeypatch.setattr(real_exact, "uncovered_counts", counts)
+    report = conditional_fact_check(g, lam)
+    assert len(tables) == 1 and [m.x for m in models] == [1]
+    assert len(passes) == g.n and all(m is models[0] for m in passes)
+    holder = exact(g, lam)
+    states = len(holder.table)
+    del models[:], passes[:]
+    assert holder.fact_check(lam) == report
+    counting = [holder] if holder.x == 1 else models
+    assert len(counting) == 1 and counting[0].x == 1 and counting[0].table is holder.table
+    assert len(passes) == g.n and all(m is counting[0] for m in passes)
+    assert len(holder.table) == states
 
 
 @settings(max_examples=60, deadline=None)
@@ -533,8 +629,10 @@ def test_splits_found_by_the_max_plus_search_serve_every_sum_product_form(g):
     assert list(exact.table.items()) == list(table.items())
     total, counts = helpers.reference_occupancy_counts(g)
     assert (exact.z[(1 << g.n) - 1], exact.occupancy_counts()) == (total, counts)
+    counting = hardcore._Exact(g, 1, table)
     for v in range(g.n):
-        assert exact.fact_b_weights(v)[1:] == helpers.reference_fact_b_weights(g, v)
+        _, ref_uncov = helpers.reference_fact_b_weights(g, v)
+        assert counting.uncovered_counts(v)[1:] == [_at(w, g.n, 1) for w in ref_uncov[1:]]
     assert len(exact.table) == len(table)
 
 
@@ -553,7 +651,7 @@ def test_splits_found_by_the_max_plus_search_serve_every_sum_product_form(g):
 @example(GADGET, "Fraction(2^(n+1) - 1)")
 def test_weights_at_an_integer_fugacity_give_the_packed_results(g, which):
     # x = lambda below 2^(n + 1), else the packed point: either way every
-    # statistic, residual and Fraction is the one the packed model gives
+    # statistic and Fraction is the one the packed model gives
     top = 2 ** (g.n + 1)
     lam = {"1": 1.0, "2": 2.0, "3": 3, "Fraction(2)": Fraction(2),
            "2^(n+1) - 1": float(top - 1), "2^(n+1)": float(top),
@@ -563,7 +661,6 @@ def test_weights_at_an_integer_fugacity_give_the_packed_results(g, which):
     packed = helpers.packed_model(g, lam)
     depth = min(2, max(1, g.n))
     assert exact.stats(depth) == packed.stats(depth)
-    assert exact.fact_check() == packed.fact_check()
 
 
 @pytest.mark.parametrize("lam", [1e-300, 1e-10, 1e-3])
