@@ -130,10 +130,7 @@ def cmd_frac_colour(args: argparse.Namespace) -> int:
     g = read_edge_list(args.input)
     if not is_triangle_free(g):
         raise HypothesisError("input graph has a triangle")
-    if g.n > cutoff:
-        raise SizeError(
-            f"graph has {g.n} vertices, above the exact-oracle cutoff {cutoff}"
-        )
+    hardcore._check_cutoff(g, cutoff)
     lam, weights = fractional.choose_local_weights(g, args.epsilon)
     # no name holds the oracle, so its rows go when the greedy returns
     colouring = fractional.greedy_fractional_colouring(

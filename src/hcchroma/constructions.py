@@ -195,17 +195,26 @@ def necessary_construction(
 
 
 def _list_colourable(g: Graph, lists, budget: int, counter: list[int]) -> bool:
-    """Exhaustive backtracking with unit propagation; True iff colourable."""
+    """Exhaustive backtracking with unit propagation; True iff colourable.
+    SizeError when the search, one level per branch, passes the recursion limit."""
     domains = [set(l) for l in lists]
     forced = [v for v in range(g.n) if len(domains[v]) == 1]
-    return _search(g, domains, [False] * g.n, g.n, forced, budget, counter)
+    try:
+        return _search(g, domains, [False] * g.n, g.n, forced, budget, counter)
+    except RecursionError:
+        raise SizeError(
+            f"colourability search on a {g.n}-vertex graph recurses past the "
+            f"interpreter's recursion limit"
+        ) from None
 
 
 def _search(g, domains, done, remaining, forced, budget, counter) -> bool:
     """One search node.  ``forced`` lists every unfixed vertex whose domain
     is a singleton: the initial ones at the root, and in a child the
     neighbours the branching colour shrank to one colour (after the
-    parent's propagation no other unfixed vertex has a singleton domain)."""
+    parent's propagation no other unfixed vertex has a singleton domain,
+    so no branching colour empties a domain).  A vertex enters ``forced``
+    once, since a second discard would empty its one colour."""
     counter[0] += 1
     if counter[0] > budget:
         raise SizeError(f"colourability search exceeded budget {budget}")
@@ -215,8 +224,6 @@ def _search(g, domains, done, remaining, forced, budget, counter) -> bool:
     ok = True
     while forced and ok:
         v = forced.pop()
-        if done[v]:
-            continue
         colour = next(iter(domains[v]))
         done[v] = True
         fixed.append(v)
@@ -254,17 +261,11 @@ def _search(g, domains, done, remaining, forced, budget, counter) -> bool:
             for colour in sorted(saved):
                 domains[v] = {colour}
                 sub_forced = []
-                wipe = False
                 for u in holders[colour]:
-                    dom = domains[u]
-                    dom.discard(colour)
-                    if not dom:
-                        wipe = True
-                    elif len(dom) == 1:
+                    domains[u].discard(colour)
+                    if len(domains[u]) == 1:
                         sub_forced.append(u)
-                if not wipe and _search(
-                    g, domains, done, remaining - 1, sub_forced, budget, counter
-                ):
+                if _search(g, domains, done, remaining - 1, sub_forced, budget, counter):
                     result = True
                 for u in holders[colour]:
                     domains[u].add(colour)

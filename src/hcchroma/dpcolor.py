@@ -24,7 +24,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
-from operator import eq, lt
 from typing import Hashable, Mapping, Sequence
 
 from .errors import (
@@ -58,9 +57,12 @@ class Cover:
     ``owner[c]`` is the base vertex whose list contains colour node c, and
     ``cross_edges`` holds the unordered pairs of colour nodes matched
     across lists.  Same-list adjacency is implicit and never stored, so
-    the star degree of a node counts cross edges only.  Construction only
-    checks types and ranges; the four cover axioms are checked by
-    `validate_cover`, which therefore can report on malformed instances.
+    the star degree of a node counts cross edges only.  Construction
+    checks types and ranges, for covers from outside: the covers this
+    module derives (list encodings, truncations, residuals) are built
+    valid and skip it through `_unchecked_cover`.  The four cover axioms
+    are checked by `validate_cover`, which therefore can report on
+    malformed instances.
     """
 
     base: Graph
@@ -73,10 +75,9 @@ class Cover:
             bad = next(u for u in owner if type(u) is not int)
             raise InputError(f"owner {bad!r} is not an int")
         object.__setattr__(self, "owner", owner)
-        if owner and not (min(owner) >= 0 and max(owner) < self.base.n):
-            for u in owner:
-                if not 0 <= u < self.base.n:
-                    raise InputError(f"owner {u} out of range")
+        for u in owner:
+            if not 0 <= u < self.base.n:
+                raise InputError(f"owner {u} out of range")
         object.__setattr__(
             self, "cross_edges", _canonical_edges(self.cross_edges, len(owner))
         )
@@ -100,34 +101,28 @@ class Cover:
         return {}
 
 
-def _canonical_edges(edges, num_nodes: int) -> frozenset[tuple[int, int]]:
-    """The cross edges as pairs (a, b) with a < b, range-checked.
+def _unchecked_cover(base: Graph, owner: tuple[int, ...], cross_edges: frozenset) -> Cover:
+    """A Cover whose caller built its owners in range and its cross edges
+    as a frozenset of pairs (a, b) with a < b, without the checks."""
+    c = object.__new__(Cover)
+    object.__setattr__(c, "base", base)
+    object.__setattr__(c, "owner", owner)
+    object.__setattr__(c, "cross_edges", cross_edges)
+    return c
 
-    Checks and canonicalises with whole-collection passes; only when they
-    find a fault does the per-edge loop run, to name the first bad edge in
-    iteration order.
-    """
-    if not edges:
-        return frozenset()
-    if set(map(len, edges)) == {2}:
-        firsts, seconds = zip(*edges)
-        canonical = all(map(lt, firsts, seconds))
-        if not canonical:
-            firsts, seconds = (
-                tuple(map(min, firsts, seconds)),
-                tuple(map(max, firsts, seconds)),
-            )
-        if (
-            (canonical or not any(map(eq, firsts, seconds)))
-            and min(firsts) >= 0
-            and max(seconds) < num_nodes
-        ):
-            if canonical and type(edges) is frozenset:
-                return edges
-            return frozenset(zip(firsts, seconds))
+
+def _canonical_edges(edges, num_nodes: int) -> frozenset[tuple[int, int]]:
+    """The cross edges of a cover from outside as pairs (a, b) with a < b,
+    checked edge by edge so that an error names the first bad edge in
+    iteration order."""
     canon = set()
     for e in edges:
-        a, b = e
+        try:
+            a, b = e
+        except (TypeError, ValueError):
+            a = b = None
+        if type(a) is not int or type(b) is not int:
+            raise InputError(f"cross edge {e!r} is not a pair of ints")
         if a == b:
             raise InputError(f"cross edge ({a},{b}) is a loop")
         if not (0 <= a < num_nodes and 0 <= b < num_nodes):
@@ -195,10 +190,10 @@ def from_list_assignment(
         owner.extend(repeat(v, len(labs)))
         labels.extend(labs)
     cross = set()
-    for u, v in g.edges():
+    for u, v in g.edges():  # u < v, so u's nodes have the lower ids
         tu, tv = node_of[u], node_of[v]
         cross.update([(tu[lab], tv[lab]) for lab in tu.keys() & tv.keys()])
-    return Cover(g, tuple(owner), frozenset(cross)), tuple(labels)
+    return _unchecked_cover(g, tuple(owner), frozenset(cross)), tuple(labels)
 
 
 @dataclass(frozen=True)
@@ -266,7 +261,8 @@ def _restrict(c: Cover, base: Graph, base_map, keep: list[int]) -> Cover:
     """The cover over ``base`` on the sorted colour nodes ``keep`` of ``c``.
 
     Node ``keep[i]`` becomes node i, owned by ``base_map[old owner]``; the
-    cross edges with both ends kept carry over.
+    cross edges with both ends kept carry over, still canonical because
+    the renumbering keeps the order.
     """
     new_id = dict(zip(keep, range(len(keep))))
     owner = tuple(map(base_map.__getitem__, map(c.owner.__getitem__, keep)))
@@ -275,7 +271,7 @@ def _restrict(c: Cover, base: Graph, base_map, keep: list[int]) -> Cover:
         for a, b in c.cross_edges
         if a in new_id and b in new_id
     ])
-    return Cover(base, owner, cross)
+    return _unchecked_cover(base, owner, cross)
 
 
 @dataclass(frozen=True)
@@ -350,19 +346,17 @@ def verify_dp_colouring(c: Cover, choice: Mapping[int, int]) -> tuple[bool, str]
     """Independent check that ``choice`` is an H-colouring of the cover.
 
     Deliberately dumb: one node per base vertex, owned by that vertex, and
-    no cross edge with both ends chosen.
+    no cross edge with both ends chosen.  Two vertices cannot share a node,
+    since it is owned by one of them.
     """
     if sorted(choice) != list(range(c.base.n)):
         return False, "choice does not assign exactly the base vertices"
-    chosen = set()
     for u, node in choice.items():
         if not 0 <= node < c.num_colour_nodes:
             return False, f"node {node} out of range"
         if c.owner[node] != u:
             return False, f"node {node} not owned by vertex {u}"
-        chosen.add(node)
-    if len(chosen) != c.base.n:
-        return False, "repeated colour node"
+    chosen = set(choice.values())
     for a, b in c.cross_edges:
         if a in chosen and b in chosen:
             return False, f"cross edge ({a},{b}) has both ends chosen"

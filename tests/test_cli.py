@@ -193,9 +193,12 @@ def test_frac_colour_empty_graph(tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-def test_frac_colour_cutoff_resource_error(c5_file, monkeypatch):
+def test_frac_colour_cutoff_resource_error(c5_file, monkeypatch, capsys):
     monkeypatch.setenv("HCCHROMA_CUTOFF", "3")
     assert main(["frac-colour", "--input", str(c5_file), "--epsilon", "2.0"]) == 3
+    assert capsys.readouterr().err == (
+        "error: graph has 5 vertices, above the exact-enumeration cutoff 3\n"
+    )
     monkeypatch.setenv("HCCHROMA_CUTOFF", "30")
     assert main(["frac-colour", "--input", str(c5_file), "--epsilon", "2.0"]) == 0
 
@@ -808,14 +811,22 @@ def test_dp_solve_rejects_non_finite_labels(tmp_path, labels, capsys):
 
 
 def test_dp_solve_certify_builds_two_covers(dp_golden_dir, tmp_path, monkeypatch):
-    """The loaded cover and one truncation, shared by certify and solve."""
+    """The loaded cover and one truncation, shared by certify and solve.
+    Only a general-form cover, read from the file, goes through the
+    checked constructor; the list encoding and the truncation skip it."""
     built = []
     post_init = dpcolor.Cover.__post_init__
+    unchecked = dpcolor._unchecked_cover
     monkeypatch.setattr(dpcolor.Cover, "__post_init__",
-                        lambda self: built.append(post_init(self)))
-    assert main(["dp-solve", "--cover", str(dp_golden_dir / "list.json"), "--ell", "24",
-                 "--certify", "--output", str(tmp_path / "out.json")]) == 0
-    assert len(built) == 2
+                        lambda self: built.append("checked") or post_init(self))
+    monkeypatch.setattr(dpcolor, "_unchecked_cover",
+                        lambda *fields: built.append("unchecked") or unchecked(*fields))
+    for name, ell, checked in [("general", "16", 1), ("list", "24", 0)]:
+        built.clear()
+        assert main(["dp-solve", "--cover", str(dp_golden_dir / f"{name}.json"),
+                     "--ell", ell, "--certify", "--output", str(tmp_path / "out.json")]) == 0
+        assert len(built) == 2, name
+        assert built.count("checked") == checked, name
 
 
 def test_dp_solve_rejects_cross_edge_between_non_adjacent_lists(tmp_path, capsys):

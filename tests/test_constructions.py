@@ -1,5 +1,9 @@
+import hashlib
 import itertools
 import math
+import random
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -91,6 +95,53 @@ def test_level1_boundary_extras():
     candidates = sorted(seen - inst.lists[v1]) + [(99, 99)]
     for extra in candidates:
         assert not verify_construction(with_extra_colour(inst, v1, extra))[0], extra
+
+
+def _corrupt(inst, property_name):
+    """``inst`` (delta 3, level 1) broken in one recursive property."""
+    special = inst.special_vertex
+    if property_name == "partition":
+        return replace(inst, b_side=inst.b_side[:-1])
+    if property_name == "bipartite":  # join the centres of copies 0 and 1
+        edges = [*inst.graph.edges(), (0, 4)]
+        return replace(inst, graph=Graph.from_edges(inst.graph.n, edges))
+    if property_name == "a-degree":
+        return replace(inst, delta=4)
+    if property_name == "special":
+        return replace(inst, special_vertex=0)
+    if property_name == "b-degree":
+        return replace(inst, level=2)
+    lists = list(inst.lists)
+    if property_name == "a-list":
+        lists[special] = frozenset(sorted(lists[special])[:2])
+    else:
+        lists[1] = frozenset(sorted(lists[1])[:1])
+    return replace(inst, lists=tuple(lists))
+
+
+@pytest.mark.parametrize("property_name, failure", [
+    ("partition", r"A and B do not partition the vertices"),
+    ("bipartite", r"edge 0-4 does not cross the bipartition"),
+    ("a-degree", r"A-vertex \d+ has degree 3 < 4"),
+    ("special", r"special vertex does not attain the maximum A-degree"),
+    ("b-degree", r"B-vertex \d+ has degree 2, expected 3"),
+    ("a-list", r"A-vertex 28: list size 2 < deg/log deg = 6\.89"),
+    ("b-list", r"B-vertex 1: list size 1 < degree 2"),
+])
+def test_check_recursive_properties_reports_each_failure(property_name, failure):
+    inst = necessary_construction(3, 1)
+    assert check_recursive_properties(inst).ok
+    report = check_recursive_properties(_corrupt(inst, property_name))
+    assert not report.ok and report.failures
+    for text in report.failures:
+        assert re.match(failure, text), text
+
+
+def test_colourability_search_past_the_recursion_limit_is_a_size_error():
+    inst = necessary_construction(7, 1)
+    extra = with_extra_colour(inst, inst.special_vertex, (0, 99))
+    with pytest.raises(SizeError, match="recursion limit"):
+        verify_construction(extra)
 
 
 def test_level2_exceeds_cap():
@@ -270,6 +321,57 @@ def test_search_node_counts_with_extra_colour_are_pinned(colour, nodes):
     inst = necessary_construction(3, 1)
     extra = with_extra_colour(inst, inst.special_vertex, colour)
     assert _search_nodes(extra.graph, extra.lists) == (True, nodes)
+
+
+# (verdict, search nodes) of each construction with delta 3-6 at levels 0
+# and 1, as built and with one extra colour, recorded with the search that
+# still tested for a repeated forced vertex and for an emptied domain.
+PINNED_CONSTRUCTION_SEARCHES = {
+    (3, 0): [(False, 1), (True, 1), (True, 1), (False, 1)],
+    (3, 1): [(False, 8), (True, 23), (True, 20), (True, 23)],
+    (4, 0): [(False, 1), (True, 1), (True, 1), (False, 1)],
+    (4, 1): [(False, 15), (True, 58), (True, 54), (True, 58)],
+    (5, 0): [(False, 1), (True, 1), (True, 1), (False, 1)],
+    (5, 1): [(False, 31), (True, 152), (True, 147), (True, 152)],
+    (6, 0): [(False, 1), (True, 1), (True, 1), (False, 1)],
+    (6, 1): [(False, 69), (True, 410), (True, 404), (True, 410)],
+}
+
+
+@pytest.mark.parametrize("delta, level", sorted(PINNED_CONSTRUCTION_SEARCHES))
+def test_construction_search_verdicts_and_nodes_are_pinned(delta, level):
+    inst = necessary_construction(delta, level)
+    variants = [
+        inst,
+        with_extra_colour(inst, inst.special_vertex, (0, 99)),
+        with_extra_colour(inst, inst.b_side[0], (0, 99)),
+        with_extra_colour(inst, inst.special_vertex, (1, 0)),
+    ]
+    assert [_search_nodes(v.graph, v.lists) for v in variants] == \
+        PINNED_CONSTRUCTION_SEARCHES[delta, level]
+
+
+def test_random_list_search_verdicts_and_nodes_are_pinned():
+    """200 random graphs on at most 14 vertices with lists from at most 5
+    colours, some of them empty; the sha256 of the (verdict, nodes) list
+    was recorded with the search the construction test above names."""
+    results = []
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randint(1, 14)
+        p = rng.random() * 0.6
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        k = rng.randint(1, 5)
+        lists = [
+            rng.sample(range(k), rng.randint(0, k) if rng.random() < 0.1 else rng.randint(1, k))
+            for _ in range(n)
+        ]
+        results.append(_search_nodes(Graph.from_edges(n, edges), lists))
+    assert sum(verdict for verdict, _ in results) == 118
+    assert sum(nodes for _, nodes in results) == 595
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == (
+        "69e110cfb13f9cbf433a6433976ef962c9f5e224d692376e845688dcc7cdeff3"
+    )
 
 
 def test_smallest_sufficient_budget_is_pinned():

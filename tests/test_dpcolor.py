@@ -84,6 +84,15 @@ def test_cover_rejects_owners_that_are_not_ints(owner, message):
         Cover(edgeless(2), owner, frozenset())
 
 
+@pytest.mark.parametrize("edge", [
+    (0, 1, 2), (0,), 5, ("a", "b"), (True, 2), (0.0, 1.5),
+], ids=["triple", "single", "int", "strings", "bool", "floats"])
+def test_cover_rejects_cross_edges_that_are_not_pairs_of_ints(edge):
+    with pytest.raises(InputError) as exc:
+        Cover(path(3), (0, 1, 2), frozenset({edge}))
+    assert str(exc.value) == f"cross edge {edge!r} is not a pair of ints"
+
+
 def test_cover_canonicalises_cross_edges():
     cover = Cover(K2, (0, 0, 1, 1), frozenset({(3, 0), (1, 2)}))
     assert cover.cross_edges == {(0, 3), (1, 2)}
@@ -198,12 +207,19 @@ def test_solve_gives_up_on_unsatisfiable():
 
 
 def test_verify_rejects_bad_colourings():
+    # nodes 0, 1 hold labels 1, 2 of vertex 0; nodes 2, 3 labels 2, 3 of vertex 1
     cover, _ = from_list_assignment(K2, [{1, 2}, {2, 3}])
-    assert not verify_dp_colouring(cover, {0: 0})[0]
-    assert not verify_dp_colouring(cover, {0: 0, 1: 0})[0]
-    # both ends of the label-2 matching chosen
-    nodes2 = [i for i in range(4) if i in (1, 2)]
-    assert not verify_dp_colouring(cover, {0: 1, 1: 2})[0]
+    for choice, message in [
+        ({0: 0, 1: 4}, "node 4 out of range"),
+        ({0: -1, 1: 2}, "node -1 out of range"),
+        ({0: 2, 1: 3}, "node 2 not owned by vertex 0"),
+        ({0: 0, 1: 0}, "node 0 not owned by vertex 1"),
+        ({0: 0}, "choice does not assign exactly the base vertices"),
+        ({0: 0, 1: 3, 2: 1}, "choice does not assign exactly the base vertices"),
+        ({0: 1, 1: 2}, "cross edge (1,2) has both ends chosen"),
+    ]:
+        assert verify_dp_colouring(cover, choice) == (False, message), choice
+    assert verify_dp_colouring(cover, {0: 0, 1: 2}) == (True, "ok")
 
 
 def test_list_round_trip_proper_colouring():
@@ -317,6 +333,26 @@ def test_dp_solve_matches_the_reference_path(instance, seed):
             _outcome(helpers.reference_solve, cover, seed=seed, max_resamples=300, ell=solve_ell)
     assert two_phase_colour(cover, ell, rounds=3, seed=seed, max_resamples=300) == \
         helpers.reference_two_phase_colour(cover, ell, rounds=3, seed=seed, max_resamples=300)
+
+
+@settings(max_examples=150, deadline=None)
+@given(covers(), st.data())
+def test_derived_covers_pass_the_checks_they_skip(cover, data):
+    """List encodings, truncations and residuals, and their compositions,
+    equal what the checked constructor makes of their fields."""
+    derived = [cover]
+    if all(cover.lists):
+        ell = [data.draw(st.integers(1, len(lst))) for lst in cover.lists]
+        derived.append(truncate_lists(cover, ell)[0])
+    for c in list(derived):
+        chosen = _random_partial(c, random.Random(data.draw(st.integers(0, 10**6))))
+        residual = residual_cover(c, chosen)[0]
+        derived.append(residual)
+        if all(residual.lists):
+            derived.append(truncate_lists(residual, 1)[0])
+    for c in derived:
+        assert type(c.owner) is tuple and type(c.cross_edges) is frozenset
+        assert c == Cover(c.base, c.owner, c.cross_edges)
 
 
 def test_truncation_is_shared_by_certify_and_solve():
