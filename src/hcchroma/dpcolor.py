@@ -177,7 +177,8 @@ def from_list_assignment(
     One colour node per (vertex, label) pair; equal labels of adjacent
     vertices are matched.  An H-colouring of the result corresponds
     exactly to a proper list colouring.  Returns the cover and the label
-    of each colour node.
+    of each colour node, each list's labels in sorted order; InputError
+    when a list's labels do not sort together (strings beside numbers).
     """
     if len(lists) != g.n:
         raise InputError("need one list per vertex")
@@ -185,7 +186,12 @@ def from_list_assignment(
     labels: list[Hashable] = []
     node_of: list[dict[Hashable, int]] = []
     for v in range(g.n):
-        labs = sorted(set(lists[v]))
+        try:
+            labs = sorted(set(lists[v]))
+        except TypeError:
+            raise InputError(
+                f"list of vertex {v} must hold hashable labels that sort together"
+            ) from None
         node_of.append(dict(zip(labs, range(len(owner), len(owner) + len(labs)))))
         owner.extend(repeat(v, len(labs)))
         labels.extend(labs)
@@ -347,8 +353,14 @@ def verify_dp_colouring(c: Cover, choice: Mapping[int, int]) -> tuple[bool, str]
 
     Deliberately dumb: one node per base vertex, owned by that vertex, and
     no cross edge with both ends chosen.  Two vertices cannot share a node,
-    since it is owned by one of them.
+    since it is owned by one of them.  A vertex or node that is not an int
+    fails the check too.
     """
+    for u, node in choice.items():
+        if type(u) is not int:
+            return False, f"vertex {u!r} is not an int"
+        if type(node) is not int:
+            return False, f"node {node!r} of vertex {u} is not an int"
     if sorted(choice) != list(range(c.base.n)):
         return False, "choice does not assign exactly the base vertices"
     for u, node in choice.items():

@@ -15,7 +15,8 @@ reverse pass that reads Z; which counts of uncovered neighbours of v
 occur (fact (b)), one forward pass at x = 1 over the states that meet
 N[v], with weight 0 on v and a second variable z on its neighbours,
 packed in fields of at most n + 1 bits, that reads Z for every other
-state, so the check never visits the subsets of N(v); semibip's exact
+state, so the check never visits the subsets of N(v), and it runs only
+at the vertices whose pass could add a count not yet known; semibip's exact
 search (`constructions`) one (max, +) forward pass, whose value spells
 the set it found.  So occupation probabilities and expected
 neighbourhood intersections are exact quotients of polynomials evaluated
@@ -374,14 +375,37 @@ class _Exact:
         nbr = neighbour_occupancy(self.g, occupancy, max_distance)
         return OccupancyStats(float(lam), log_z, occupancy, nbr)
 
+    def occurring_counts(self) -> set[int]:
+        """The counts j >= 1 with A_j(1) > 0 (`uncovered_counts`) at some
+        vertex: the union over vertices that fact (b)'s report reads.
+
+        A vertex v runs its pass only when it could add to the union.
+        The empty set J leaves all deg(v) neighbours of v uncovered, so
+        every positive degree occurs, and every count v can give lies in
+        1..deg(v): the union starts at the positive degrees, the vertices
+        are visited by decreasing degree (the lowest first on ties), and v
+        is skipped when 1..deg(v) all occur already.  The passes run at
+        x = 1: on this model when its x is 1, else on a counting model on
+        its table, built when the first pass runs, so a check that needs
+        no pass computes no second Z.  The worst case is still one pass
+        per vertex: on K_{d,d} only j = 0 and j = d occur, so no vertex is
+        skipped.
+        """
+        degree = [len(nbrs) for nbrs in self.g.adjacency]
+        occurring = set(filter(None, degree))
+        counting = None
+        for v in sorted(range(self.g.n), key=degree.__getitem__, reverse=True):
+            if occurring.issuperset(range(1, degree[v] + 1)):
+                continue
+            if counting is None:
+                counting = self if self.x == 1 else _Exact(self.g, 1, self.table)
+            occurring.update(j for j, a in enumerate(counting.uncovered_counts(v)) if j and a)
+        return occurring
+
     def fact_check(self, lam) -> FactCheckReport:
         """`conditional_fact_check` of the graph at ``lam``, without its
-        checks.  The counts j that occur come from passes at x = 1: on this
-        model when its x is 1, else on a counting model on its table."""
-        counting = self if self.x == 1 else _Exact(self.g, 1, self.table)
-        occurring = set()
-        for v in range(self.g.n):
-            occurring.update(j for j, a in enumerate(counting.uncovered_counts(v)) if j and a)
+        checks: each residual once, over `occurring_counts`."""
+        occurring = self.occurring_counts()
         q = Fraction(lam)  # exact; a Fraction minus a float rounds the Fraction first
         res1 = abs(q / (1 + q) - lam / (1.0 + lam)) if self.g.n else 0.0
         res2 = max((abs((1 + q) ** -j - (1.0 + lam) ** -j) for j in occurring), default=0.0)
@@ -521,11 +545,13 @@ def conditional_fact_check(
     against enumerating every independent set.
 
     Cost, whatever lambda is: the split table and its states'
-    independent-set counts, then per vertex v one forward pass over the
-    same table that evaluates the states meeting N[v], with deg(v) + 1
-    fields of at most n + 1 bits, and reads the counts for the rest.
-    Nothing grows with 2^deg(v): star(29) takes milliseconds.  No pass
-    records a state.
+    independent-set counts, then one forward pass over the same table for
+    each vertex v whose pass could add a count j not yet known
+    (`_Exact.occurring_counts`: none when the positive degrees are 1 to
+    the largest degree; every vertex on K_{d,d}), which evaluates the
+    states meeting N[v], with deg(v) + 1 fields of at most n + 1 bits,
+    and reads the counts for the rest.  Nothing grows with 2^deg(v):
+    star(29) takes milliseconds.  No pass records a state.
     """
     _check_fugacity(lam)
     _check_cutoff(g, cutoff)

@@ -818,6 +818,15 @@ def reference_fact_b_weights(g: Graph, v: int) -> tuple[list[int], list[int]]:
     return total, uncov
 
 
+def reference_occurring_counts(g: Graph) -> set[int]:
+    """The counts j >= 1 with A_j(1) > 0 at some vertex of the
+    triangle-free graph g: one `uncovered_counts` pass for every vertex on
+    one counting model, none skipped, as `hardcore._Exact.fact_check` ran
+    them before it skipped the passes that could add no count."""
+    counting = hardcore._Exact(g, 1)
+    return {j for v in range(g.n) for j, a in enumerate(counting.uncovered_counts(v)) if j and a}
+
+
 def reference_occupancy_counts(g: Graph) -> tuple[int, list[int]]:
     """``(total, counts)``: Z and, for every vertex v, x Z(V - N[v]), the
     weight of the independent sets that hold v, packed in fields of n + 1

@@ -18,6 +18,7 @@ from hcchroma.cli import main
 from hcchroma.graph import (
     Graph,
     complete,
+    complete_bipartite,
     cycle,
     edgeless,
     path,
@@ -520,6 +521,8 @@ GOLDEN_GRAPHS = {
     # here: star(8)'s centre sees 0 or 8, GADGET's vertex 0 never exactly 1
     "gadget": lambda: Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (2, 4), (3, 5), (4, 5)]),
     "star8": lambda: star(8),
+    # every vertex runs its fact (b) pass: only j = 0 and j = 3 occur
+    "k33": lambda: complete_bipartite(3, 3),
 }
 
 
@@ -606,6 +609,7 @@ GOLDEN_EXACT = {
     ("gadget", "fact-check"): "59ec9806c4b35f682d527c42abeb1c6a850f02d421ebfbbeebdb50f0231fc474",
     ("gadget", "fact-check-lam-1e-10"):
         "e2268b2fb2ba431c635dacd1d971ee3fee589b08b6c215195d16199e6e06beb9",
+    ("k33", "fact-check"): "e53250f5e1341676905e110723470595cf27761acd89b20ffc80ee23595c6210",
     ("petersen", "fact-check"): "8630f530b60fa12d9311afbc6e9b075a8e69fded95e321f67d97b7a9eb7ef367",
     ("petersen", "fact-check-distance-2"):
         "c7036db94ac1ee1623892c1ec0e9022c52a0d402066886bf30661ef67637b37a",
@@ -650,6 +654,27 @@ def test_exact_output_bytes_are_golden(tmp_path, name, case):
     if not case.startswith("tsv"):
         assert _strict_json(out.read_text())["mode"] == "exact"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_EXACT[name, case]
+
+
+def test_fact_check_that_needs_no_pass_builds_no_counting_model(tmp_path, monkeypatch):
+    # GADGET's degrees 1, 2 and 3 are all its counts j, so at --lam 0.7 the
+    # model at lambda serves the statistics and the check, and no counting
+    # model at lambda 1 is built beside it
+    models = []
+    real = hardcore._Exact
+
+    def recording(*args):
+        models.append(real(*args))
+        return models[-1]
+
+    monkeypatch.setattr(hardcore, "_Exact", recording)
+    p = tmp_path / "gadget.edges"
+    write_edge_list(GOLDEN_GRAPHS["gadget"](), p)
+    out = tmp_path / "out"
+    assert main(["hardcore-stats", "--lam", "0.7", "--fact-check", "--input", str(p),
+                 "--output", str(out)]) == 0
+    assert [m.x for m in models] == [2 << 6]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_EXACT["gadget", "fact-check"]
 
 
 @pytest.mark.parametrize("argv, g", [

@@ -222,6 +222,27 @@ def test_verify_rejects_bad_colourings():
     assert verify_dp_colouring(cover, {0: 0, 1: 2}) == (True, "ok")
 
 
+@pytest.mark.parametrize("choice, message", [
+    ({0: 0.0, 1: 2}, "node 0.0 of vertex 0 is not an int"),
+    ({0: "a", 1: 2}, "node 'a' of vertex 0 is not an int"),
+    ({0: 0, 1: True}, "node True of vertex 1 is not an int"),
+    ({0.0: 0, 1: 2}, "vertex 0.0 is not an int"),
+    ({0: 0, "1": 2}, "vertex '1' is not an int"),
+], ids=["float-node", "str-node", "bool-node", "float-vertex", "str-vertex"])
+def test_verify_rejects_a_choice_that_is_not_ints(choice, message):
+    # a float vertex 0.0 would pass the vertex-set check, since sorted keys
+    # compare equal to range(n); a string one would make sorting them raise
+    cover, _ = from_list_assignment(K2, [{1, 2}, {2, 3}])
+    assert verify_dp_colouring(cover, choice) == (False, message)
+
+
+@pytest.mark.parametrize("lists", [[[1, "a"], [1]], [[1], [2, [3]]], [[1], 5]],
+                         ids=["mixed", "unhashable", "not-a-list"])
+def test_from_list_assignment_rejects_labels_that_do_not_sort(lists):
+    with pytest.raises(InputError, match="must hold hashable labels that sort together"):
+        from_list_assignment(K2, lists)
+
+
 def test_list_round_trip_proper_colouring():
     rng = random.Random(3)
     for seed in range(10):

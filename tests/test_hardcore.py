@@ -529,11 +529,17 @@ def test_fact_check_is_the_exact_residual_of_every_count_that_occurs(which, g):
 
 
 @pytest.mark.parametrize("lam", [0.7, 1.0, 3, Fraction(7, 5)], ids=["0.7", "1", "3", "7/5"])
-@pytest.mark.parametrize("g", [star(8), GADGET, petersen()], ids=["star8", "gadget", "petersen"])
-def test_fact_check_counts_on_one_table_at_lambda_one(monkeypatch, g, lam):
+@pytest.mark.parametrize("g, runs", [(star(8), 1), (GADGET, 0), (petersen(), 1),
+                                     (complete_bipartite(3, 3), 6)],
+                         ids=["star8", "gadget", "petersen", "k33"])
+def test_fact_check_counts_on_one_table_at_lambda_one(monkeypatch, g, runs, lam):
     # conditional_fact_check records one table and builds only a counting
     # model; a model at lambda serves the check through a counting model
-    # on its own table (itself at lambda 1), and no pass adds a state
+    # on its own table (itself at lambda 1), built when the first pass
+    # runs, and no pass adds a state.  A vertex runs its pass only when it
+    # could add a count: star(8)'s centre, no vertex of GADGET (its
+    # degrees 1, 2 and 3 are every count it has), one vertex of Petersen,
+    # and every vertex of K_{3,3}, where only j = 0 and j = 3 occur
     tables, models, passes = [], [], []
     real_record, real_exact = hardcore._record, hardcore._Exact
     real_counts = real_exact.uncovered_counts
@@ -555,15 +561,45 @@ def test_fact_check_counts_on_one_table_at_lambda_one(monkeypatch, g, lam):
     monkeypatch.setattr(real_exact, "uncovered_counts", counts)
     report = conditional_fact_check(g, lam)
     assert len(tables) == 1 and [m.x for m in models] == [1]
-    assert len(passes) == g.n and all(m is models[0] for m in passes)
+    assert len(passes) == runs and all(m is models[0] for m in passes)
     holder = exact(g, lam)
     states = len(holder.table)
     del models[:], passes[:]
     assert holder.fact_check(lam) == report
-    counting = [holder] if holder.x == 1 else models
-    assert len(counting) == 1 and counting[0].x == 1 and counting[0].table is holder.table
-    assert len(passes) == g.n and all(m is counting[0] for m in passes)
+    assert len(models) == (1 if runs and holder.x != 1 else 0)
+    counting = models[0] if models else holder
+    assert counting.table is holder.table and (counting.x == 1 or not runs)
+    assert len(passes) == runs and all(m is counting for m in passes)
     assert len(holder.table) == states
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        helpers.triangle_free_graphs(),
+        helpers.several_component_graphs(max_n=20),
+        st.integers(min_value=0, max_value=12).map(star),
+        st.integers(min_value=1, max_value=5).map(lambda d: complete_bipartite(d, d)),
+        st.sampled_from([GADGET, petersen()]),
+    ),
+    st.sampled_from([1.0, 0.7, 3, Fraction(7, 5)]),
+)
+@example(complete_bipartite(3, 3), 0.7)
+@example(GADGET, Fraction(7, 5))
+@example(petersen(), 0.7)
+def test_fact_check_skips_only_passes_that_add_no_count(g, lam):
+    # the skipped passes leave the union of occurring counts, and so the
+    # report, what every vertex's pass gives; at lambda 1 and 3 every
+    # residual of fact (b) is 0, so the union is compared as well
+    occurring = helpers.reference_occurring_counts(g)
+    q = Fraction(lam)
+    res1 = abs(q / (1 + q) - lam / (1.0 + lam)) if g.n else 0.0
+    res2 = max((abs((1 + q) ** -j - (1.0 + lam) ** -j) for j in occurring), default=0.0)
+    holder = hardcore._Exact(g, lam)
+    assert holder.occurring_counts() == occurring
+    report = holder.fact_check(lam)
+    assert report == hardcore.FactCheckReport(float(lam), res1, res2)
+    assert conditional_fact_check(g, lam) == report
 
 
 @settings(max_examples=60, deadline=None)
