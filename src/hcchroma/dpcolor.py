@@ -33,7 +33,7 @@ from .errors import (
     InternalError,
     SizeError,
 )
-from .graph import Graph, induced_subgraph, is_triangle_free, parse_edge_list
+from .graph import Graph, induced_subgraph, is_triangle_free, read_edge_list
 
 DEFAULT_MAX_RESAMPLES = 10**6
 
@@ -568,20 +568,20 @@ def _types(values) -> set[type]:
 def load_cover(filename) -> tuple[Cover, tuple[Hashable, ...] | None]:
     """Read a cover file; returns (cover, labels) with labels None in general mode.
 
-    A malformed file is a `FormatError`.  A general-form cover must also
-    satisfy the cover axioms (`validate_cover`), or it is a
-    `HypothesisError`; a list-form cover satisfies them by construction.
+    A malformed cover or graph file, or one that is not UTF-8, is a
+    `FormatError`.  A general-form cover must also satisfy the cover
+    axioms (`validate_cover`), or it is a `HypothesisError`; a list-form
+    cover satisfies them by construction.
     """
     with open(filename, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FormatError(f"bad cover file: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("graph"), str):
         raise FormatError("cover file must be an object with a 'graph' file name")
     graph_path = os.path.join(os.path.dirname(os.path.abspath(filename)), data["graph"])
-    with open(graph_path, "r", encoding="utf-8") as fh:
-        g = parse_edge_list(fh.read())
+    g = read_edge_list(graph_path)
     if "lists" in data:
         table = data["lists"]
         if not isinstance(table, dict):

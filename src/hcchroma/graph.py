@@ -291,8 +291,12 @@ def format_edge_list(g: Graph) -> str:
 
 
 def read_edge_list(filename) -> Graph:
+    """`parse_edge_list` of a UTF-8 file; FormatError when it is not UTF-8."""
     with open(filename, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+        try:
+            return parse_edge_list(fh.read())
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"edge list {filename} is not UTF-8: {exc}") from exc
 
 
 def write_edge_list(g: Graph, filename) -> None:

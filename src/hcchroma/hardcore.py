@@ -13,28 +13,30 @@ point x: lambda itself when it is an integer below 2^(n + 1), else
 Z(S - v) + x Z(S - N[v]) is one forward pass; every occupancy one
 reverse pass that reads Z; which counts of uncovered neighbours of v
 occur (fact (b)), one forward pass at x = 1 over the states that meet
-N[v], with weight 0 on v and a second variable z on its neighbours,
-packed in fields of at most n + 1 bits, that reads Z for every other
-state, so the check never visits the subsets of N(v), and it runs only
-at the vertices whose pass could add a count not yet known; semibip's exact
-search (`constructions`) one (max, +) forward pass, whose value spells
-the set it found.  So occupation probabilities and expected
-neighbourhood intersections are exact quotients of polynomials evaluated
-at lambda: floats correctly rounded, or Fractions from
-`enumerate_stats(g, Fraction(lam))`, for every positive finite lambda;
-the residuals of the two conditional-law identities of triangle-free
-graphs set exact quotients in lambda, rounded once, against their float
-formulas.  Only frac-colour's oracle enumerates independent sets: it
-lists G's sets once per run and narrows that list to the live vertices
-round by round.  The module also provides a Glauber-dynamics
-sampler for graphs above the exact cutoff, whose steps cost O(1) each
-plus O(deg v) when the chosen vertex v changes state, and the occupancy
-lower bound used by the fractional-colouring weight optimisation.
+N[v], with weight 0 on v and weight 2^B - 1 on its neighbours, so that
+field j of B <= n + 1 bits is the count for j uncovered neighbours, that
+reads Z for every other state, so the check never visits the subsets of
+N(v), and it runs only at the vertices whose pass could add a count not
+yet known; semibip's exact search (`constructions`) one (max, +) forward
+pass, whose value spells the set it found.  So occupation probabilities
+and expected neighbourhood intersections are exact quotients of
+polynomials evaluated at lambda, each divided once: floats correctly
+rounded, or Fractions from `enumerate_stats(g, Fraction(lam))`, for
+every positive finite lambda; the residuals of the two conditional-law
+identities of triangle-free graphs set exact quotients in lambda,
+rounded once, against their float formulas.  Only frac-colour's oracle
+enumerates independent sets: it lists G's sets once per run and narrows
+that list to the live vertices round by round.  The module also
+provides a Glauber-dynamics sampler for graphs above the exact cutoff,
+whose steps cost O(1) each plus O(deg v) when the chosen vertex v
+changes state, and the occupancy lower bound used by the
+fractional-colouring weight optimisation.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -199,36 +201,6 @@ def _fold(table: dict, adj, s: int) -> None:
     table[s] = split
 
 
-def _ratio(num: int, den: int, x: int, lam):
-    """num(lam) / den(lam) for two polynomials with nonnegative integer
-    coefficients, given as their values at the point x of `_Exact`.
-
-    The quotient is exact: a Fraction when ``lam`` is one, else the float
-    nearest to it (nothing underflows or cancels on the way; OverflowError
-    when it exceeds every float).  At x = lam the values are the
-    polynomials at lambda, so it is one division, correctly rounded by the
-    interpreter.  Otherwise x = 2^bits packs every coefficient in a field
-    of ``bits`` bits; with lam = p / r in lowest terms, both polynomials
-    are evaluated from their fields as integers scaled by the same power
-    of r.
-    """
-    if x != lam:
-        bits = x.bit_length() - 1
-        p, r = lam.as_integer_ratio()
-        mask = x - 1
-        fields = -(-max(num.bit_length(), den.bit_length()) // bits)
-
-        def scaled(packed: int) -> int:
-            acc, rk = 0, 1
-            for k in range(fields - 1, -1, -1):
-                acc = acc * p + ((packed >> (k * bits)) & mask) * rk
-                rk *= r
-            return acc
-
-        num, den = scaled(num), scaled(den)
-    return Fraction(num, den) if isinstance(lam, Fraction) else num / den
-
-
 class _Exact:
     """The exact model of one graph at the fugacity ``lam``: its split
     table (`_record`, or the one the caller already holds) and ``z``, which
@@ -238,9 +210,9 @@ class _Exact:
     2^(n + 1): every weight is then its polynomial's value at lambda.
     Otherwise x = 2^(n + 1): every i_k is below 2^(n + 1), so the integer
     holds the coefficients in fields of n + 1 bits, and integer sums and
-    products are those of the polynomials.  Either way `_ratio` turns two
-    weights into their quotient at lambda.  Z(S; x) grows with x, so a
-    value at x = lambda is never a wider integer than the packed one.
+    products are those of the polynomials; `stats` reads each weight it
+    divides at lambda once.  Z(S; x) grows with x, so a value at x =
+    lambda is never a wider integer than the packed one.
 
     Z is the kernel's sum-product form (Levit & Mandrescu, "The
     independence polynomial of a graph - a survey", 2005), one forward
@@ -314,16 +286,15 @@ class _Exact:
 
         All of them come from one polynomial, P_v(z) = Z(G - v) with
         weight 1 on X and weight z on N(v): the kernel's sum-product form
-        on V with weight 0 on v, evaluated at z = 2^zshift, so that a
-        branch on a vertex of N(v) shifts by ``zshift`` bits and block i of
-        the integer holds c_i, the number of independent sets of G - v
-        with i vertices in N(v).  ``zshift`` is the bit length of Z(V), the
-        number of independent sets of G, at most n + 1 bits, so no block
-        carries into the next.  N(v) is independent and N(u) lies in X + v
-        for every u in N(v), so an independent set J of X that leaves j of
-        N(v) uncovered extends by any subset of those j, and by nothing
-        else, to a set that avoids v: P_v = sum_j A_j (1 + z)^j, and A_j =
-        sum_{i >= j} (-1)^(i-j) C(i, j) c_i.
+        on V with weight 0 on v.  N(v) is independent and N(u) lies in X +
+        v for every u in N(v), so an independent set J of X that leaves j
+        of N(v) uncovered extends by any subset of those j, and by nothing
+        else, to a set that avoids v: P_v(z) = sum_j A_j (1 + z)^j.  At z =
+        2^zshift - 1 that is sum_j A_j 2^(zshift j), so field j of
+        ``zshift`` bits is A_j itself: ``zshift`` is the bit length of
+        Z(V), the number of independent sets of G, at most n + 1 bits, and
+        sum_j A_j counts those of X, which is less, so no field carries
+        into the next.  Every value stays a nonnegative integer.
 
         One forward pass over the table computes P_v at the states that
         meet N[v]; any other state has neither v nor a marked vertex, so
@@ -351,27 +322,45 @@ class _Exact:
             if u != v:  # v weighs 0: no set of G - v holds it
                 take = s & ~adj[u] & ~pick
                 taken = p[take] if take & near else z[take]
-                value += taken << zshift if marked >> u & 1 else taken
+                value += (taken << zshift) - taken if marked >> u & 1 else taken
             p[s] = value
         whole = p[(1 << n) - 1]
         zmask = (1 << zshift) - 1
-        c = [(whole >> (i * zshift)) & zmask for i in range(marked.bit_count() + 1)]
-        return [
-            sum((-1) ** (i - j) * math.comb(i, j) * c[i] for i in range(j, len(c)))
-            for j in range(len(c))
-        ]
+        return [whole >> (j * zshift) & zmask for j in range(marked.bit_count() + 1)]
 
     def stats(self, max_distance: int) -> OccupancyStats:
-        """`enumerate_stats` of the graph, without its checks."""
+        """`enumerate_stats` of the graph, without its checks.
+
+        Z and every count are read at lambda once.  At the packed point,
+        with lam = p / r in lowest terms, a weight with fields c_0..c_(k-1)
+        reads as sum_i c_i p^i r^(k - 1 - i), its value scaled by r^(k - 1);
+        Z's k serves every count x Z(V - N[v]), which is at most Z
+        coefficient by coefficient.  Each quotient, log Z's too, divides
+        two integers once: a Fraction when lam is one, else int true
+        division, which rounds correctly.
+        """
         lam, x = self.lam, self.x
         total = self.z[(1 << self.g.n) - 1]
+        counts = self.occupancy_counts()
+        scale = 1
+        if x != lam:
+            bits = x.bit_length() - 1
+            p, r = lam.as_integer_ratio()
+            k = -(-total.bit_length() // bits)
+            weights = [p**i * r ** (k - 1 - i) for i in range(k)]
+
+            def at_lam(packed: int) -> int:
+                return sum((packed >> (i * bits) & x - 1) * w for i, w in enumerate(weights))
+
+            total, counts, scale = at_lam(total), map(at_lam, counts), weights[0]
+        divide = Fraction if isinstance(lam, Fraction) else operator.truediv
         try:
-            z = _ratio(total, 1, x, lam)
-            log_z = math.log(z) if z >= 2 else math.log1p(_ratio(total - 1, 1, x, lam))
+            z = divide(total, scale)
+            log_z = math.log(z) if z >= 2 else math.log1p(divide(total - scale, scale))
         except OverflowError:  # Z exceeds every float; log Z from the exact integers
-            z = _ratio(total, 1, x, Fraction(lam))
+            z = Fraction(total, scale)
             log_z = math.log(z.numerator) - math.log(z.denominator)
-        occupancy = tuple(_ratio(count, total, x, lam) for count in self.occupancy_counts())
+        occupancy = tuple(divide(count, total) for count in counts)
         nbr = neighbour_occupancy(self.g, occupancy, max_distance)
         return OccupancyStats(float(lam), log_z, occupancy, nbr)
 
@@ -550,8 +539,9 @@ def conditional_fact_check(
     (`_Exact.occurring_counts`: none when the positive degrees are 1 to
     the largest degree; every vertex on K_{d,d}), which evaluates the
     states meeting N[v], with deg(v) + 1 fields of at most n + 1 bits,
-    and reads the counts for the rest.  Nothing grows with 2^deg(v):
-    star(29) takes milliseconds.  No pass records a state.
+    field j the count A_j itself, and reads the counts for the rest.
+    Nothing grows with 2^deg(v): star(29) takes milliseconds.  No pass
+    records a state.
     """
     _check_fugacity(lam)
     _check_cutoff(g, cutoff)

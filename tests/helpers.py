@@ -848,8 +848,8 @@ def reference_occupancy_counts(g: Graph) -> tuple[int, list[int]]:
 def packed_model(g: Graph, lam) -> hardcore._Exact:
     """The exact model of g at lam with every weight packed in fields of
     n + 1 bits, x = 2^(n + 1), even where lam would pick x = lam: built at a
-    fugacity that is no integer, then pointed at lam, so that every
-    quotient takes `hardcore._ratio`'s field-by-field evaluation."""
+    fugacity that is no integer, then pointed at lam, so that
+    `hardcore._Exact.stats` reads every weight at lam off its fields."""
     model = hardcore._Exact(g, 0.5)
     model.lam = lam
     return model

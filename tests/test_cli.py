@@ -112,6 +112,29 @@ def test_empty_file_is_io_error(tmp_path):
     assert main(["hardcore-stats", "--input", str(p), "--lam", "1.0"]) == 1
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["hardcore-stats", "--lam", "1"], "graph"),
+    (["hardcore-stats", "--lam", "1", "--fact-check"], "graph"),
+    (["frac-colour", "--epsilon", "2"], "graph"),
+    (["semibip"], "graph"),
+    (["dp-solve", "--ell", "3", "--certify"], "cover"),
+    (["dp-solve", "--ell", "3", "--certify"], "graph"),
+], ids=["hardcore-stats", "fact-check", "frac-colour", "semibip", "dp-solve-cover",
+        "dp-solve-graph"])
+def test_input_that_is_not_utf8_is_format_error(tmp_path, capsys, argv, bad):
+    graph = tmp_path / "g.edges"
+    write_edge_list(cycle(5), graph)
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"graph": "g.edges",
+                                 "lists": {str(v): [1, 2, 3] for v in range(5)}}))
+    (graph if bad == "graph" else cover).write_bytes(b"\xff\xfe 3 0\n")
+    source = ["--cover", str(cover)] if argv[0] == "dp-solve" else ["--input", str(graph)]
+    assert main([*argv, *source]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_triangle_fact_check_is_hypothesis_error(k3_file):
     code = main(["hardcore-stats", "--input", str(k3_file), "--lam", "1.0",
                  "--fact-check"])
@@ -592,7 +615,10 @@ def test_sampled_output_bytes_are_golden(tmp_path, name, command):
 # of the rule that evaluates at x = lambda only below 2^(n + 1).  The gadget
 # and star8 cases were recorded while fact (b)'s weights were evaluated at
 # lambda's point and divided per count j, before the check read which
-# counts occur off passes at lambda = 1.
+# counts occur off passes at lambda = 1.  The lam-1e300 cases (Z past every
+# float: log Z from the exact integers) and lam-1e-300 cases (Z below 2:
+# log1p(Z - 1)) were recorded while every quotient decoded its packed
+# fields again, Z once per vertex.
 GOLDEN_EXACT = {
     ("c5", "fact-check"): "6b53732898cd68dc6f49e5cc8e7ad98114a19bca29299bf9fdd83414078b0677",
     ("c5", "fact-check-lam-1"):
@@ -617,6 +643,10 @@ GOLDEN_EXACT = {
         "d6a8620cf8508fdbde1a99b94967942ac83868b051419dc0786151071b0ad8e3",
     ("petersen", "fact-check-lam-3"):
         "050f575c93bedc0d12541e4ba02c16461b8aee896ee9d08df6a4bbf7732a9526",
+    ("petersen", "fact-check-lam-1e-300"):
+        "315de9d38f9e6e586b0b23a01330153c5bb5e4005bbd039e4a524e601ec5a756",
+    ("petersen", "fact-check-lam-1e300"):
+        "f34f2f3057adaad44878402577b8e4ccf6fa51cd8f7619c1c055bb44f89632f3",
     ("petersen", "semibip"): "be4442be4a1f245e3223b92765b36773e98bee38e2d8580f11f3c0f333d792dc",
     ("petersen", "tsv"): "4c47778f82808e66ad8d3a8a06b6b0ab91d92ae4cb1647902149fca7c65e796b",
     ("petersen", "tsv-lam-1"):
@@ -626,6 +656,10 @@ GOLDEN_EXACT = {
         "f4cf41de31eafb45b8cf6b40c9c0bd88a4720b77fbd0e34b75e83908d1f0620b",
     ("rtf16", "fact-check-lam-3"):
         "f8ae18e573effcea9d434cc8fbe39aed34db68d86928a922d13eb9bde19aea04",
+    ("rtf16", "fact-check-lam-1e-300"):
+        "671fcd6cdc11f43cce3f46c88b5496d13b586c086c9873caf202c6bb06576f9b",
+    ("rtf16", "fact-check-lam-1e300"):
+        "e6fd40639143b1576e526c561373638b6a13e8a7ae0f1010d9a97ef87a0b0d0f",
     ("rtf16", "semibip"): "0c68f3d4872fc9c441e38f5f65c31b5905341d363145229f08a17d6ea139eb25",
     ("rtf16", "tsv"): "b5e4c3ab947db3f70bf1fc0109d2e1783b3a263367393d569a67cb382595095a",
     ("rtf16", "tsv-lam-1"): "478abad1bd808902d90ee290ff2668eb4218be4d51a28d876c4f8efd24ebaf18",
@@ -640,7 +674,7 @@ EXACT_FLAGS = {
     "semibip": ["semibip"],
     "tsv": ["hardcore-stats", "--lam", "0.7", "--format", "tsv"],
     **{f"fact-check-lam-{lam}": ["hardcore-stats", "--lam", lam, "--fact-check"]
-       for lam in ("1", "3", "63", "64", "1e-10")},
+       for lam in ("1", "3", "63", "64", "1e-10", "1e-300", "1e300")},
     "tsv-lam-1": ["hardcore-stats", "--lam", "1", "--format", "tsv"],
 }
 

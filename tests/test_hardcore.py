@@ -453,6 +453,11 @@ def test_fact_check_skips_counts_of_probability_zero(lam):
 @example(star(10))
 @example(GADGET)
 @example(petersen())
+@example(complete_bipartite(2, 2))
+@example(complete_bipartite(3, 3))
+@example(complete_bipartite(4, 4))
+@example(complete_bipartite(5, 5))
+@example(complete_bipartite(2, 5))
 def test_marked_kernel_weights_match_inclusion_exclusion(g):
     # one counting model serves every vertex, as in conditional_fact_check,
     # and no vertex's pass records a state of its own; the reference
@@ -622,7 +627,7 @@ def test_fact_check_skips_only_passes_that_add_no_count(g, lam):
 def test_reverse_pass_counts_match_one_query_per_vertex(g, lam):
     # the references are packed in fields of n + 1 bits; at x = lambda (here
     # 1 and 3) they are judged at that point, and the occupancies against
-    # the packed quotient
+    # their exact quotient at lambda, rounded once for a float lambda
     total, counts = helpers.reference_occupancy_counts(g)
     exact = hardcore._Exact(g, lam)
     x = exact.x
@@ -630,8 +635,10 @@ def test_reverse_pass_counts_match_one_query_per_vertex(g, lam):
     assert exact.z[(1 << g.n) - 1] == _at(total, g.n, x)
     assert exact.occupancy_counts() == [_at(c, g.n, x) for c in counts]
     stats = enumerate_stats(g, lam)
-    packed = 2 << g.n
-    assert stats.occupancy == tuple(hardcore._ratio(c, total, packed, lam) for c in counts)
+    at = Fraction(lam)
+    quotients = tuple(_at(c, g.n, at) / _at(total, g.n, at) for c in counts)
+    rounded = quotients if isinstance(lam, Fraction) else tuple(map(float, quotients))
+    assert stats.occupancy == rounded
 
 
 @settings(max_examples=40, deadline=None)
@@ -697,6 +704,24 @@ def test_weights_at_an_integer_fugacity_give_the_packed_results(g, which):
     packed = helpers.packed_model(g, lam)
     depth = min(2, max(1, g.n))
     assert exact.stats(depth) == packed.stats(depth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(helpers.triangle_free_graphs(max_n=11), helpers.several_component_graphs(max_n=11)),
+    st.sampled_from([0.1, 0.7, 1.3e-5, 1e-300, 1e300, Fraction(7, 5), Fraction(1, 3)]),
+)
+@example(edgeless(0), 0.7)
+@example(complete_bipartite(3, 3), 1e-300)
+@example(petersen(), 1e300)
+@example(GADGET, Fraction(1, 3))
+def test_occupancies_are_the_exact_quotients_at_lambda(g, lam):
+    # every fugacity here is read off the packed fields (1e300 lies above
+    # 2^(n + 1)), with Z's field count for every weight; each occupancy is
+    # the exact quotient, rounded once for a float lambda
+    ours = enumerate_stats(g, lam).occupancy
+    ref = helpers.reference_enumerate_stats_rational(g, lam).occupancy
+    assert ours == (ref if isinstance(lam, Fraction) else tuple(map(float, ref)))
 
 
 @pytest.mark.parametrize("lam", [1e-300, 1e-10, 1e-3])
