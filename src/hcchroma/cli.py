@@ -6,7 +6,7 @@ construction, and the semi-bipartite extractor.  Every artifact written is
 re-validated by the matching library validator before a success exit.
 
 Exit codes: 0 success, 1 I/O or parse failure, 2 violated hypothesis or
-precondition, 3 resource limit (cutoff or budget).  The environment
+precondition, 3 resource limit (cutoff, budget, vertex limit).  The environment
 variable HCCHROMA_CUTOFF overrides the default exact-enumeration cutoff of
 the subcommands that have --cutoff (hardcore-stats, frac-colour, semibip).
 
@@ -18,9 +18,10 @@ cycle: on the 2000-vertex list cover of the perfbench dp-construct
 workload that was about a seventh of `dp-solve --certify` (100 of 700 ms)
 and of `--two-phase` (54 of 360 ms; CPython 3.11.7, 2 cores).  The pause
 is safe because nothing a command runs builds a reference cycle: the
-exact kernel's one recursion is a module-level function that fills a
-plain dict, not a closure that calls itself, and every exact quantity is
-a loop over that dict, so reference counting frees them all.
+exact kernel is a loop that fills a plain dict from a stack of ints,
+every exact quantity is a loop over that dict, and frac-colour's listing
+recurses through a module-level function, not a closure that calls
+itself, so reference counting frees them all.
 tests/test_collector.py holds every subcommand to that.  Library calls
 are unaffected.
 """
@@ -134,7 +135,7 @@ def cmd_frac_colour(args: argparse.Namespace) -> int:
     lam, weights = fractional.choose_local_weights(g, args.epsilon)
     # no name holds the oracle, so its rows go when the greedy returns
     colouring = fractional.greedy_fractional_colouring(
-        g, weights, fractional.hard_core_oracle(lam, cutoff=cutoff)
+        g, weights, fractional.hard_core_oracle(lam)
     )
     bounds = [fractional.vertex_interval_bound(lam, g.degree(v)) for v in range(g.n)]
     report = fractional.validate_colouring(g, colouring, bounds)

@@ -426,8 +426,7 @@ def _semi_bipartite(g: Graph, lam, trials: int, seed: int, cutoff: int):
     """`semi_bipartite_extract`, plus the fugacity it used and the split
     table its exact search read (None when it sampled or g is empty), so
     that the `semibip` command reads the expected boundary edges off the
-    same table.  SizeError when the kernel's recursion passes the
-    interpreter's limit."""
+    same table."""
     if trials < 1:
         raise InputError("trials must be at least 1")
     if not is_triangle_free(g):

@@ -80,7 +80,7 @@ so an oracle may list g's sets once and narrow that list each round, as
 """
 
 
-def hard_core_oracle(lam: float, cutoff: int = hardcore.DEFAULT_CUTOFF) -> DistributionOracle:
+def hard_core_oracle(lam: float) -> DistributionOracle:
     """Oracle serving the exact hard-core distribution at fugacity ``lam``.
 
     The independent sets of g[live] are the independent sets of g that
@@ -91,7 +91,8 @@ def hard_core_oracle(lam: float, cutoff: int = hardcore.DEFAULT_CUTOFF) -> Distr
     has not, and divides their weights by their fsum.  Dropped rows are
     gone, so each round filters only the sets the round before kept.  A
     call on another graph, or with a vertex live that the previous call did
-    not have, lists the graph's sets again.  The table is three columns
+    not have, lists the graph's sets again; SizeError when there are more
+    than `hardcore.SET_BUDGET`.  The table is three columns
     filtered by `itertools.compress`: a tuple per row would give the cyclic
     garbage collector one more object per set to track.  It lives as long
     as the oracle does; drop the oracle once the greedy returns to free it.
@@ -108,7 +109,6 @@ def hard_core_oracle(lam: float, cutoff: int = hardcore.DEFAULT_CUTOFF) -> Distr
         live_mask = sum(1 << v for v in live)
         if g is not served or live_mask & ~served_live:
             hardcore._check_fugacity(lam)
-            hardcore._check_cutoff(g, cutoff)
             pw = [1.0]
             for _ in range(g.n):
                 pw.append(pw[-1] * lam)

@@ -14,9 +14,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, SizeError
 
 VertexSet = tuple[int, ...]
+
+# The most vertices an edge-list header may declare; above the default
+# `constructions.DEFAULT_SIZE_CAP`, so every graph `construct` writes reads back.
+MAX_VERTICES = 1 << 19
 
 
 def vertex_set(members: Iterable[int]) -> VertexSet:
@@ -266,6 +270,8 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise FormatError(f"bad header line {rows[0]!r}") from exc
+    if n > MAX_VERTICES:
+        raise SizeError(f"edge list declares {n} vertices, above the limit {MAX_VERTICES}")
     if len(rows) - 1 != m:
         raise FormatError(f"expected {m} edge lines, found {len(rows) - 1}")
     edges = []

@@ -1,36 +1,37 @@
 """Hard-core model statistics on small graphs.
 
 The hard-core model at fugacity lambda > 0 is the probability distribution
-on the independent sets of a graph (including the empty set) in which a set
-I occurs with probability lambda^|I| / Z, where Z is the partition function
-(independence polynomial).  Exact work over the independent sets rests on
-one recursion, `_record`, that splits each induced subgraph it reaches
-from V into connected components, or branches on a vertex of largest
-degree, and records each state's split once, in post-order.  Every exact
-quantity is a loop over that split table (`_Exact`), in integers at one
-point x: lambda itself when it is an integer below 2^(n + 1), else
-2^(n + 1), where each integer packs a polynomial's coefficients.  Z(S) =
-Z(S - v) + x Z(S - N[v]) is one forward pass; every occupancy one
-reverse pass that reads Z; which counts of uncovered neighbours of v
-occur (fact (b)), one forward pass at x = 1 over the states that meet
-N[v], with weight 0 on v and weight 2^B - 1 on its neighbours, so that
-field j of B <= n + 1 bits is the count for j uncovered neighbours, that
-reads Z for every other state, so the check never visits the subsets of
-N(v), and it runs only at the vertices whose pass could add a count not
-yet known; semibip's exact search (`constructions`) one (max, +) forward
-pass, whose value spells the set it found.  So occupation probabilities
-and expected neighbourhood intersections are exact quotients of
-polynomials evaluated at lambda, each divided once: floats correctly
-rounded, or Fractions from `enumerate_stats(g, Fraction(lam))`, for
-every positive finite lambda; the residuals of the two conditional-law
-identities of triangle-free graphs set exact quotients in lambda,
-rounded once, against their float formulas.  Only frac-colour's oracle
-enumerates independent sets: it lists G's sets once per run and narrows
-that list to the live vertices round by round.  The module also
-provides a Glauber-dynamics sampler for graphs above the exact cutoff,
-whose steps cost O(1) each plus O(deg v) when the chosen vertex v
-changes state, and the occupancy lower bound used by the
-fractional-colouring weight optimisation.
+on the independent sets of a graph (including the empty set) in which a
+set I occurs with probability lambda^|I| / Z, where Z is the partition
+function (independence polynomial).  Exact work over the independent sets
+rests on one depth-first walk, `_record`, that splits each induced
+subgraph it reaches from V into connected components, or branches on a
+vertex of largest degree, and records each state's split once, in
+post-order.  Every exact quantity is a loop over that split table
+(`_Exact`), in integers at one point x: lambda itself when it is an
+integer below 2^(n + 1), else 2^(n + 1), where each integer packs a
+polynomial's coefficients.  Z(S) = Z(S - v) + x Z(S - N[v]) is one forward
+pass; every occupancy one reverse pass that reads Z; which counts of
+uncovered neighbours of v occur (fact (b)), one forward pass at x = 1 over
+the states that meet N[v], with weight 0 on v and weight 2^B - 1 on its
+neighbours, so that field j of B <= n + 1 bits is the count for j
+uncovered neighbours, that reads Z for every other state, so the check
+never visits the subsets of N(v), and it runs only at the vertices whose
+pass could add a count not yet known; semibip's exact search
+(`constructions`) one (max, +) forward pass, whose value spells the set it
+found.  So occupation probabilities and expected neighbourhood
+intersections are exact quotients of polynomials evaluated at lambda, each
+divided once: floats correctly rounded, or Fractions from
+`enumerate_stats(g, Fraction(lam))`, for every positive finite lambda; the
+residuals of the two conditional-law identities of triangle-free graphs
+set exact quotients in lambda, rounded once, against their float formulas.
+Only frac-colour's oracle enumerates independent sets: it lists G's sets
+once per run, after counting them against `SET_BUDGET`, and narrows that
+list to the live vertices round by round.  The module also provides a
+Glauber-dynamics sampler for graphs above the exact cutoff, whose steps
+cost O(1) each plus O(deg v) when the chosen vertex v changes state, and
+the occupancy lower bound used by the fractional-colouring weight
+optimisation.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .errors import HypothesisError, InputError, SizeError
 from .graph import Graph, VertexSet, distance_layers, is_triangle_free
 
 DEFAULT_CUTOFF = 30
+SET_BUDGET = 1 << 18  # independent sets that `independent_set_masks` may list
 
 
 def _check_fugacity(lam) -> None:
@@ -57,15 +59,6 @@ def _check_max_distance(g: Graph, max_distance: int) -> None:
     limit = max(1, g.n)  # no vertex is at distance n or more: only zero rows lie beyond
     if not 1 <= max_distance <= limit:
         raise InputError(f"max_distance must be between 1 and {limit}, not {max_distance}")
-
-
-def _recursion_limit_error(g: Graph) -> SizeError:
-    """The error an exact kernel raises when its recursion, about one level
-    per vertex, passes the interpreter's recursion limit."""
-    return SizeError(
-        f"exact computation on a {g.n}-vertex graph recurses past the "
-        f"interpreter's recursion limit"
-    )
 
 
 def _check_cutoff(g: Graph, cutoff: int) -> None:
@@ -119,22 +112,26 @@ def independent_set_masks(g: Graph) -> list[int]:
     Order is lexicographic on the sorted member tuples, with the empty set
     first; this is the canonical enumeration order used by the fractional
     colouring when it slices measure into per-set interval blocks.  The
-    exact statistics do not enumerate; see `_record`.
-    The recursion goes one level per member of the set being extended;
-    SizeError when it passes the interpreter's limit.
+    exact statistics do not enumerate; see `_record`.  SizeError when Z at
+    x = 1 (`_Exact`) counts more than `SET_BUDGET` sets; a set of k members
+    has 2^k subsets, so the listing recurses at most 18 levels deep.
     """
+    count = _Exact(g, 1).z[(1 << g.n) - 1]
+    if count > SET_BUDGET:
+        shown = count if count < 1 << 64 else f"at least 2^{count.bit_length() - 1}"
+        raise SizeError(
+            f"graph has {shown} independent sets, above the listing budget {SET_BUDGET}"
+        )
     out = [0]
-    try:
-        _extend_sets(g.adjacency_masks, out.append, 0, (1 << g.n) - 1)
-    except RecursionError:
-        raise _recursion_limit_error(g) from None
+    _extend_sets(g.adjacency_masks, out.append, 0, (1 << g.n) - 1)
     return out
 
 
 def _extend_sets(adj, append, mask: int, avail: int) -> None:
     """Append ``mask | T`` for every nonempty independent subset T of
     ``avail``, the vertices that may still join ``mask``, in depth-first
-    preorder.  Module-level for the reason given at `_fold`."""
+    preorder.  Module-level, not a closure that calls itself, which would
+    tie the list into a reference cycle."""
     m = avail
     while m:
         b = m & -m
@@ -157,33 +154,32 @@ def _record(g: Graph) -> dict[int, int]:
     would hold on to a dropped table's memory.  The table is the DAG of
     the generalised distributive law (Aji & McEliece, 2000), so each form
     of the kernel is one loop over it (`_Exact`; semibip's (max, +) search
-    in `constructions`).  SizeError when the recursion, one level per
-    vertex at most, passes the interpreter's limit.
+    in `constructions`).
+
+    A loop over a stack of ints, so no graph is too long for it: a new
+    state pushes its split, ~S to mark it, then its parts, the first on
+    top; popping the mark records S with the split under it.
     """
     table = {}
-    try:
-        if g.n:
-            _fold(table, g.adjacency_masks, (1 << g.n) - 1)
-    except RecursionError:
-        raise _recursion_limit_error(g) from None
-    return table
-
-
-def _fold(table: dict, adj, s: int) -> None:
-    """Add S, after any part of it not yet in ``table``, to ``table``.  The
-    one function that recurses over the kernel's states; module-level, not
-    a closure that calls itself, which would tie the table into a reference
-    cycle."""
-    comp = frontier = s & -s
-    while frontier:
-        b = frontier & -frontier
-        frontier ^= b
-        new = adj[b.bit_length() - 1] & s & ~comp
-        comp |= new
-        frontier |= new
-    if comp != s:
-        split, first, second = comp, comp, s ^ comp
-    else:
+    adj = g.adjacency_masks
+    stack = [(1 << g.n) - 1]
+    pop = stack.pop
+    while stack:
+        s = pop()
+        if s < 0:
+            table[~s] = pop()
+        if s <= 0 or s in table:
+            continue
+        comp = frontier = s & -s
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            new = adj[b.bit_length() - 1] & s & ~comp
+            comp |= new
+            frontier |= new
+        if comp != s:
+            stack += comp, ~s, s ^ comp, comp
+            continue
         best = -1
         m = s
         while m:
@@ -193,12 +189,8 @@ def _fold(table: dict, adj, s: int) -> None:
             if d > best:
                 best, pick = d, b
         v = pick.bit_length() - 1
-        split, first, second = ~v, s ^ pick, s & ~adj[v] & ~pick
-    if first and first not in table:
-        _fold(table, adj, first)
-    if second and second not in table:
-        _fold(table, adj, second)
-    table[s] = split
+        stack += ~v, ~s, s & ~adj[v] & ~pick, s ^ pick
+    return table
 
 
 class _Exact:

@@ -5,14 +5,16 @@ can serve as independent references: independent sets come from itertools
 subsets or from the package's set enumerator (itself checked against
 itertools), triangles from a full triple scan, distances from networkx.
 The `reference_*` functions are the implementations that the
-independence-polynomial kernel, the once-per-run hard-core oracle, the
-counter-based Glauber sampler, the two-phase colouring's phase 1, the
+independence-polynomial kernel, the split table's loop, the once-per-run
+hard-core oracle, the counter-based Glauber sampler, the two-phase
+colouring's phase 1, the
 greedy's scores on a built induced subgraph, the copying colouring
 validator, fact (b)'s inclusion-exclusion and the per-vertex occupancy
 queries replaced; they read distances from networkx, not from
 `distance_layers`.  The dp-solve references build every node's cross
 partners (`star_adjacency`), truncate a cover afresh for each use and
-rescan the edges after every resample.
+rescan the edges after every resample.  Stars, paths and cycles have
+exact occupancies in closed form, for graphs too long to enumerate.
 """
 
 from __future__ import annotations
@@ -865,6 +867,76 @@ def _lowest_vertex_z(memo: dict, adj, bits: int, s: int) -> int:
         take = _lowest_vertex_z(memo, adj, bits, s & ~adj[v] & ~low)
         z = memo[s] = _lowest_vertex_z(memo, adj, bits, s ^ low) + (take << bits)
     return z
+
+
+def reference_record(g: Graph) -> dict[int, int]:
+    """`hardcore._record` as a recursion: the split rule applied to S,
+    each part folded first unless the table holds it, then S recorded.
+    The table must match the loop's, item for item and in order."""
+    table: dict[int, int] = {}
+    if g.n:
+        _reference_fold(table, g.adjacency_masks, (1 << g.n) - 1)
+    return table
+
+
+def _reference_fold(table: dict, adj, s: int) -> None:
+    comp = frontier = s & -s
+    while frontier:
+        b = frontier & -frontier
+        frontier ^= b
+        new = adj[b.bit_length() - 1] & s & ~comp
+        comp |= new
+        frontier |= new
+    if comp != s:
+        split, first, second = comp, comp, s ^ comp
+    else:
+        degree = lambda v: (adj[v] & s).bit_count()
+        v = max(mask_to_vertex_set(s), key=lambda u: (degree(u), -u))
+        split, first, second = ~v, s & ~(1 << v), s & ~adj[v] & ~(1 << v)
+    for part in (first, second):
+        if part and part not in table:
+            _reference_fold(table, adj, part)
+    table[s] = split
+
+
+def star_occupancy(n: int, lam) -> list[Fraction]:
+    """Exact Pr(v in I) on the star with n vertices, centre first: the
+    centre is in I alone, weight lam, and a leaf with any subset of the
+    other leaves."""
+    lam = Fraction(lam)
+    z = lam + (1 + lam) ** (n - 1)
+    return [lam / z] + [lam * (1 + lam) ** (n - 2) / z] * (n - 1)
+
+
+def chain_partitions(n: int, lam) -> list[Fraction]:
+    """Z of the paths on 0..n vertices at ``lam``, exactly, by the transfer
+    matrix [[1, lam], [1, 0]] over the states (free, occupied) of the last
+    vertex."""
+    lam = Fraction(lam)
+    free, occupied = Fraction(1), Fraction(0)
+    out = [free]
+    for _ in range(n):
+        free, occupied = free + occupied, lam * free
+        out.append(free + occupied)
+    return out
+
+
+def path_occupancy(n: int, lam) -> list[Fraction]:
+    """Exact Pr(v in I) on path(n): lam Z(left of N[v]) Z(right of N[v]) / Z."""
+    lam = Fraction(lam)
+    z = chain_partitions(n, lam)
+    part = lambda k: z[max(k, 0)]
+    return [lam * part(v - 1) * part(n - v - 2) / z[n] for v in range(n)]
+
+
+def cycle_occupancy(n: int, lam) -> Fraction:
+    """Exact Pr(v in I) on cycle(n), n >= 4, for every v: the sets that
+    hold v weigh lam times Z of the path on the n - 3 vertices outside
+    N[v], and those that do not Z of the path on the other n - 1."""
+    lam = Fraction(lam)
+    z = chain_partitions(n - 1, lam)
+    held = lam * z[n - 3]
+    return held / (z[n - 1] + held)
 
 
 def reference_max_degree_sum_set(g: Graph) -> tuple[tuple[int, ...], int]:

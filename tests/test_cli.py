@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -225,6 +226,38 @@ def test_frac_colour_cutoff_resource_error(c5_file, monkeypatch, capsys):
     )
     monkeypatch.setenv("HCCHROMA_CUTOFF", "30")
     assert main(["frac-colour", "--input", str(c5_file), "--epsilon", "2.0"]) == 0
+
+
+def test_frac_colour_above_the_set_budget_is_resource_error(tmp_path, capsys):
+    # edgeless(19) is inside the default cutoff, but its 2^19 sets are
+    # above the listing budget: refused before any set is listed
+    p = tmp_path / "e19.edges"
+    write_edge_list(edgeless(19), p)
+    assert main(["frac-colour", "--input", str(p), "--epsilon", "2.0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: graph has 524288 independent sets, above the listing budget 262144\n"
+    )
+
+
+def test_edge_list_header_above_the_vertex_limit_is_resource_error(tmp_path, monkeypatch,
+                                                                    capsys):
+    # the 13-byte file asks for 10^9 vertices: refused on its header,
+    # before any graph is built
+    def build(n, edges):
+        raise AssertionError(f"built a graph on {n} vertices")
+
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(build))
+    p = tmp_path / "huge.edges"
+    p.write_text("1000000000 0\n")
+    assert p.stat().st_size == 13
+    assert main(["hardcore-stats", "--lam", "1.0", "--input", str(p)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: edge list declares 1000000000 vertices, above the limit 524288\n"
+    )
 
 
 def test_dp_solve_list_cover(c5_file, tmp_path):
@@ -711,21 +744,55 @@ def test_fact_check_that_needs_no_pass_builds_no_counting_model(tmp_path, monkey
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_EXACT["gadget", "fact-check"]
 
 
-@pytest.mark.parametrize("argv, g", [
-    (["hardcore-stats", "--lam", "1.0"], edgeless(1500)),
-    (["hardcore-stats", "--lam", "1.0"], path(1500)),
-    (["hardcore-stats", "--lam", "1.0", "--fact-check"], path(1500)),
-    (["semibip"], path(1500)),
-    (["frac-colour", "--epsilon", "2.0"], edgeless(1500)),
+def _long_stats(g: Graph, occupancy, z) -> dict:
+    """`hardcore-stats --lam 1` JSON of g from its exact occupancies and Z."""
+    occ = [float(p) for p in occupancy]
+    nbr = helpers.reference_neighbour_occupancy(g, occ, 1)
+    return {"lambda": 1.0, "log_Z": math.log(z), "mode": "exact", "occupancy": occ,
+            "neighbour_occupancy": {"1": list(nbr[1])}}
+
+
+def _long_path_stats(g: Graph) -> dict:
+    return _long_stats(g, helpers.path_occupancy(g.n, 1), helpers.chain_partitions(g.n, 1)[-1])
+
+
+def _long_path_semibip(g: Graph) -> dict:
+    # every edge has one end in the even vertices, the lexicographically
+    # first independent set of the largest degree sum
+    occ = helpers.path_occupancy(g.n, 1)
+    return {"lambda": 1.0, "A": list(range(0, g.n, 2)), "B": list(range(1, g.n, 2)),
+            "boundary_edges": g.m, "avg_degree": 2.0 * g.m / g.n, "mode": "exact",
+            "expected_boundary_edges": math.fsum(g.degree(v) * float(p)
+                                                 for v, p in enumerate(occ))}
+
+
+@pytest.mark.parametrize("argv, g, expected", [
+    (["hardcore-stats", "--lam", "1.0"], edgeless(1500),
+     lambda g: _long_stats(g, [Fraction(1, 2)] * g.n, 2 ** g.n)),
+    (["hardcore-stats", "--lam", "1.0"], path(1100), _long_path_stats),
+    (["hardcore-stats", "--lam", "1.0", "--fact-check"], path(1100),
+     lambda g: {**_long_path_stats(g), "fact_check": {"fact1_residual": 0.0,
+                                                      "fact2_residual": 0.0}}),
+    (["semibip", "--lam", "1.0"], path(1100), _long_path_semibip),
+    (["frac-colour", "--epsilon", "2.0"], edgeless(1500),
+     "error: graph has at least 2^1500 independent sets, above the listing budget 262144\n"),
 ], ids=["stats-edgeless", "stats-path", "fact-check-path", "semibip-path",
         "frac-colour-edgeless"])
-def test_exact_kernel_past_the_recursion_limit_is_resource_error(tmp_path, capsys, argv, g):
+def test_exact_kernel_past_the_recursion_limit_is_resource_error(tmp_path, capsys, argv, g,
+                                                                 expected):
+    # named for the interpreter's recursion limit, which these graphs pass
+    # and which stopped the exact kernel when it recursed (exit 3).  Its
+    # walk keeps its own stack, so the statistics come out exact; only
+    # frac-colour stops, at its listing budget, before it lists a set
     p = tmp_path / "big.edges"
     write_edge_list(g, p)
-    assert main(argv + ["--input", str(p), "--cutoff", "2000"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    out = tmp_path / "out.json"
+    code = main(argv + ["--input", str(p), "--cutoff", "2000", "--output", str(out)])
+    if isinstance(expected, str):
+        assert (code, capsys.readouterr().err, out.exists()) == (3, expected, False)
+    else:
+        assert code == 0
+        assert _strict_json(out.read_text()) == expected(g)
 
 
 def test_exact_log_z_past_every_float_at_an_integer_fugacity(tmp_path):
@@ -744,14 +811,15 @@ def test_exact_log_z_past_every_float_at_an_integer_fugacity(tmp_path):
     assert math.isclose(log_z, 60 * math.log1p(2.0 ** 20), rel_tol=1e-14)
 
 
-def test_fact_check_reports_a_triangle_before_any_exact_work(tmp_path, capsys):
-    # the path alone recurses past the interpreter's limit (exit 3), so
-    # exit 2 shows that the triangle was found first
-    g = Graph.from_edges(1500, [*path(1500).edges(), (0, 2)])
-    p = tmp_path / "big.edges"
+def test_fact_check_reports_a_triangle_before_any_exact_work(tmp_path, capsys, monkeypatch):
+    def record(g):
+        raise AssertionError("the split table was recorded before the triangle check")
+
+    monkeypatch.setattr(hardcore, "_record", record)
+    g = Graph.from_edges(12, [*path(12).edges(), (0, 2)])
+    p = tmp_path / "triangle.edges"
     write_edge_list(g, p)
-    assert main(["hardcore-stats", "--lam", "1.0", "--fact-check", "--input", str(p),
-                 "--cutoff", "2000"]) == 2
+    assert main(["hardcore-stats", "--lam", "1.0", "--fact-check", "--input", str(p)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: conditional_fact_check requires a triangle-free graph\n"

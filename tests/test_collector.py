@@ -17,7 +17,7 @@ import pytest
 from hcchroma import constructions, hardcore
 from hcchroma.cli import main
 from hcchroma.dpcolor import dump_cover
-from hcchroma.graph import complete, cycle, random_triangle_free, write_edge_list
+from hcchroma.graph import complete, cycle, random_triangle_free, star, write_edge_list
 
 import helpers
 
@@ -54,10 +54,13 @@ def _hcchroma_garbage(argv) -> list[str]:
 
 @pytest.fixture()
 def inputs(tmp_path):
-    """Input files: a 16-vertex triangle-free graph, a general-form cover
-    and a list-form cover."""
+    """Input files: a 16-vertex triangle-free graph, a 1101-vertex star
+    (past the interpreter's recursion limit for the recursive kernel, one
+    level per leaf component), a general-form cover and a list-form
+    cover."""
     graph = tmp_path / "g16.edges"
     write_edge_list(random_triangle_free(16, 0.3, 4), graph)
+    write_edge_list(star(1100), tmp_path / "star1100.edges")
     cover = helpers.random_cover(40, 4.0, 16, 2, seed=1)
     write_edge_list(cover.base, tmp_path / "base.edges")
     dump_cover(cover, tmp_path / "cover.json", tmp_path / "base.edges")
@@ -65,7 +68,8 @@ def inputs(tmp_path):
     write_edge_list(g, tmp_path / "list-base.edges")
     (tmp_path / "list-cover.json").write_text(json.dumps(
         {"graph": "list-base.edges", "lists": {str(v): lists[v] for v in range(g.n)}}))
-    return {"graph": str(graph), "cover": str(tmp_path / "cover.json"),
+    return {"graph": str(graph), "long_star": str(tmp_path / "star1100.edges"),
+            "cover": str(tmp_path / "cover.json"),
             "list_cover": str(tmp_path / "list-cover.json"),
             "out": str(tmp_path / "out.json")}
 
@@ -73,6 +77,8 @@ def inputs(tmp_path):
 COMMANDS = {
     "stats-exact-fact-check": ["hardcore-stats", "--input", "{graph}", "--lam", "1.0",
                                "--fact-check"],
+    "stats-exact-long-star": ["hardcore-stats", "--input", "{long_star}", "--lam", "1.0",
+                              "--cutoff", "2000"],
     "stats-sampled": ["hardcore-stats", "--input", "{graph}", "--lam", "1.0",
                       "--cutoff", "8", "--trials", "2", "--steps", "200"],
     "frac-colour": ["frac-colour", "--input", "{graph}", "--epsilon", "2.0"],
@@ -93,13 +99,19 @@ def test_command_leaves_no_hcchroma_cycles(inputs, name):
     assert _hcchroma_garbage(argv) == []
 
 
-@pytest.mark.parametrize("kernel", ["enumerate_stats", "conditional_fact_check",
+@pytest.mark.parametrize("kernel", ["enumerate_stats", "enumerate_stats-long-star",
+                                    "conditional_fact_check",
                                     "conditional_fact_check-lam-0.7",
                                     "semi_bipartite_extract", "independent_set_masks"])
 def test_exact_kernel_memory_returns_to_baseline_without_the_collector(kernel):
     if kernel == "enumerate_stats":
         # one Z memo and no per-vertex query: at n=30 it peaks under 100 kB
         g = random_triangle_free(40, 0.085, 1)
+        run = lambda: hardcore.enumerate_stats(g, 1.0, cutoff=g.n)
+    elif kernel == "enumerate_stats-long-star":
+        # the star of the stats-exact-long-star command: the walk's stack
+        # of ints goes with the call, as the table does
+        g = star(1100)
         run = lambda: hardcore.enumerate_stats(g, 1.0, cutoff=g.n)
     elif kernel.startswith("conditional_fact_check"):
         # the split table and its independent-set counts live for the

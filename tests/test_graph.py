@@ -9,6 +9,7 @@ from hcchroma import (
     Graph,
     InputError,
     FormatError,
+    SizeError,
     complete,
     complete_bipartite,
     cycle,
@@ -24,6 +25,9 @@ from hcchroma import (
     star,
     vertex_set,
 )
+from hcchroma import constructions
+from hcchroma import graph as graph_module
+from hcchroma.graph import MAX_VERTICES
 
 import helpers
 
@@ -246,6 +250,27 @@ def test_edge_list_parse_errors():
         parse_edge_list("2 2\n0 1\n")
     parsed = parse_edge_list("# comment\n3 1\n0 2\n")
     assert parsed.m == 1 and parsed.n == 3
+
+
+def test_edge_list_header_above_the_vertex_limit_is_size_error(monkeypatch):
+    # refused on the header alone: no graph is built, so a regression
+    # fails here instead of allocating per-vertex structures
+    def build(n, edges):
+        raise AssertionError(f"built a graph on {n} vertices")
+
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(build))
+    with pytest.raises(SizeError) as err:
+        parse_edge_list("1000000000 0\n")
+    assert str(err.value) == (
+        f"edge list declares 1000000000 vertices, above the limit {MAX_VERTICES}")
+    assert MAX_VERTICES > constructions.DEFAULT_SIZE_CAP  # construct's output reads back
+
+
+def test_edge_list_header_at_the_vertex_limit_reads(monkeypatch):
+    monkeypatch.setattr(graph_module, "MAX_VERTICES", 5)
+    assert parse_edge_list("5 1\n0 4\n").n == 5
+    with pytest.raises(SizeError):
+        parse_edge_list("6 1\n0 4\n")
 
 
 def test_connected_triangle_free_family_counts(tf_family):

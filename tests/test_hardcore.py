@@ -22,6 +22,7 @@ from hcchroma import (
 from hcchroma import constructions, hardcore
 from hcchroma.fractional import hard_core_oracle
 from hcchroma.hardcore import (
+    FactCheckReport,
     conditional_fact_check,
     enumerate_stats,
     glauber_sample,
@@ -46,6 +47,17 @@ def test_enumeration_canonical_order():
     sets = [helpers.mask_to_vertex_set(m) for m in masks]
     assert sets == sorted(sets)
     assert sets[0] == ()
+
+
+def test_listing_stops_above_the_set_budget(monkeypatch):
+    # C5 has 11 independent sets: listed at a budget of 11, refused at 10
+    # with the count, before any set is listed
+    monkeypatch.setattr(hardcore, "SET_BUDGET", 11)
+    assert len(independent_set_masks(cycle(5))) == 11
+    monkeypatch.setattr(hardcore, "SET_BUDGET", 10)
+    with pytest.raises(SizeError) as err:
+        independent_set_masks(cycle(5))
+    assert str(err.value) == "graph has 11 independent sets, above the listing budget 10"
 
 
 def test_empty_graph_stats():
@@ -442,6 +454,34 @@ def test_fact_check_skips_counts_of_probability_zero(lam):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    helpers.graphs(),
+    helpers.several_component_graphs(max_n=20),
+    st.integers(min_value=0, max_value=12).map(star),
+))
+@example(edgeless(0))
+@example(path(40))
+def test_record_lists_every_state_after_its_parts(g):
+    # the walk's table holds the states reached from V, each after its
+    # nonempty parts, item for item the table the recursion recorded
+    table = hardcore._record(g)
+    adj = g.adjacency_masks
+    done, parts_seen = set(), set()
+    for s, split in table.items():
+        if split > 0:
+            parts = {split, s ^ split}
+        else:
+            pick = 1 << ~split
+            parts = {s ^ pick, s & ~adj[~split] & ~pick}
+        parts.discard(0)
+        assert parts <= done
+        parts_seen |= parts
+        done.add(s)
+    assert done == (parts_seen | {(1 << g.n) - 1} if g.n else set())
+    assert list(table.items()) == list(helpers.reference_record(g).items())
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     st.one_of(
         helpers.triangle_free_graphs(),
@@ -733,9 +773,33 @@ def test_log_partition_keeps_the_digits_of_z_near_one(g, lam):
         assert math.isclose(enumerate_stats(g, x).log_partition, expected, rel_tol=1e-15)
 
 
-@pytest.mark.parametrize("g", [path(1500), star(1500)], ids=["path", "star"])
-def test_fact_check_past_the_recursion_limit_is_size_error(g):
-    # the path recurses deeply through its states, the star through the
-    # components of its leaves once the centre is branched on
-    with pytest.raises(SizeError):
-        conditional_fact_check(g, 1.0, cutoff=2000)
+@pytest.mark.parametrize("g, counts", [(path(1100), {1, 2}), (star(1001), {1, 1001})],
+                         ids=["path", "star"])
+def test_fact_check_past_the_recursion_limit_is_size_error(g, counts):
+    # named for the interpreter's recursion limit, which the path (one
+    # level per vertex) and the star (one per leaf component) passed when
+    # the kernel recursed; the explicit stack runs both to their exact
+    # report.  The counts j are the path's degrees; on the star, the
+    # centre's only set J = {} leaves all its leaves uncovered, and a leaf
+    # sees the centre uncovered only when J = {}
+    q = Fraction(0.7)
+    res2 = max(abs((1 + q) ** -j - 1.7 ** -j) for j in counts)
+    expected = FactCheckReport(0.7, abs(q / (1 + q) - 0.7 / 1.7), res2)
+    assert conditional_fact_check(g, 0.7, cutoff=2000) == expected
+
+
+@pytest.mark.parametrize("g, lam, occupancy", [
+    (edgeless(1200), 1.0, lambda n, lam: [lam / (1 + lam)] * n),
+    (edgeless(1200), Fraction(3), lambda n, lam: [lam / (1 + lam)] * n),
+    (star(1200), 1.0, helpers.star_occupancy),
+    (star(1200), Fraction(3), helpers.star_occupancy),
+    (path(1100), Fraction(3), helpers.path_occupancy),
+    (cycle(1001), 1.0, lambda n, lam: [helpers.cycle_occupancy(n, lam)] * n),
+], ids=["edgeless-1", "edgeless-3", "star-1", "star-3", "path-3", "cycle-1"])
+def test_long_graphs_match_closed_forms(g, lam, occupancy):
+    # past a thousand vertices, where the recursive kernel stopped: each
+    # occupancy is the exact quotient, a Fraction at a Fraction lambda
+    # and correctly rounded at a float one
+    exact = tuple(occupancy(g.n, Fraction(lam)))
+    rounded = exact if isinstance(lam, Fraction) else tuple(map(float, exact))
+    assert enumerate_stats(g, lam, cutoff=g.n).occupancy == rounded
