@@ -6,15 +6,16 @@ measure at least 1 across the sets containing it.  The greedy algorithm
 repeatedly asks an oracle for a probability distribution on the
 independent sets of the surviving induced subgraph, adds tau units of
 measure split across the sets in proportion to their probabilities, and
-removes saturated vertices.  With the locally optimised weights computed
-here from per-vertex degrees, feeding in the exact hard-core distribution
-colours every vertex v of a triangle-free graph inside
-[0, (1 + lam)/lam * exp(W(deg(v) * log(1 + lam)))).
+removes saturated vertices.  The weights are one pair (alpha_v, beta_v)
+per vertex, and every round the oracle's distribution must satisfy
+alpha_v Pr(v in I) + beta_v E|N(v) /\\ I| >= 1 on the surviving subgraph.
+With the locally optimised pairs computed here from per-vertex degrees,
+feeding in the exact hard-core distribution colours every vertex v of a
+triangle-free graph inside [0, (1 + lam)/lam * exp(W(deg(v) * log(1 + lam)))).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, islice, pairwise, repeat
@@ -23,7 +24,7 @@ from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 from . import hardcore
 from .errors import HypothesisError, InputError, InternalError, StateError
-from .graph import Graph, VertexSet, distance_layers, vertex_set
+from .graph import Graph, VertexSet, vertex_set
 from .numerics import lambert_w
 
 Interval = tuple[float, float]
@@ -177,34 +178,24 @@ def uniform_set_oracle(sets: Iterable[Iterable[int]]) -> DistributionOracle:
 
 @dataclass(frozen=True)
 class LocalWeights:
-    """Per-vertex distance-weight lists (alpha_j(v)) with derived totals.
+    """Per-vertex weight pairs (alpha_v, beta_v) with derived caps.
 
-    ``alpha[v]`` has length r + 1 and ``gamma[v]`` equals
-    sum_j alpha_j(v) * |N^j(v)| in the ambient graph; gamma caps the total
+    ``alpha[v]`` is the pair (alpha_v, beta_v) and ``gamma[v]`` equals
+    alpha_v + beta_v * deg(v) in the ambient graph; gamma caps the total
     measure the greedy algorithm may spend while v is unsaturated.
     """
 
-    r: int
-    alpha: tuple[tuple[float, ...], ...]
+    alpha: tuple[tuple[float, float], ...]
     gamma: tuple[float, ...]
 
     @classmethod
     def from_alpha(cls, g: Graph, alpha: Sequence[Sequence[float]]) -> "LocalWeights":
         if len(alpha) != g.n:
-            raise InputError("need one weight list per vertex")
-        if g.n == 0:
-            return cls(0, (), ())
-        r = len(alpha[0]) - 1
-        if r < 0 or any(len(a) != r + 1 for a in alpha):
-            raise InputError("all weight lists must share length r + 1")
-        gamma = tuple(
-            math.fsum(
-                a * len(layer)
-                for a, layer in zip(alpha[v], ((v,),) + distance_layers(g, v, r))
-            )
-            for v in range(g.n)
-        )
-        return cls(r, tuple(tuple(map(float, a)) for a in alpha), gamma)
+            raise InputError("need one weight pair per vertex")
+        if any(len(a) != 2 for a in alpha):
+            raise InputError("each weight list must be a pair (alpha_v, beta_v)")
+        gamma = tuple(math.fsum((a, b * g.degree(v))) for v, (a, b) in enumerate(alpha))
+        return cls(tuple((float(a), float(b)) for a, b in alpha), gamma)
 
 
 @dataclass(frozen=True)
@@ -242,9 +233,9 @@ class FractionalColouring:
         text: the colouring itself is the only full copy.  Numbers are
         spelled by ``repr``, exactly as the encoder spells them, which also
         avoids the generator frame per value that the encoder builds once
-        ``indent`` is set.  A non-finite total or endpoint, which ``repr``
-        spells differently, is found by one pass before the first byte and
-        sends the whole colouring through the encoder instead.
+        ``indent`` is set.  A non-finite total or endpoint has no JSON
+        spelling: one pass finds it before the first byte and raises
+        InputError, so nothing is written.
 
         Each endpoint is spelled once.  In a greedy colouring a block's end
         is the start of the round's next block, which belongs to a later
@@ -257,8 +248,7 @@ class FractionalColouring:
         """
         endpoints = chain.from_iterable(chain.from_iterable(self.parts.values()))
         if not (math.isfinite(self.total) and all(map(math.isfinite, endpoints))):
-            fh.write(json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
-            return
+            raise InputError("colouring has a non-finite total or endpoint")
         held: dict[float, str] = {}
         take = held.pop
         chunks = ['{\n  "parts": [']
@@ -296,16 +286,16 @@ class FractionalColouring:
 
 
 def _oracle_scores(g: Graph, live, occ: Sequence[float], weights: LocalWeights) -> list[float]:
-    """Per live v, sum_j alpha_j(v) * E|N^j_H(v) /\\ I| on H = g[live], with
-    ``occ`` in g's ids; H is read through `distance_layers`' ``within``."""
+    """Per live v, alpha_v * Pr(v in I) + beta_v * E|N_H(v) /\\ I| on
+    H = g[live], with ``occ`` in g's ids; N_H(v) is v's live neighbours."""
     alive = set(live)
     scores = []
     for v in live:
-        row = weights.alpha[v]
-        s = row[0] * occ[v]
-        for a, layer in zip(row[1:], distance_layers(g, v, weights.r, within=alive)):
-            if layer:
-                s += a * math.fsum(occ[u] for u in layer)
+        a, b = weights.alpha[v]
+        s = a * occ[v]
+        nbrs = [u for u in g.adjacency[v] if u in alive]
+        if nbrs:
+            s += b * math.fsum(occ[u] for u in nbrs)
         scores.append(s)
     return scores
 
@@ -316,9 +306,9 @@ def greedy_fractional_colouring(
     """Run the greedy measure-spreading loop until every vertex saturates.
 
     Each iteration queries the oracle with G and the unsaturated vertices,
-    checks the hypothesis sum_j alpha_j(v) * E|N^j_H(v) /\\ I_H| >= 1 for
-    every v in their induced subgraph H, read through ``within`` and not
-    built, takes
+    checks the hypothesis alpha_v Pr(v in I_H) + beta_v E|N_H(v) /\\ I_H| >= 1
+    for every v in their induced subgraph H, read from g's adjacency and
+    not built, takes
 
         tau = min( min_v (1 - w(v)) / Pr(v in I_H),
                    min_v gamma(v) - w(G) ),
@@ -330,7 +320,7 @@ def greedy_fractional_colouring(
     the hypothesis holds; exceeding that is an internal error.
     """
     n = g.n
-    if weights.r < 0 or (n and len(weights.alpha) != n):
+    if len(weights.alpha) != n:
         raise InputError("weights do not match the graph")
     parts: dict[VertexSet, list[Interval]] = {}
     w_total = 0.0

@@ -119,20 +119,17 @@ def _unchecked_graph(n: int, adjacency: tuple[tuple[int, ...], ...]) -> Graph:
     return g
 
 
-def distance_layers(g: Graph, v: int, r: int, within=None) -> tuple[VertexSet, ...]:
+def distance_layers(g: Graph, v: int, r: int) -> tuple[VertexSet, ...]:
     """Layers N^1(v)..N^r(v) of one breadth-first search from ``v``.
 
     Layer j is the sorted tuple of vertices at distance exactly j; layers
-    past v's eccentricity are empty.  With ``within``, a vertex set holding
-    v, distances are those of the subgraph it induces, still in g's ids.
-    One search answers every j, so a call costs O(n + m + r).
+    past v's eccentricity are empty.  One search answers every j, so a call
+    costs O(n + m + r).
     """
     if not 0 <= v < g.n:
         raise InputError(f"vertex id {v} out of range")
     if r < 0:
         raise InputError("distance must be non-negative")
-    if within is not None and v not in within:
-        raise InputError(f"vertex {v} is not in the set searched within")
     seen = {v}
     layer = [v]
     layers: list[VertexSet] = []
@@ -140,7 +137,7 @@ def distance_layers(g: Graph, v: int, r: int, within=None) -> tuple[VertexSet, .
         nxt = []
         for u in layer:
             for w in g.adjacency[u]:
-                if w not in seen and (within is None or w in within):
+                if w not in seen:
                     seen.add(w)
                     nxt.append(w)
         layers.append(tuple(sorted(nxt)))

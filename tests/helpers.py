@@ -98,20 +98,20 @@ def reference_neighbour_occupancy(g: Graph, occupancy, max_distance: int) -> dic
 def reference_oracle_scores(g: Graph, live, occ, weights) -> list[float]:
     """The greedy's per-vertex scores on H = g[live], built as a graph.
 
-    Builds H with `induced_subgraph`, reads its distance layers from
-    networkx and scores each vertex in H's ids, adding the j terms in
-    ascending order and skipping empty layers.
+    Builds H with `induced_subgraph`, reads each vertex's neighbours in H
+    from networkx and scores it in H's ids as alpha_v * occupancy plus, when
+    it has a neighbour in H, beta_v * the fsum of their occupancies.
     """
     h, _ = induced_subgraph(g, live)
     H = to_nx(h)
     occ_h = [occ[v] for v in live]
     scores = []
     for i, v in enumerate(live):
-        row = weights.alpha[v]
-        s = row[0] * occ_h[i]
-        for j, layer in enumerate(nx_layers(H, i, weights.r), 1):
-            if layer:
-                s += row[j] * math.fsum(occ_h[u] for u in layer)
+        a, b = weights.alpha[v]
+        s = a * occ_h[i]
+        (layer,) = nx_layers(H, i, 1)
+        if layer:
+            s += b * math.fsum(occ_h[u] for u in layer)
         scores.append(s)
     return scores
 

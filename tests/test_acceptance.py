@@ -94,7 +94,7 @@ def test_criterion_02_occupancy_bound_grid(tf_family):
 def test_criterion_03_greedy_hand_traces():
     k1 = edgeless(1)
     col = greedy_fractional_colouring(
-        k1, LocalWeights.from_alpha(k1, [(2.0,)]), hard_core_oracle(1.0)
+        k1, LocalWeights.from_alpha(k1, [(2.0, 0.0)]), hard_core_oracle(1.0)
     )
     assert len(col.taus) == 1 and abs(col.taus[0] - 2.0) <= 1e-9
     assert abs(col.total - 2.0) <= 1e-9

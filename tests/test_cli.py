@@ -956,6 +956,31 @@ def test_dp_solve_certify_builds_two_covers(dp_golden_dir, tmp_path, monkeypatch
         assert built.count("checked") == checked, name
 
 
+@pytest.mark.parametrize("name, mode", [
+    key for key in sorted(GOLDEN_DP_SOLVE) if GOLDEN_DP_SOLVE[key][1] == 0])
+def test_dp_solve_verifies_the_loaded_cover_once(dp_golden_dir, tmp_path, monkeypatch,
+                                                 name, mode):
+    """The solver checks its colouring against the loaded cover; the CLI
+    does not check it again."""
+    loaded = []
+    checked = []
+    load_cover = dpcolor.load_cover
+    verify = dpcolor.verify_dp_colouring
+
+    def loading(filename):
+        cover, labels = load_cover(filename)
+        loaded.append(cover)
+        return cover, labels
+
+    monkeypatch.setattr(dpcolor, "load_cover", loading)
+    monkeypatch.setattr(dpcolor, "verify_dp_colouring",
+                        lambda c, choice: checked.append(c) or verify(c, choice))
+    flags, code, _ = GOLDEN_DP_SOLVE[name, mode]
+    assert main(["dp-solve", "--cover", str(dp_golden_dir / f"{name}.json"), *flags,
+                 "--output", str(tmp_path / "out.json")]) == code
+    assert sum(c is loaded[0] for c in checked) == 1
+
+
 def test_dp_solve_rejects_cross_edge_between_non_adjacent_lists(tmp_path, capsys):
     from hcchroma.graph import edgeless
 

@@ -52,7 +52,7 @@ def _same_colouring(a, b):
 
 
 def test_hand_trace_k1():
-    col = greedy_fractional_colouring(K1, LocalWeights.from_alpha(K1, [(2.0,)]), hard_core_oracle(1.0))
+    col = greedy_fractional_colouring(K1, LocalWeights.from_alpha(K1, [(2.0, 0.0)]), hard_core_oracle(1.0))
     assert col.taus == (2.0,)
     assert abs(col.total - 2.0) <= 1e-9
     assert abs(interval_measure(col.parts.get((), ())) - 1.0) <= 1e-9
@@ -274,33 +274,14 @@ def test_table_oracle_greedy_past_round_one():
     assert col.total == pytest.approx(4, rel=0, abs=1e-12)
 
 
-def test_general_r_weights_run_end_to_end():
-    # distance-2 weight term: alpha = (5, 0, 1) keeps the hypothesis valid
-    # on every induced subgraph of C5 at fugacity 1 (worst case is the
-    # centre of an induced P3, occupancy exactly 1/5)
-    g = cycle(5)
-    weights = LocalWeights.from_alpha(g, [(5.0, 0.0, 1.0)] * 5)
-    assert weights.r == 2
-    assert all(abs(gv - 7.0) <= 1e-12 for gv in weights.gamma)
-    col = greedy_fractional_colouring(g, weights, hard_core_oracle(1.0))
-    assert validate_colouring(g, col, list(weights.gamma)).ok
-    assert len(col.taus) <= g.n
-    ref = greedy_fractional_colouring(g, weights, helpers.reference_hard_core_oracle(1.0))
-    assert _same_colouring(col, ref)
-
-
 @settings(max_examples=80, deadline=None)
-@given(
-    g=helpers.triangle_free_graphs(max_n=10),
-    r=st.sampled_from((0, 1, 2, 3)),
-    data=st.data(),
-)
-def test_oracle_scores_equal_scores_on_the_built_induced_subgraph(g, r, data):
+@given(g=helpers.triangle_free_graphs(max_n=10), data=st.data())
+def test_oracle_scores_equal_scores_on_the_built_induced_subgraph(g, data):
     assume(g.n > 0)
     live = tuple(sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))))
     occ = data.draw(st.lists(st.floats(0.0, 1.0), min_size=g.n, max_size=g.n))
     alpha = data.draw(st.lists(
-        st.lists(st.floats(0.0, 10.0), min_size=r + 1, max_size=r + 1),
+        st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
         min_size=g.n, max_size=g.n))
     weights = LocalWeights.from_alpha(g, alpha)
     assert _oracle_scores(g, live, occ, weights) == helpers.reference_oracle_scores(
@@ -314,9 +295,16 @@ def test_local_weights_gamma_recomputable():
     assert all(abs(a - b) <= 1e-12 for a, b in zip(rebuilt.gamma, weights.gamma))
 
 
+@pytest.mark.parametrize("row", [(2.0,), (2.0, 0.0, 1.0)], ids=["single", "triple"])
+def test_local_weights_need_one_pair_per_vertex(row):
+    g = cycle(5)
+    with pytest.raises(InputError):
+        LocalWeights.from_alpha(g, [row] * g.n)
+
+
 def test_greedy_rejects_mismatched_weights():
     g = cycle(5)
-    short = LocalWeights.from_alpha(edgeless(2), [(2.0,), (2.0,)])
+    short = LocalWeights.from_alpha(edgeless(2), [(2.0, 0.0)] * 2)
     with pytest.raises(InputError):
         greedy_fractional_colouring(g, short, hard_core_oracle(1.0))
 
@@ -371,8 +359,6 @@ def test_json_text_matches_encoder(g):
 def test_json_text_edge_cases_match_encoder():
     cols = [
         FractionalColouring({(): (), (0, 2): ((0, 1), (1.5, 2.0))}, 2),
-        FractionalColouring({(0,): ((0.0, math.inf),)}, math.inf),
-        FractionalColouring({(0,): ((0.0, math.nan),)}, 1e-300),
         # a zero end, then a start at the zero of the other sign: spelled apart
         FractionalColouring({(): ((-1.0, 0.0),), (0,): ((-0.0, 0.5),)}, 0.5),
         FractionalColouring({(): ((-1.0, -0.0),), (0,): ((0.0, 0.5),)}, 0.5),
@@ -393,6 +379,20 @@ def test_json_text_edge_cases_match_encoder():
     ]
     for col in cols:
         assert_text_matches_encoder(col)
+
+
+@pytest.mark.parametrize("col", [
+    FractionalColouring({(0,): ((0.0, math.inf),)}, math.inf),
+    FractionalColouring({(0,): ((0.0, math.nan),)}, 1e-300),
+    FractionalColouring({(0,): ((0.0, 1.0),)}, math.nan),
+    FractionalColouring({(): ((0.0, 0.5),), (0,): ((-math.inf, 1.0),)}, 1.0),
+], ids=["inf-total", "nan-end", "nan-total", "inf-start"])
+def test_write_json_refuses_non_finite_numbers(col):
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as fh:
+        with pytest.raises(InputError):
+            col.write_json(fh)
+        fh.seek(0)
+        assert fh.read() == ""
 
 
 @settings(max_examples=25, deadline=None)

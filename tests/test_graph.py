@@ -109,17 +109,12 @@ def test_distance_layers_examples():
     assert distance_layers(p3, 1, 3) == ((0, 2), (), ())
     assert distance_layers(p3, 1, 0) == ()
     assert distance_layers(cycle(5), 0, 2) == ((1, 4), (2, 3))
-    # inside {0, 1, 2, 3} of C5 the edge 4-0 is gone, so C5 becomes a path
-    assert distance_layers(cycle(5), 0, 4, within={0, 1, 2, 3}) == ((1,), (2,), (3,), ())
-    assert distance_layers(cycle(5), 1, 2, within={1}) == ((), ())
 
 
-@pytest.mark.parametrize("v, r, within", [
-    (7, 1, None), (-1, 1, None), (3, 1, None), (0, -1, None), (0, 1, {1, 2}),
-])
-def test_distance_layers_rejects_bad_arguments(v, r, within):
+@pytest.mark.parametrize("v, r", [(7, 1), (-1, 1), (3, 1), (0, -1)])
+def test_distance_layers_rejects_bad_arguments(v, r):
     with pytest.raises(InputError):
-        distance_layers(path(3), v, r, within=within)
+        distance_layers(path(3), v, r)
 
 
 def _layers_by_networkx(G, v, r):
@@ -133,16 +128,6 @@ def test_distance_layers_match_networkx(g):
     for v in range(g.n):
         for r in (0, 1, g.n):
             assert distance_layers(g, v, r) == _layers_by_networkx(G, v, r)
-
-
-@settings(max_examples=80, deadline=None)
-@given(graphs(), st.data())
-def test_distance_layers_within_match_networkx_on_the_induced_subgraph(g, data):
-    v = data.draw(st.integers(0, g.n - 1))
-    rest = data.draw(st.sets(st.integers(0, g.n - 1)))
-    within = rest | {v}
-    sub = helpers.to_nx(g).subgraph(within)
-    assert distance_layers(g, v, g.n, within=within) == _layers_by_networkx(sub, v, g.n)
 
 
 @settings(max_examples=60, deadline=None)
