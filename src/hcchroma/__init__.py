@@ -22,7 +22,6 @@ from .graph import (
     complete,
     complete_bipartite,
     cycle,
-    distance_layers,
     edgeless,
     format_edge_list,
     induced_subgraph,

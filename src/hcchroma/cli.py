@@ -91,7 +91,6 @@ def cmd_hardcore_stats(args: argparse.Namespace) -> int:
         # checked in either mode, though only sampled mode reads them
         raise InputError("sampled mode needs --trials and --steps of at least 1")
     g = read_edge_list(args.input)
-    hardcore._check_max_distance(g, args.max_distance)
     if args.fact_check:
         hardcore._check_cutoff(g, cutoff)  # the check is exact only: fail before any sampling
     lam = args.lam
@@ -100,7 +99,7 @@ def cmd_hardcore_stats(args: argparse.Namespace) -> int:
         if args.fact_check:
             hardcore._check_triangle_free(g)  # before any exact work
         exact = hardcore._Exact(g, lam)  # one model serves the stats and the check
-        payload = exact.stats(args.max_distance).to_json_dict()
+        payload = exact.stats().to_json_dict()
         payload["mode"] = "exact"
         if args.fact_check:
             report = exact.fact_check(lam)
@@ -115,7 +114,7 @@ def cmd_hardcore_stats(args: argparse.Namespace) -> int:
             for v in hardcore.glauber_sample(g, lam, steps, args.seed + t):
                 counts[v] += 1
         occ = tuple(c / args.trials for c in counts)
-        nbr = hardcore.neighbour_occupancy(g, occ, args.max_distance)
+        nbr = hardcore.neighbour_occupancy(g, occ)
         payload = hardcore.OccupancyStats(lam, None, occ, nbr).to_json_dict()
         payload.update(mode="sampled", trials=args.trials, steps=steps)
     if args.format == "tsv":
@@ -270,7 +269,7 @@ def cmd_semibip(args: argparse.Namespace) -> int:
         "mode": "exact" if g.n <= cutoff else "sampled",
     }
     if table is not None:  # exact: the search's split table serves the expectation too
-        stats = hardcore._Exact(g, lam, table).stats(1)
+        stats = hardcore._Exact(g, lam, table).stats()
         f1, f2 = constructions._crossing_edges(g, stats)
         payload["expected_boundary_edges"] = f1
         if abs(f1 - f2) > 1e-9:
@@ -302,7 +301,6 @@ def make_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lam", type=float, required=True, help="fugacity")
-    p.add_argument("--max-distance", type=int, default=1)
     p.add_argument("--trials", type=int, default=32, help="chains in sampled mode")
     p.add_argument("--steps", type=int, default=None, help="steps per chain in sampled mode")
     p.add_argument("--fact-check", action="store_true",

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 from . import hardcore
 from .errors import HypothesisError, InputError, InternalError, SizeError
-from .graph import Graph, VertexSet, induced_subgraph, is_triangle_free
+from .graph import MAX_VERTICES, Graph, VertexSet, induced_subgraph, is_triangle_free
 
 Colour = tuple[int, int]  # (index, level)
 
@@ -116,7 +116,9 @@ def necessary_construction(
     of copy indices, and appends the copy index to every B-list in that
     copy.  The copy count is a ceiling of the real tower ratio; the
     structural properties are re-checked on the output rather than assumed
-    from the closed form.
+    from the closed form.  ``size_cap`` bounds every level's vertex count
+    and lies in 0..`graph.MAX_VERTICES`, so the instance's edge list reads
+    back.
     """
     if delta < 3:
         raise InputError("delta must be at least 3 (smaller breaks the list bound)")
@@ -125,6 +127,8 @@ def necessary_construction(
     if level > delta - 1:
         raise InputError("level must be at most delta - 1")
     _check_limit("size_cap", size_cap)
+    if size_cap > MAX_VERTICES:
+        raise InputError(f"size_cap must be at most {MAX_VERTICES}, got {size_cap}")
     if delta + 1 > size_cap:
         raise SizeError(f"level 0 needs {delta + 1} vertices, above the cap {size_cap}")
     centre_list = frozenset((i, 0) for i in range(1, delta + 1))
@@ -461,7 +465,7 @@ def expected_crossing_edges(
 ) -> tuple[float, float]:
     """E[boundary edge count] written both ways: sum deg * Pr(v in I) and
     sum of expected occupied neighbours.  The two must agree exactly."""
-    return _crossing_edges(g, hardcore.enumerate_stats(g, lam, max_distance=1, cutoff=cutoff))
+    return _crossing_edges(g, hardcore.enumerate_stats(g, lam, cutoff=cutoff))
 
 
 def _crossing_edges(g: Graph, stats: hardcore.OccupancyStats) -> tuple[float, float]:

@@ -568,15 +568,16 @@ def _types(values) -> set[type]:
 def load_cover(filename) -> tuple[Cover, tuple[Hashable, ...] | None]:
     """Read a cover file; returns (cover, labels) with labels None in general mode.
 
-    A malformed cover or graph file, or one that is not UTF-8, is a
-    `FormatError`.  A general-form cover must also satisfy the cover
+    A malformed cover or graph file, one that is not UTF-8 or nests too
+    deeply for the JSON reader, or a graph name that no file can have, is
+    a `FormatError`.  A general-form cover must also satisfy the cover
     axioms (`validate_cover`), or it is a `HypothesisError`; a list-form
     cover satisfies them by construction.
     """
     with open(filename, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise FormatError(f"bad cover file: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("graph"), str):
         raise FormatError("cover file must be an object with a 'graph' file name")

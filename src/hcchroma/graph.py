@@ -18,8 +18,9 @@ from .errors import FormatError, InputError, SizeError
 
 VertexSet = tuple[int, ...]
 
-# The most vertices an edge-list header may declare; above the default
-# `constructions.DEFAULT_SIZE_CAP`, so every graph `construct` writes reads back.
+# The most vertices an edge-list header may declare; also the largest size
+# cap `constructions.necessary_construction` takes, so every graph
+# `construct` writes reads back.
 MAX_VERTICES = 1 << 19
 
 
@@ -117,32 +118,6 @@ def _unchecked_graph(n: int, adjacency: tuple[tuple[int, ...], ...]) -> Graph:
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "adjacency", adjacency)
     return g
-
-
-def distance_layers(g: Graph, v: int, r: int) -> tuple[VertexSet, ...]:
-    """Layers N^1(v)..N^r(v) of one breadth-first search from ``v``.
-
-    Layer j is the sorted tuple of vertices at distance exactly j; layers
-    past v's eccentricity are empty.  One search answers every j, so a call
-    costs O(n + m + r).
-    """
-    if not 0 <= v < g.n:
-        raise InputError(f"vertex id {v} out of range")
-    if r < 0:
-        raise InputError("distance must be non-negative")
-    seen = {v}
-    layer = [v]
-    layers: list[VertexSet] = []
-    while layer and len(layers) < r:
-        nxt = []
-        for u in layer:
-            for w in g.adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        layers.append(tuple(sorted(nxt)))
-        layer = nxt
-    return tuple(layers) + ((),) * (r - len(layers))
 
 
 def is_triangle_free(g: Graph) -> bool:
@@ -294,8 +269,13 @@ def format_edge_list(g: Graph) -> str:
 
 
 def read_edge_list(filename) -> Graph:
-    """`parse_edge_list` of a UTF-8 file; FormatError when it is not UTF-8."""
-    with open(filename, "r", encoding="utf-8") as fh:
+    """`parse_edge_list` of a UTF-8 file; FormatError when it is not UTF-8,
+    or when no file can have the name (a null byte, a lone surrogate)."""
+    try:
+        fh = open(filename, "r", encoding="utf-8")
+    except ValueError as exc:  # what open raises for such a name, not an OSError
+        raise FormatError(f"no file can be named {filename!r}: {exc}") from exc
+    with fh:
         try:
             return parse_edge_list(fh.read())
         except UnicodeDecodeError as exc:

@@ -44,7 +44,7 @@ from functools import partial
 from typing import Mapping
 
 from .errors import HypothesisError, InputError, SizeError
-from .graph import Graph, VertexSet, distance_layers, is_triangle_free
+from .graph import Graph, VertexSet, is_triangle_free
 
 DEFAULT_CUTOFF = 30
 SET_BUDGET = 1 << 18  # independent sets that `independent_set_masks` may list
@@ -53,12 +53,6 @@ SET_BUDGET = 1 << 18  # independent sets that `independent_set_masks` may list
 def _check_fugacity(lam) -> None:
     if not 0 < lam < math.inf:
         raise InputError(f"fugacity must be positive and finite, not {lam!r}")
-
-
-def _check_max_distance(g: Graph, max_distance: int) -> None:
-    limit = max(1, g.n)  # no vertex is at distance n or more: only zero rows lie beyond
-    if not 1 <= max_distance <= limit:
-        raise InputError(f"max_distance must be between 1 and {limit}, not {max_distance}")
 
 
 def _check_cutoff(g: Graph, cutoff: int) -> None:
@@ -72,8 +66,10 @@ def _check_cutoff(g: Graph, cutoff: int) -> None:
 class OccupancyStats:
     """Exact hard-core statistics for one graph and fugacity.
 
-    ``occupancy[v]`` is Pr(v in I) and ``neighbour_occupancy[j][v]`` is the
-    expected number of occupied vertices at distance exactly j from v.
+    ``occupancy[v]`` is Pr(v in I) and ``neighbour_occupancy[1][v]`` is
+    E|N(v) intersect I|, the expected number of occupied neighbours of v:
+    the two statistics the fractional colouring's weights read.  The
+    mapping's one key 1 is the JSON key "1".
     ``log_partition`` is None when the occupancies are sampled estimates.
     """
 
@@ -320,7 +316,7 @@ class _Exact:
         zmask = (1 << zshift) - 1
         return [whole >> (j * zshift) & zmask for j in range(marked.bit_count() + 1)]
 
-    def stats(self, max_distance: int) -> OccupancyStats:
+    def stats(self) -> OccupancyStats:
         """`enumerate_stats` of the graph, without its checks.
 
         Z and every count are read at lambda once.  At the packed point,
@@ -353,7 +349,7 @@ class _Exact:
             z = Fraction(total, scale)
             log_z = math.log(z.numerator) - math.log(z.denominator)
         occupancy = tuple(divide(count, total) for count in counts)
-        nbr = neighbour_occupancy(self.g, occupancy, max_distance)
+        nbr = neighbour_occupancy(self.g, occupancy)
         return OccupancyStats(float(lam), log_z, occupancy, nbr)
 
     def occurring_counts(self) -> set[int]:
@@ -393,14 +389,13 @@ class _Exact:
         return FactCheckReport(float(lam), res1, res2)
 
 
-def enumerate_stats(
-    g: Graph, lam, max_distance: int = 1, cutoff: int = DEFAULT_CUTOFF
-) -> OccupancyStats:
+def enumerate_stats(g: Graph, lam, *, cutoff: int = DEFAULT_CUTOFF) -> OccupancyStats:
     """Exact occupancy statistics from the independence polynomial.
 
     Pr(v in I) = lam Z(V - N[v]) / Z, each the float nearest to the exact
     quotient, or the exact Fraction when ``lam`` is a Fraction; at lam = 1
-    the floats are the independent-set counts divided once.
+    the floats are the independent-set counts divided once.  E|N(v)
+    intersect I| sums the occupancies over N(v) (`neighbour_occupancy`).
     ``log_partition`` is a float either way: log1p(Z - 1) when Z < 2, so
     that a Z near 1 keeps its digits, and log(numerator) - log(denominator)
     of Z as an exact Fraction when Z exceeds every float.
@@ -411,33 +406,19 @@ def enumerate_stats(
     query of its own.
     """
     _check_fugacity(lam)
-    _check_max_distance(g, max_distance)
     _check_cutoff(g, cutoff)
-    return _Exact(g, lam).stats(max_distance)
+    return _Exact(g, lam).stats()
 
 
-def neighbour_occupancy(
-    g: Graph, occupancy, max_distance: int
-) -> dict[int, tuple[float, ...]]:
-    """Expected occupied vertices at distance exactly j from each vertex.
-
-    Maps each j in 1..max_distance to the per-vertex sums of ``occupancy``
-    over the vertices at distance j, whether the occupancies are exact or
-    sampled estimates: Fractions are summed exactly, floats with fsum.
-    ``max_distance`` may not exceed max(1, n), since no vertex is at
-    distance n or more.  One breadth-first search per vertex, so the cost
-    is O(n (n + m)) whatever ``max_distance`` is.
+def neighbour_occupancy(g: Graph, occupancy) -> dict[int, tuple]:
+    """``{1: row}``, where row[v] = E|N(v) intersect I| is the sum of
+    ``occupancy`` over v's neighbours, whether the occupancies are exact
+    or sampled estimates: Fractions are summed exactly, floats with fsum,
+    which rounds the exact sum once.  O(n + m).
     """
-    _check_max_distance(g, max_distance)
     exact = bool(occupancy) and isinstance(occupancy[0], Fraction)
     add = partial(sum, start=Fraction(0)) if exact else math.fsum
-    by_vertex = [
-        [add(occupancy[u] for u in layer) for layer in distance_layers(g, v, max_distance)]
-        for v in range(g.n)
-    ]
-    return {
-        j: tuple(sums[j - 1] for sums in by_vertex) for j in range(1, max_distance + 1)
-    }
+    return {1: tuple(add(occupancy[u] for u in nbrs) for nbrs in g.adjacency)}
 
 
 def default_glauber_steps(n: int) -> int:

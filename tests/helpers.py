@@ -3,15 +3,15 @@
 The oracles here deliberately avoid the package's exact kernels so they
 can serve as independent references: independent sets come from itertools
 subsets or from the package's set enumerator (itself checked against
-itertools), triangles from a full triple scan, distances from networkx.
+itertools), triangles from a full triple scan, neighbourhoods from networkx.
 The `reference_*` functions are the implementations that the
 independence-polynomial kernel, the split table's loop, the once-per-run
 hard-core oracle, the counter-based Glauber sampler, the two-phase
 colouring's phase 1, the
 greedy's scores on a built induced subgraph, the copying colouring
 validator, fact (b)'s inclusion-exclusion and the per-vertex occupancy
-queries replaced; they read distances from networkx, not from
-`distance_layers`.  The dp-solve references build every node's cross
+queries replaced; they read neighbourhoods from networkx, not from the
+package's adjacency.  The dp-solve references build every node's cross
 partners (`star_adjacency`), truncate a cover afresh for each use and
 rescan the edges after every resample.  Stars, paths and cycles have
 exact occupancies in closed form, for graphs too long to enumerate.
@@ -72,27 +72,19 @@ def to_nx(g: Graph) -> nx.Graph:
     return G
 
 
-def nx_layers(G: nx.Graph, v: int, r: int) -> list[list[int]]:
-    """Sorted vertex lists at distance 1..r from v in the networkx graph G."""
-    by_dist: dict[int, list[int]] = {}
-    for u, d in nx.single_source_shortest_path_length(G, v, cutoff=r).items():
-        by_dist.setdefault(d, []).append(u)
-    return [sorted(by_dist.get(j, [])) for j in range(1, r + 1)]
-
-
-def reference_neighbour_occupancy(g: Graph, occupancy, max_distance: int) -> dict:
-    """Per distance j, per vertex, the sum of ``occupancy`` at distance j.
+def reference_neighbour_occupancy(g: Graph, occupancy) -> dict:
+    """``{1: row}``, row[v] the sum of ``occupancy`` over v's neighbours
+    in networkx's copy of ``g``.
 
     Fractions are summed exactly, floats with fsum.
     """
     G = to_nx(g)
     exact = bool(occupancy) and isinstance(occupancy[0], Fraction)
-    rows = {j: [] for j in range(1, max_distance + 1)}
+    row = []
     for v in range(g.n):
-        for j, layer in enumerate(nx_layers(G, v, max_distance), 1):
-            terms = [occupancy[u] for u in layer]
-            rows[j].append(sum(terms, Fraction(0)) if exact else math.fsum(terms))
-    return {j: tuple(row) for j, row in rows.items()}
+        terms = [occupancy[u] for u in sorted(G.neighbors(v))]
+        row.append(sum(terms, Fraction(0)) if exact else math.fsum(terms))
+    return {1: tuple(row)}
 
 
 def reference_oracle_scores(g: Graph, live, occ, weights) -> list[float]:
@@ -109,9 +101,9 @@ def reference_oracle_scores(g: Graph, live, occ, weights) -> list[float]:
     for i, v in enumerate(live):
         a, b = weights.alpha[v]
         s = a * occ_h[i]
-        (layer,) = nx_layers(H, i, 1)
-        if layer:
-            s += b * math.fsum(occ_h[u] for u in layer)
+        nbrs = sorted(H.neighbors(i))
+        if nbrs:
+            s += b * math.fsum(occ_h[u] for u in nbrs)
         scores.append(s)
     return scores
 
@@ -663,7 +655,7 @@ def reference_edge_failures(g: Graph, col) -> list[str]:
     return failures
 
 
-def reference_enumerate_stats(g: Graph, lam: float, max_distance: int = 1) -> OccupancyStats:
+def reference_enumerate_stats(g: Graph, lam: float) -> OccupancyStats:
     """Occupancy statistics by enumerating every independent set.
 
     Weights are accumulated with Kahan compensation, so the result is
@@ -693,11 +685,11 @@ def reference_enumerate_stats(g: Graph, lam: float, max_distance: int = 1) -> Oc
             occ_c[v] = (t - occ_s[v]) - y
             occ_s[v] = t
     occupancy = tuple(occ_s[v] / z_s for v in range(n))
-    nbr = reference_neighbour_occupancy(g, occupancy, max_distance)
+    nbr = reference_neighbour_occupancy(g, occupancy)
     return OccupancyStats(float(lam), math.log(z_s), occupancy, nbr)
 
 
-def reference_enumerate_stats_rational(g: Graph, lam, max_distance: int = 1) -> OccupancyStats:
+def reference_enumerate_stats_rational(g: Graph, lam) -> OccupancyStats:
     """Exact-rational occupancy statistics by enumerating every independent set."""
     lam = Fraction(lam)
     n = g.n
@@ -709,7 +701,7 @@ def reference_enumerate_stats_rational(g: Graph, lam, max_distance: int = 1) -> 
         for v in mask_to_vertex_set(mask):
             occ[v] += w
     occupancy = tuple(occ[v] / z for v in range(n))
-    nbr = reference_neighbour_occupancy(g, occupancy, max_distance)
+    nbr = reference_neighbour_occupancy(g, occupancy)
     return OccupancyStats(float(lam), reference_log(z), occupancy, nbr)
 
 

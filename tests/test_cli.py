@@ -17,6 +17,7 @@ import hcchroma
 from hcchroma import constructions, dpcolor, hardcore
 from hcchroma.cli import main
 from hcchroma.graph import (
+    MAX_VERTICES,
     Graph,
     complete,
     complete_bipartite,
@@ -670,8 +671,6 @@ GOLDEN_EXACT = {
         "e2268b2fb2ba431c635dacd1d971ee3fee589b08b6c215195d16199e6e06beb9",
     ("k33", "fact-check"): "e53250f5e1341676905e110723470595cf27761acd89b20ffc80ee23595c6210",
     ("petersen", "fact-check"): "8630f530b60fa12d9311afbc6e9b075a8e69fded95e321f67d97b7a9eb7ef367",
-    ("petersen", "fact-check-distance-2"):
-        "c7036db94ac1ee1623892c1ec0e9022c52a0d402066886bf30661ef67637b37a",
     ("petersen", "fact-check-lam-1"):
         "d6a8620cf8508fdbde1a99b94967942ac83868b051419dc0786151071b0ad8e3",
     ("petersen", "fact-check-lam-3"):
@@ -702,8 +701,6 @@ GOLDEN_EXACT = {
 }
 EXACT_FLAGS = {
     "fact-check": ["hardcore-stats", "--lam", "0.7", "--fact-check"],
-    "fact-check-distance-2": ["hardcore-stats", "--lam", "0.7", "--fact-check",
-                              "--max-distance", "2"],
     "semibip": ["semibip"],
     "tsv": ["hardcore-stats", "--lam", "0.7", "--format", "tsv"],
     **{f"fact-check-lam-{lam}": ["hardcore-stats", "--lam", lam, "--fact-check"]
@@ -747,7 +744,7 @@ def test_fact_check_that_needs_no_pass_builds_no_counting_model(tmp_path, monkey
 def _long_stats(g: Graph, occupancy, z) -> dict:
     """`hardcore-stats --lam 1` JSON of g from its exact occupancies and Z."""
     occ = [float(p) for p in occupancy]
-    nbr = helpers.reference_neighbour_occupancy(g, occ, 1)
+    nbr = helpers.reference_neighbour_occupancy(g, occ)
     return {"lambda": 1.0, "log_Z": math.log(z), "mode": "exact", "occupancy": occ,
             "neighbour_occupancy": {"1": list(nbr[1])}}
 
@@ -807,7 +804,7 @@ def test_exact_log_z_past_every_float_at_an_integer_fugacity(tmp_path):
                  "--output", str(out)]) == 0
     log_z = _strict_json(out.read_text())["log_Z"]
     assert math.isfinite(log_z) and log_z > 709
-    assert log_z == helpers.packed_model(g, 1048576.0).stats(1).log_partition
+    assert log_z == helpers.packed_model(g, 1048576.0).stats().log_partition
     assert math.isclose(log_z, 60 * math.log1p(2.0 ** 20), rel_tol=1e-14)
 
 
@@ -921,6 +918,19 @@ def test_dp_solve_cover_must_be_an_object(tmp_path):
     assert main(["dp-solve", "--cover", str(cover)]) == 1
 
 
+@pytest.mark.parametrize("text", [
+    json.dumps({"graph": "g\u0000.edges", "lists": {}}),
+    json.dumps({"graph": "g\ud800.edges", "lists": {}}),
+    "[" * 200_000,
+], ids=["null-in-graph-name", "surrogate-in-graph-name", "deep-nesting"])
+def test_dp_solve_unreadable_cover_is_format_error(tmp_path, text, capsys):
+    cover = tmp_path / "cover.json"
+    cover.write_text(text)
+    assert main(["dp-solve", "--cover", str(cover)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("labels", [
     '{"0": [NaN], "1": [1], "2": [Infinity]}',
     '{"0": [0], "1": [1, -Infinity], "2": [2]}',
@@ -1006,41 +1016,6 @@ def test_hardcore_stats_tiny_fugacity_fact_check(petersen_file, capsys):
     assert data["fact_check"]["fact2_residual"] <= 1e-12
 
 
-def test_hardcore_stats_sampled_mode_honours_max_distance(c5_file, capsys):
-    argv = ["hardcore-stats", "--input", str(c5_file), "--lam", "1.0",
-            "--cutoff", "3", "--trials", "4", "--steps", "50"]
-    assert main(argv + ["--max-distance", "2"]) == 0
-    data = _strict_json(capsys.readouterr().out)
-    assert set(data["neighbour_occupancy"]) == {"1", "2"}
-    assert main(argv + ["--max-distance", "0"]) == 2
-    assert capsys.readouterr().out == ""
-
-
-def test_hardcore_stats_max_distance_is_at_most_the_vertex_count(c5_file, capsys):
-    argv = ["hardcore-stats", "--input", str(c5_file), "--lam", "1.0"]
-    assert main(argv + ["--max-distance", "5"]) == 0
-    assert set(_strict_json(capsys.readouterr().out)["neighbour_occupancy"]) == {
-        "1", "2", "3", "4", "5"}
-    assert main(argv + ["--max-distance", "6"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "max_distance" in err
-
-
-def test_hardcore_stats_sampled_mode_checks_max_distance_before_sampling(
-    c5_file, capsys, monkeypatch
-):
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("sampled before checking --max-distance")
-
-    monkeypatch.setattr(hardcore, "glauber_sample", no_sampling)
-    argv = ["hardcore-stats", "--input", str(c5_file), "--lam", "1.0",
-            "--cutoff", "3", "--trials", "4", "--steps", "50"]
-    for bad in ("0", "6"):
-        assert main(argv + ["--max-distance", bad]) == 2
-        assert capsys.readouterr().out == ""
-
-
 def test_hardcore_stats_tsv_fact_check_is_usage_error(c5_file, capsys):
     code = main(["hardcore-stats", "--input", str(c5_file), "--lam", "1.0",
                  "--format", "tsv", "--fact-check"])
@@ -1065,7 +1040,10 @@ def test_construct_size_cap_applies_at_level0():
 @pytest.mark.parametrize("flags, message", [
     (["--budget", "-1"], "budget must be at least 0, got -1"),
     (["--size-cap", "-5"], "size_cap must be at least 0, got -5"),
-], ids=["budget-negative", "size-cap-negative"])
+    # a larger instance would write an edge list that no command reads back
+    (["--size-cap", str(MAX_VERTICES + 1)],
+     f"size_cap must be at most {MAX_VERTICES}, got {MAX_VERTICES + 1}"),
+], ids=["budget-negative", "size-cap-negative", "size-cap-above-vertex-limit"])
 def test_construct_rejects_negative_limits_before_building(flags, message, capsys,
                                                            monkeypatch):
     built = []
@@ -1075,6 +1053,12 @@ def test_construct_rejects_negative_limits_before_building(flags, message, capsy
     out, err = capsys.readouterr()
     assert out == "" and message in err and err.count("\n") == 1
     assert built == []
+
+
+def test_construct_size_cap_may_be_the_vertex_limit(capsys):
+    assert main(["construct", "--delta", "3", "--level", "1",
+                 "--size-cap", str(MAX_VERTICES)]) == 0
+    assert _strict_json(capsys.readouterr().out)["n"] == 29
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -1090,11 +1074,12 @@ def test_construct_zero_limits_are_legal(flags, message, capsys):
     ["frac-colour", "--input", "g.edges", "--epsilon", "1", "--seed", "1"],
     ["frac-colour", "--input", "g.edges", "--epsilon", "1", "--threads", "2"],
     ["hardcore-stats", "--input", "g.edges", "--lam", "1", "--threads", "2"],
+    ["hardcore-stats", "--input", "g.edges", "--lam", "1", "--max-distance", "2"],
     ["semibip", "--input", "g.edges", "--threads", "2"],
     ["dp-solve", "--cover", "c.json", "--threads", "2"],
     ["construct", "--delta", "3", "--level", "0", "--threads", "2"],
-], ids=["frac-seed", "frac-threads", "stats-threads", "semibip-threads",
-        "dp-threads", "construct-threads"])
+], ids=["frac-seed", "frac-threads", "stats-threads", "stats-max-distance",
+        "semibip-threads", "dp-threads", "construct-threads"])
 def test_removed_flags_are_usage_errors(argv):
     assert _exit_code(argv) == 2
 
@@ -1112,8 +1097,8 @@ FUZZ_VALUES = ["0", "-1", "1", "3", "nan", "inf", "1e300", "1e-300", "abc"]
 
 # (required flags, optional flags) per subcommand
 FUZZ_FLAGS = {
-    "hardcore-stats": (["--lam"], ["--cutoff", "--seed", "--max-distance", "--trials",
-                                   "--steps", "--fact-check", "--format"]),
+    "hardcore-stats": (["--lam"], ["--cutoff", "--seed", "--trials", "--steps",
+                                   "--fact-check", "--format"]),
     "frac-colour": (["--epsilon"], ["--cutoff"]),
     "semibip": ([], ["--lam", "--cutoff", "--seed", "--trials"]),
     "dp-solve": ([], ["--seed", "--ell", "--max-resamples", "--rounds", "--certify",

@@ -35,6 +35,7 @@ from hcchroma.constructions import (
     verify_construction,
     with_extra_colour,
 )
+from hcchroma.graph import MAX_VERTICES
 from hcchroma.hardcore import enumerate_stats
 
 import helpers
@@ -177,6 +178,9 @@ def test_parameter_validation():
         necessary_construction(3, -1)
     with pytest.raises(InputError):
         necessary_construction(3, 0, size_cap=-1)
+    with pytest.raises(InputError, match=f"size_cap must be at most {MAX_VERTICES}"):
+        necessary_construction(3, 0, size_cap=MAX_VERTICES + 1)
+    assert necessary_construction(3, 1, size_cap=MAX_VERTICES).graph.n == 29
     with pytest.raises(InputError):
         verify_construction(necessary_construction(3, 0), budget=-1)
 

@@ -1,6 +1,5 @@
 import itertools
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +12,6 @@ from hcchroma import (
     complete,
     complete_bipartite,
     cycle,
-    distance_layers,
     edgeless,
     format_edge_list,
     induced_subgraph,
@@ -101,47 +99,6 @@ def test_basic_counts():
     assert sorted(s3.degree(v) for v in range(4)) == [1, 1, 1, 3]
     assert complete_bipartite(2, 3).m == 6
     assert edgeless(4).m == 0
-
-
-def test_distance_layers_examples():
-    p3 = path(3)
-    assert distance_layers(p3, 0, 2) == ((1,), (2,))
-    assert distance_layers(p3, 1, 3) == ((0, 2), (), ())
-    assert distance_layers(p3, 1, 0) == ()
-    assert distance_layers(cycle(5), 0, 2) == ((1, 4), (2, 3))
-
-
-@pytest.mark.parametrize("v, r", [(7, 1), (-1, 1), (3, 1), (0, -1)])
-def test_distance_layers_rejects_bad_arguments(v, r):
-    with pytest.raises(InputError):
-        distance_layers(path(3), v, r)
-
-
-def _layers_by_networkx(G, v, r):
-    return tuple(map(tuple, helpers.nx_layers(G, v, r)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(graphs())
-def test_distance_layers_match_networkx(g):
-    G = helpers.to_nx(g)
-    for v in range(g.n):
-        for r in (0, 1, g.n):
-            assert distance_layers(g, v, r) == _layers_by_networkx(G, v, r)
-
-
-@settings(max_examples=60, deadline=None)
-@given(graphs())
-def test_layers_disjoint_and_cover_component(g):
-    for v in range(g.n):
-        seen = {v}
-        total = 1
-        for layer in distance_layers(g, v, g.n):
-            assert not (set(layer) & seen)
-            seen.update(layer)
-            total += len(layer)
-        component = nx.node_connected_component(helpers.to_nx(g), v)
-        assert total == len(component)
 
 
 def test_triangle_free_examples():

@@ -75,12 +75,11 @@ def test_k2_stats():
 
 
 def test_c5_stats():
-    stats = enumerate_stats(cycle(5), 1.0, max_distance=2)
+    stats = enumerate_stats(cycle(5), 1.0)
     assert abs(math.exp(stats.log_partition) - 11.0) <= 1e-11
     for v in range(5):
         assert abs(stats.occupancy[v] - 3 / 11) <= 1e-15
         assert abs(stats.neighbour_occupancy[1][v] - 6 / 11) <= 1e-15
-        assert abs(stats.neighbour_occupancy[2][v] - 6 / 11) <= 1e-15
 
 
 def test_cutoff_error_names_the_size_and_the_cutoff():
@@ -89,6 +88,8 @@ def test_cutoff_error_names_the_size_and_the_cutoff():
     assert str(err.value) == "graph has 31 vertices, above the exact-enumeration cutoff 30"
     stats = enumerate_stats(complete(31), 1.0, cutoff=31)  # explicit override
     assert abs(math.exp(stats.log_partition) - 32.0) <= 1e-9
+    with pytest.raises(TypeError):  # keyword-only: a third positional is no cutoff
+        enumerate_stats(complete(31), 1.0, 31)
 
 
 def test_stats_match_rational_mode():
@@ -172,23 +173,22 @@ def test_fact_check_skips_distances_whose_weight_underflows():
 
 
 def test_neighbour_occupancy_distances():
-    stats = enumerate_stats(cycle(5), 1.0, max_distance=2)
-    assert neighbour_occupancy(cycle(5), stats.occupancy, 2) == stats.neighbour_occupancy
-    for bad in (0, -1):
-        with pytest.raises(InputError):
-            neighbour_occupancy(cycle(5), stats.occupancy, bad)
+    stats = enumerate_stats(cycle(5), 1.0)
+    assert set(stats.neighbour_occupancy) == {1}
+    assert neighbour_occupancy(cycle(5), stats.occupancy) == stats.neighbour_occupancy
+    assert neighbour_occupancy(star(3), (0.5, 0.25, 0.125, 0.0)) == {1: (0.375, 0.5, 0.5, 0.5)}
+    # an empty graph still has the one key
+    assert enumerate_stats(edgeless(0), 1.0).neighbour_occupancy == {1: ()}
+    assert neighbour_occupancy(edgeless(0), ()) == {1: ()}
 
 
 @pytest.mark.parametrize("g", [path(9), cycle(9), cycle(8)], ids=["path9", "cycle9", "cycle8"])
 def test_neighbour_occupancy_at_every_distance_matches_networkx(g):
-    # max_distance = n reaches past the eccentricity, where rows are zero
-    stats = enumerate_stats(g, 0.7, max_distance=g.n)
-    assert stats.neighbour_occupancy == helpers.reference_neighbour_occupancy(
-        g, stats.occupancy, g.n)
-    assert stats.neighbour_occupancy[g.n] == (0.0,) * g.n
-    exact = enumerate_stats(g, Fraction(7, 10), max_distance=g.n)
-    assert exact.neighbour_occupancy == helpers.reference_neighbour_occupancy(
-        g, exact.occupancy, g.n)
+    # the statistics' one distance is 1: sums over each vertex's neighbours
+    stats = enumerate_stats(g, 0.7)
+    assert stats.neighbour_occupancy == helpers.reference_neighbour_occupancy(g, stats.occupancy)
+    exact = enumerate_stats(g, Fraction(7, 10))
+    assert exact.neighbour_occupancy == helpers.reference_neighbour_occupancy(g, exact.occupancy)
     assert all(type(x) is Fraction for row in exact.neighbour_occupancy.values() for x in row)
 
 
@@ -217,11 +217,11 @@ def test_fugacity_must_be_finite_and_z_representable():
 @pytest.mark.parametrize("g", [cycle(5), petersen()], ids=["C5", "petersen"])
 def test_extreme_fugacity_matches_rational_reference(g, lam):
     # at 1e300, Z exceeds every float; log Z and the occupancies do not
-    ref = helpers.reference_enumerate_stats_rational(g, lam, max_distance=2)
-    exact = enumerate_stats(g, Fraction(lam), max_distance=2)
+    ref = helpers.reference_enumerate_stats_rational(g, lam)
+    exact = enumerate_stats(g, Fraction(lam))
     assert exact.occupancy == ref.occupancy
     assert exact.neighbour_occupancy == ref.neighbour_occupancy
-    fl = enumerate_stats(g, lam, max_distance=2)
+    fl = enumerate_stats(g, lam)
     assert fl.occupancy == tuple(map(float, ref.occupancy))  # both correctly rounded
     for j, row in ref.neighbour_occupancy.items():
         assert all(map(_close, fl.neighbour_occupancy[j], map(float, row)))
@@ -363,19 +363,6 @@ def test_occupancy_bound_property(n, p, seed, lam, ab):
         assert lhs >= bound - 1e-10
 
 
-def test_max_distance_is_at_most_the_vertex_count():
-    g = cycle(5)
-    assert set(enumerate_stats(g, 1.0, max_distance=5).neighbour_occupancy) == {1, 2, 3, 4, 5}
-    with pytest.raises(InputError):
-        enumerate_stats(g, 1.0, max_distance=6)
-    with pytest.raises(InputError):
-        enumerate_stats(g, Fraction(1), max_distance=6)
-    with pytest.raises(InputError):
-        neighbour_occupancy(g, (0.5,) * 5, 6)
-    # an empty graph still accepts distance 1
-    assert enumerate_stats(edgeless(0), 1.0).neighbour_occupancy == {1: ()}
-
-
 GADGET = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (2, 4), (3, 5), (4, 5)])
 
 
@@ -406,9 +393,8 @@ def _close(a, b):
 @example(edgeless(1), 0.7)
 @example(Graph.from_edges(5, [(0, 1), (1, 2)]), 1.0)
 def test_kernel_stats_match_enumeration(g, lam):
-    depth = min(2, max(1, g.n))
-    ours = enumerate_stats(g, lam, max_distance=depth)
-    ref = helpers.reference_enumerate_stats(g, lam, max_distance=depth)
+    ours = enumerate_stats(g, lam)
+    ref = helpers.reference_enumerate_stats(g, lam)
     if lam == 1.0:  # integer counts on both sides, divided once
         assert ours == ref
     assert _close(math.exp(ours.log_partition), math.exp(ref.log_partition))
@@ -425,9 +411,8 @@ def test_kernel_stats_match_enumeration(g, lam):
 @example(edgeless(0), Fraction(2))
 @example(edgeless(1), Fraction(2))
 def test_kernel_rational_stats_match_enumeration(g, lam):
-    depth = min(2, max(1, g.n))
-    ours = enumerate_stats(g, lam, max_distance=depth, cutoff=14)
-    assert ours == helpers.reference_enumerate_stats_rational(g, lam, max_distance=depth)
+    ours = enumerate_stats(g, lam, cutoff=14)
+    assert ours == helpers.reference_enumerate_stats_rational(g, lam)
 
 
 @settings(max_examples=40, deadline=None)
@@ -742,8 +727,7 @@ def test_weights_at_an_integer_fugacity_give_the_packed_results(g, which):
     exact = hardcore._Exact(g, lam)
     assert exact.x == _point(g, lam) == min(lam, top)
     packed = helpers.packed_model(g, lam)
-    depth = min(2, max(1, g.n))
-    assert exact.stats(depth) == packed.stats(depth)
+    assert exact.stats() == packed.stats()
 
 
 @settings(max_examples=60, deadline=None)
