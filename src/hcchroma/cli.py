@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import gc
 import json
 import os
@@ -102,9 +103,7 @@ def cmd_hardcore_stats(args: argparse.Namespace) -> int:
         payload = exact.stats().to_json_dict()
         payload["mode"] = "exact"
         if args.fact_check:
-            report = exact.fact_check(lam)
-            payload["fact_check"] = {"fact1_residual": report.fact1_residual,
-                                     "fact2_residual": report.fact2_residual}
+            payload["fact_check"] = dataclasses.asdict(exact.fact_check(lam))
     else:
         steps = args.steps
         if steps is None:
@@ -270,7 +269,7 @@ def cmd_semibip(args: argparse.Namespace) -> int:
     }
     if table is not None:  # exact: the search's split table serves the expectation too
         stats = hardcore._Exact(g, lam, table).stats()
-        f1, f2 = constructions._crossing_edges(g, stats)
+        f1, f2 = constructions.expected_crossing_edges(g, stats)
         payload["expected_boundary_edges"] = f1
         if abs(f1 - f2) > 1e-9:
             raise HcchromaError("double-count forms of the expectation disagree")

@@ -19,7 +19,7 @@ samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import hardcore
 from .errors import HypothesisError, InputError, InternalError, SizeError
@@ -344,13 +344,6 @@ def structural_not_colourable(
     return True
 
 
-def with_extra_colour(inst: NecessaryInstance, vertex: int, colour) -> NecessaryInstance:
-    """Copy of the instance with one colour added to a vertex list."""
-    lists = list(inst.lists)
-    lists[vertex] = lists[vertex] | {colour}
-    return replace(inst, lists=tuple(lists))
-
-
 # ---------------------------------------------------------------------------
 # Semi-bipartite extraction.
 
@@ -460,18 +453,14 @@ def _semi_bipartite(g: Graph, lam, trials: int, seed: int, cutoff: int):
     return best, b_side, avg_degree, lam, table
 
 
-def expected_crossing_edges(
-    g: Graph, lam: float, cutoff: int = hardcore.DEFAULT_CUTOFF
-) -> tuple[float, float]:
-    """E[boundary edge count] written both ways: sum deg * Pr(v in I) and
-    sum of expected occupied neighbours.  The two must agree exactly."""
-    return _crossing_edges(g, hardcore.enumerate_stats(g, lam, cutoff=cutoff))
-
-
-def _crossing_edges(g: Graph, stats: hardcore.OccupancyStats) -> tuple[float, float]:
+def expected_crossing_edges(g: Graph, stats: hardcore.OccupancyStats) -> tuple[float, float]:
+    """E|boundary edges of I| under the model of ``stats``, the statistics
+    of g, counted both ways: (sum of deg(v) Pr(v in I), sum of E|N(v)
+    intersect I|), each an fsum.  Every edge from an occupied vertex
+    crosses the boundary and is counted once from each end, so the two
+    agree up to rounding."""
     by_degree = math.fsum(g.degree(v) * stats.occupancy[v] for v in range(g.n))
-    by_neighbours = math.fsum(stats.neighbour_occupancy[1])
-    return by_degree, by_neighbours
+    return by_degree, math.fsum(stats.neighbour_occupancy)
 
 
 def semi_bipartite_lower_bound(g: Graph, lam: float, ratio: float) -> float:

@@ -510,9 +510,10 @@ def two_phase_colour(
     is still attempted before restarting, so small instances succeed even
     without a certificate.  No asymptotic list-size guarantee is promised;
     after ``rounds`` (at least 1) failed restarts a diagnostic report is
-    returned.  Phase 1 and the residual cover cost O(sum of deg* + m) per
-    attempt, plus the solver.  Every colouring produced is verified
-    against the original cover.
+    returned.  A cover with an empty list has no colouring: InputError
+    before the first attempt, as in `solve`.  Phase 1 and the residual
+    cover cost O(sum of deg* + m) per attempt, plus the solver.  Every
+    colouring produced is verified against the original cover.
     """
     if rounds < 1:
         raise InputError(f"rounds must be at least 1, got {rounds}")
@@ -521,6 +522,9 @@ def two_phase_colour(
     if not is_triangle_free(c.base):
         raise HypothesisError("two_phase_colour requires a triangle-free base graph")
     ell_v = _normalise_ell(c, ell)
+    for u, lst in enumerate(c.lists):
+        if not lst:  # no colouring exists, so no attempt could succeed
+            raise InputError(f"vertex {u} has an empty colour list")
     diagnostics: dict = {}
     for attempt in range(rounds):
         chosen = _random_partial(c, random.Random(seed * 1_000_003 + attempt))
@@ -624,17 +628,3 @@ def load_cover(filename) -> tuple[Cover, tuple[Hashable, ...] | None]:
             )
         return cover, None
     raise FormatError("cover file needs either 'lists' or 'owner'+'cross_edges'")
-
-
-def dump_cover(c: Cover, filename, graph_filename) -> None:
-    """Write a cover in general form, referencing an edge-list file."""
-    data = {
-        "graph": os.path.relpath(
-            os.path.abspath(graph_filename), os.path.dirname(os.path.abspath(filename))
-        ),
-        "owner": list(c.owner),
-        "cross_edges": sorted([a, b] for a, b in c.cross_edges),
-    }
-    with open(filename, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -351,12 +351,11 @@ def greedy_fractional_colouring(
         if not math.isfinite(tau) or tau <= 0.0:
             raise InternalError(f"degenerate measure increment tau={tau!r}")
         # the cuts are the running sums start + length, left to right; a
-        # block of length 0 moves no cut (w_total is never -0.0) and is
-        # not kept
-        lengths = [p * tau for p in dist.probs]
-        cuts = list(accumulate(lengths, initial=w_total))
-        for s, length, block in zip(dist.sets, lengths, pairwise(cuts)):
-            if length > 0.0:
+        # block is kept when its end exceeds its start, as the validator
+        # requires, so a length too small to move the running sum is not
+        cuts = list(accumulate((p * tau for p in dist.probs), initial=w_total))
+        for s, block in zip(dist.sets, pairwise(cuts)):
+            if block[1] > block[0]:
                 parts.setdefault(s, []).append(block)
         w_total = cuts[-1]
         for v in live:
@@ -548,11 +547,11 @@ def validate_colouring(g: Graph, col: FractionalColouring, bound) -> ValidationR
 def extract_independent_set(g: Graph, col: FractionalColouring) -> VertexSet:
     """Largest colour class of a complete colouring.
 
-    Sweeps the elementary intervals of the colouring (each belongs to a
-    single independent set because interval blocks are disjoint) and
-    returns the largest class, breaking ties towards the lexicographically
-    smallest set.  The averaging argument guarantees size at least
-    n / total, up to the completion tolerance.
+    Checks that every vertex has measure at least 1, up to the completion
+    tolerance (StateError otherwise), then returns the largest part of
+    positive measure, ties going to the lexicographically smallest set.
+    The averaging argument guarantees size at least n / total, up to the
+    completion tolerance.
     """
     measures = [0.0] * g.n
     for s, ivs in col.parts.items():

@@ -41,7 +41,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Mapping
 
 from .errors import HypothesisError, InputError, SizeError
 from .graph import Graph, VertexSet, is_triangle_free
@@ -64,42 +63,39 @@ def _check_cutoff(g: Graph, cutoff: int) -> None:
 
 @dataclass(frozen=True)
 class OccupancyStats:
-    """Exact hard-core statistics for one graph and fugacity.
+    """Hard-core statistics for one graph and fugacity.
 
-    ``occupancy[v]`` is Pr(v in I) and ``neighbour_occupancy[1][v]`` is
+    ``occupancy[v]`` is Pr(v in I) and ``neighbour_occupancy[v]`` is
     E|N(v) intersect I|, the expected number of occupied neighbours of v:
-    the two statistics the fractional colouring's weights read.  The
-    mapping's one key 1 is the JSON key "1".
-    ``log_partition`` is None when the occupancies are sampled estimates.
+    the two statistics of the local occupancy method, which the fractional
+    colouring's weights read.  The JSON form keeps the row under the key
+    "1", its distance.  ``log_partition`` is None when the occupancies are
+    sampled estimates.
     """
 
     lam: float
     log_partition: float | None
     occupancy: tuple
-    neighbour_occupancy: Mapping[int, tuple]
+    neighbour_occupancy: tuple
 
     def to_json_dict(self) -> dict:
         return {
             "lambda": self.lam,
             "log_Z": self.log_partition,
             "occupancy": list(self.occupancy),
-            "neighbour_occupancy": {
-                str(j): list(row) for j, row in sorted(self.neighbour_occupancy.items())
-            },
+            "neighbour_occupancy": {"1": list(self.neighbour_occupancy)},
         }
 
 
 @dataclass(frozen=True)
 class FactCheckReport:
-    """Maximum residuals of the two triangle-free conditional identities."""
+    """The largest absolute residual over the vertices of each
+    triangle-free conditional identity: fact (a), Pr(v in I | v
+    uncovered), and fact (b), Pr(v uncovered | j uncovered neighbours)
+    (`conditional_fact_check`)."""
 
-    lam: float
     fact1_residual: float
     fact2_residual: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.fact1_residual, self.fact2_residual)
 
 
 def independent_set_masks(g: Graph) -> list[int]:
@@ -386,7 +382,7 @@ class _Exact:
         q = Fraction(lam)  # exact; a Fraction minus a float rounds the Fraction first
         res1 = abs(q / (1 + q) - lam / (1.0 + lam)) if self.g.n else 0.0
         res2 = max((abs((1 + q) ** -j - (1.0 + lam) ** -j) for j in occurring), default=0.0)
-        return FactCheckReport(float(lam), res1, res2)
+        return FactCheckReport(res1, res2)
 
 
 def enumerate_stats(g: Graph, lam, *, cutoff: int = DEFAULT_CUTOFF) -> OccupancyStats:
@@ -410,15 +406,15 @@ def enumerate_stats(g: Graph, lam, *, cutoff: int = DEFAULT_CUTOFF) -> Occupancy
     return _Exact(g, lam).stats()
 
 
-def neighbour_occupancy(g: Graph, occupancy) -> dict[int, tuple]:
-    """``{1: row}``, where row[v] = E|N(v) intersect I| is the sum of
+def neighbour_occupancy(g: Graph, occupancy) -> tuple:
+    """The row whose entry v, E|N(v) intersect I|, is the sum of
     ``occupancy`` over v's neighbours, whether the occupancies are exact
     or sampled estimates: Fractions are summed exactly, floats with fsum,
     which rounds the exact sum once.  O(n + m).
     """
     exact = bool(occupancy) and isinstance(occupancy[0], Fraction)
     add = partial(sum, start=Fraction(0)) if exact else math.fsum
-    return {1: tuple(add(occupancy[u] for u in nbrs) for nbrs in g.adjacency)}
+    return tuple(add(occupancy[u] for u in nbrs) for nbrs in g.adjacency)
 
 
 def default_glauber_steps(n: int) -> int:

@@ -22,14 +22,18 @@ from __future__ import annotations
 import decimal
 import io
 import itertools
+import json
 import math
+import os
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import networkx as nx
 from hypothesis import strategies as st
 
 from hcchroma import Graph
+from hcchroma.constructions import NecessaryInstance
 from hcchroma.graph import induced_subgraph, random_triangle_free
 from hcchroma.dpcolor import (
     Cover,
@@ -72,9 +76,9 @@ def to_nx(g: Graph) -> nx.Graph:
     return G
 
 
-def reference_neighbour_occupancy(g: Graph, occupancy) -> dict:
-    """``{1: row}``, row[v] the sum of ``occupancy`` over v's neighbours
-    in networkx's copy of ``g``.
+def reference_neighbour_occupancy(g: Graph, occupancy) -> tuple:
+    """The row whose entry v is the sum of ``occupancy`` over v's
+    neighbours in networkx's copy of ``g``.
 
     Fractions are summed exactly, floats with fsum.
     """
@@ -84,7 +88,7 @@ def reference_neighbour_occupancy(g: Graph, occupancy) -> dict:
     for v in range(g.n):
         terms = [occupancy[u] for u in sorted(G.neighbors(v))]
         row.append(sum(terms, Fraction(0)) if exact else math.fsum(terms))
-    return {1: tuple(row)}
+    return tuple(row)
 
 
 def reference_oracle_scores(g: Graph, live, occ, weights) -> list[float]:
@@ -348,6 +352,27 @@ def random_list_instance(
             raise RuntimeError("could not draw a hypothesis-satisfying instance")
 
 
+def dump_cover(c: Cover, filename, graph_filename) -> None:
+    """Write a cover in general form, referencing an edge-list file."""
+    data = {
+        "graph": os.path.relpath(
+            os.path.abspath(graph_filename), os.path.dirname(os.path.abspath(filename))
+        ),
+        "owner": list(c.owner),
+        "cross_edges": sorted([a, b] for a, b in c.cross_edges),
+    }
+    with open(filename, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def with_extra_colour(inst: NecessaryInstance, vertex: int, colour) -> NecessaryInstance:
+    """Copy of the instance with one colour added to a vertex list."""
+    lists = list(inst.lists)
+    lists[vertex] = lists[vertex] | {colour}
+    return replace(inst, lists=tuple(lists))
+
+
 def star_adjacency(c: Cover) -> tuple[tuple[int, ...], ...]:
     """Cross-edge partners per colour node, sorted."""
     out: list[list[int]] = [[] for _ in range(c.num_colour_nodes)]
@@ -520,6 +545,9 @@ def reference_two_phase_colour(
 ) -> TwoPhaseResult:
     """`two_phase_colour` composed of the references above."""
     ell_v = _normalise_ell(c, ell)
+    for u in range(c.base.n):
+        if not c.lists[u]:
+            raise InputError(f"vertex {u} has an empty colour list")
     diagnostics: dict = {}
     for attempt in range(rounds):
         chosen = reference_random_partial(c, random.Random(seed * 1_000_003 + attempt))
@@ -772,7 +800,7 @@ def reference_conditional_fact_check(g: Graph, lam: float) -> FactCheckReport:
                 continue
             cond = uncov_by_j[v].get(j, 0.0) / tw
             res2 = max(res2, abs(cond - (1.0 + lam) ** (-j)))
-    return FactCheckReport(float(lam), res1, res2)
+    return FactCheckReport(res1, res2)
 
 
 def reference_fact_b_weights(g: Graph, v: int) -> tuple[list[int], list[int]]:

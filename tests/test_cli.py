@@ -29,7 +29,6 @@ from hcchroma.graph import (
     star,
     write_edge_list,
 )
-from hcchroma.dpcolor import dump_cover
 
 import helpers
 
@@ -341,6 +340,17 @@ def test_dp_solve_rejects_bad_budgets_before_solving(c5_cover, flags, message, c
     assert out == "" and message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags", [[], ["--two-phase", "--ell", "3"]], ids=["solve", "two-phase"])
+def test_dp_solve_empty_list_is_precondition_error(c5_file, tmp_path, flags, capsys):
+    # no colouring exists, so two-phase fails before its first attempt, as
+    # the solver does, rather than report a spent round budget
+    cover = tmp_path / "cover.json"
+    lists = {str(v): [] if v == 1 else [1, 2, 3] for v in range(5)}
+    cover.write_text(json.dumps({"graph": "c5.edges", "lists": lists}))
+    assert main(["dp-solve", "--cover", str(cover), *flags]) == 2
+    assert capsys.readouterr() == ("", "error: vertex 1 has an empty colour list\n")
+
+
 def test_dp_solve_zero_max_resamples_is_legal(tmp_path):
     write_edge_list(complete(2), tmp_path / "k2.edges")
     cover = tmp_path / "cover.json"
@@ -352,7 +362,7 @@ def test_dp_solve_zero_max_resamples_is_legal(tmp_path):
 def _write_dp_golden_covers(d):
     general = helpers.random_cover(80, 8.0, 20, 2, seed=0)
     write_edge_list(general.base, d / "g80.edges")
-    dump_cover(general, d / "general.json", d / "g80.edges")
+    helpers.dump_cover(general, d / "general.json", d / "g80.edges")
     g, lists, _, _ = helpers.random_list_instance(30, 3.0, 24, 400, 2)
     write_edge_list(g, d / "l30.edges")
     (d / "list.json").write_text(json.dumps(
@@ -746,7 +756,7 @@ def _long_stats(g: Graph, occupancy, z) -> dict:
     occ = [float(p) for p in occupancy]
     nbr = helpers.reference_neighbour_occupancy(g, occ)
     return {"lambda": 1.0, "log_Z": math.log(z), "mode": "exact", "occupancy": occ,
-            "neighbour_occupancy": {"1": list(nbr[1])}}
+            "neighbour_occupancy": {"1": list(nbr)}}
 
 
 def _long_path_stats(g: Graph) -> dict:

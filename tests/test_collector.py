@@ -16,7 +16,6 @@ import pytest
 
 from hcchroma import constructions, hardcore
 from hcchroma.cli import main
-from hcchroma.dpcolor import dump_cover
 from hcchroma.graph import complete, cycle, random_triangle_free, star, write_edge_list
 
 import helpers
@@ -63,7 +62,7 @@ def inputs(tmp_path):
     write_edge_list(star(1100), tmp_path / "star1100.edges")
     cover = helpers.random_cover(40, 4.0, 16, 2, seed=1)
     write_edge_list(cover.base, tmp_path / "base.edges")
-    dump_cover(cover, tmp_path / "cover.json", tmp_path / "base.edges")
+    helpers.dump_cover(cover, tmp_path / "cover.json", tmp_path / "base.edges")
     g, lists, _, _ = helpers.random_list_instance(30, 3.0, 24, 400, 2)
     write_edge_list(g, tmp_path / "list-base.edges")
     (tmp_path / "list-cover.json").write_text(json.dumps(

@@ -33,12 +33,12 @@ from hcchroma.constructions import (
     semi_bipartite_lower_bound,
     structural_not_colourable,
     verify_construction,
-    with_extra_colour,
 )
 from hcchroma.graph import MAX_VERTICES
 from hcchroma.hardcore import enumerate_stats
 
 import helpers
+from helpers import with_extra_colour
 
 
 def brute_list_colourable(g, lists):
@@ -289,10 +289,10 @@ def test_semi_bipartite_exact_mode_ignores_fugacity():
 
 
 def test_expected_crossing_edges_examples():
-    f1, f2 = expected_crossing_edges(cycle(5), 1.0)
+    f1, f2 = expected_crossing_edges(cycle(5), enumerate_stats(cycle(5), 1.0))
     assert abs(f1 - 30 / 11) <= 1e-12
     assert abs(f1 - f2) <= 1e-14
-    f1, f2 = expected_crossing_edges(star(3), 1.0)
+    f1, f2 = expected_crossing_edges(star(3), enumerate_stats(star(3), 1.0))
     assert abs(f1 - 5 / 3) <= 1e-12
     assert abs(f1 - f2) <= 1e-14
 
@@ -300,7 +300,7 @@ def test_expected_crossing_edges_examples():
 def test_semi_bipartite_lower_bound_holds():
     for g in (cycle(5), cycle(7), petersen()):
         lam = auto_fugacity(g)
-        f1, _ = expected_crossing_edges(g, lam)
+        f1, _ = expected_crossing_edges(g, enumerate_stats(g, lam))
         assert f1 >= semi_bipartite_lower_bound(g, lam, lam) - 1e-9
     with pytest.raises(InputError):
         semi_bipartite_lower_bound(star(0), 1.0, 1.0)

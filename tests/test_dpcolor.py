@@ -18,7 +18,6 @@ from hcchroma import (
 )
 from hcchroma.dpcolor import (
     _random_partial,
-    dump_cover,
     finishing_blow_hypothesis,
     from_list_assignment,
     lll_certify,
@@ -352,8 +351,9 @@ def test_dp_solve_matches_the_reference_path(instance, seed):
     for solve_ell in (ell, None):
         assert _outcome(solve, cover, seed=seed, max_resamples=300, ell=solve_ell) == \
             _outcome(helpers.reference_solve, cover, seed=seed, max_resamples=300, ell=solve_ell)
-    assert two_phase_colour(cover, ell, rounds=3, seed=seed, max_resamples=300) == \
-        helpers.reference_two_phase_colour(cover, ell, rounds=3, seed=seed, max_resamples=300)
+    assert _outcome(two_phase_colour, cover, ell, rounds=3, seed=seed, max_resamples=300) == \
+        _outcome(helpers.reference_two_phase_colour, cover, ell, rounds=3, seed=seed,
+                 max_resamples=300)
 
 
 @settings(max_examples=150, deadline=None)
@@ -493,7 +493,7 @@ def test_cover_file_round_trip(tmp_path):
     assert cover.num_colour_nodes == 15 and labels is not None
     # general mode round trip
     gen_path = tmp_path / "general.json"
-    dump_cover(cover, gen_path, gpath)
+    helpers.dump_cover(cover, gen_path, gpath)
     cover2, labels2 = load_cover(gen_path)
     assert labels2 is None
     assert cover2.owner == cover.owner

@@ -437,6 +437,21 @@ def test_pipeline_property_small(n, p, seed, eps):
     assert validate_colouring(g, col, bounds).ok
 
 
+@pytest.mark.parametrize("eps", [0.1, 0.05, 0.01, 1e-4])
+@pytest.mark.parametrize("g", [random_triangle_free(14, 0.25, 1),
+                               random_triangle_free(14, 0.25, 27), edgeless(8)],
+                         ids=["seed1", "seed27", "E8"])
+def test_small_epsilon_colourings_validate(g, eps):
+    # at a small eps the running sum reaches about 2 / eps, where a block's
+    # length can be too small to move it; the greedy keeps no such empty
+    # block, since the validator rejects one
+    lam, weights = choose_local_weights(g, eps)
+    col = greedy_fractional_colouring(g, weights, hard_core_oracle(lam))
+    bounds = [vertex_interval_bound(lam, g.degree(v)) for v in range(g.n)]
+    report = validate_colouring(g, col, bounds)
+    assert report.ok, report.failures[:3]
+
+
 @settings(max_examples=40, deadline=None)
 @given(helpers.triangle_free_graphs(), st.sampled_from([1.0, 2.0, 4.0]))
 @example(edgeless(0), 2.0)

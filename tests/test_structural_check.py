@@ -14,10 +14,10 @@ from hcchroma.constructions import (
     necessary_construction,
     structural_not_colourable,
     verify_construction,
-    with_extra_colour,
 )
 from hcchroma.errors import InputError
 from hcchroma.graph import Graph
+from helpers import with_extra_colour
 
 
 @pytest.fixture()
