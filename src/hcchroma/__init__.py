@@ -52,8 +52,6 @@ from .fractional import (
     extract_independent_set,
     greedy_fractional_colouring,
     hard_core_oracle,
-    table_oracle,
-    uniform_set_oracle,
     validate_colouring,
     vertex_interval_bound,
 )

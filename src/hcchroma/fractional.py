@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 from . import hardcore
 from .errors import HypothesisError, InputError, InternalError, StateError
-from .graph import Graph, VertexSet, vertex_set
+from .graph import Graph, VertexSet
 from .numerics import lambert_w
 
 Interval = tuple[float, float]
@@ -138,42 +138,6 @@ def hard_core_oracle(lam: float) -> DistributionOracle:
         return SetDistribution(sets, tuple(w / z for w in weights))
 
     return oracle
-
-
-def table_oracle(table: Mapping[VertexSet, float]) -> DistributionOracle:
-    """Oracle from an explicit weight table on independent sets of G.
-
-    On the live vertices the distribution is the push-forward under
-    intersection with ``live``; weights of sets with equal restriction
-    merge.  Weights are normalised, so any positive table works.
-    """
-    entries = [(vertex_set(s), float(w)) for s, w in table.items()]
-    total = math.fsum(w for _, w in entries)
-    if not total > 0:
-        raise InputError("table weights must have positive total")
-
-    def oracle(g: Graph, live: tuple[int, ...]) -> SetDistribution:
-        alive = set(live)
-        merged: dict[VertexSet, float] = {}
-        for s, w in entries:
-            restricted = tuple(v for v in s if v in alive)
-            merged[restricted] = merged.get(restricted, 0.0) + w / total
-        sets = tuple(sorted(merged))
-        return SetDistribution(sets, tuple(merged[s] for s in sets))
-
-    return oracle
-
-
-def uniform_set_oracle(sets: Iterable[Iterable[int]]) -> DistributionOracle:
-    """Oracle for the uniform distribution over the given independent sets."""
-    sets = list(sets)
-    if not sets:
-        raise InputError("need at least one set")
-    table: dict[VertexSet, float] = {}
-    for s in sets:
-        key = vertex_set(s)
-        table[key] = table.get(key, 0.0) + 1.0
-    return table_oracle(table)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,8 @@ package's adjacency.  The dp-solve references build every node's cross
 partners (`star_adjacency`), truncate a cover afresh for each use and
 rescan the edges after every resample.  Stars, paths and cycles have
 exact occupancies in closed form, for graphs too long to enumerate.
+`table_oracle` and `uniform_set_oracle` feed the greedy fractional
+colouring an explicit distribution, for the hand traces.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import json
 import math
 import os
 import random
+from collections.abc import Iterable, Mapping
 from dataclasses import replace
 from fractions import Fraction
 
@@ -34,7 +37,7 @@ from hypothesis import strategies as st
 
 from hcchroma import Graph
 from hcchroma.constructions import NecessaryInstance
-from hcchroma.graph import induced_subgraph, random_triangle_free
+from hcchroma.graph import VertexSet, induced_subgraph, random_triangle_free, vertex_set
 from hcchroma.dpcolor import (
     Cover,
     CoverReport,
@@ -47,7 +50,13 @@ from hcchroma.dpcolor import (
     verify_dp_colouring,
 )
 from hcchroma.errors import HypothesisError, InputError, SizeError
-from hcchroma.fractional import SATURATE_TOL, Interval, SetDistribution, ValidationReport
+from hcchroma.fractional import (
+    SATURATE_TOL,
+    DistributionOracle,
+    Interval,
+    SetDistribution,
+    ValidationReport,
+)
 from hcchroma import hardcore
 from hcchroma.hardcore import FactCheckReport, OccupancyStats, independent_set_masks
 
@@ -1003,6 +1012,42 @@ def _lowest_vertex_best_score(memo: dict, g: Graph, s: int) -> int:
         take = g.degree(v) + _lowest_vertex_best_score(memo, g, rest)
         score = memo[s] = max(_lowest_vertex_best_score(memo, g, s ^ low), take)
     return score
+
+
+def table_oracle(table: Mapping[VertexSet, float]) -> DistributionOracle:
+    """Oracle from an explicit weight table on independent sets of G.
+
+    On the live vertices the distribution is the push-forward under
+    intersection with ``live``; weights of sets with equal restriction
+    merge.  Weights are normalised, so any positive table works.
+    """
+    entries = [(vertex_set(s), float(w)) for s, w in table.items()]
+    total = math.fsum(w for _, w in entries)
+    if not total > 0:
+        raise InputError("table weights must have positive total")
+
+    def oracle(g: Graph, live: tuple[int, ...]) -> SetDistribution:
+        alive = set(live)
+        merged: dict[VertexSet, float] = {}
+        for s, w in entries:
+            restricted = tuple(v for v in s if v in alive)
+            merged[restricted] = merged.get(restricted, 0.0) + w / total
+        sets = tuple(sorted(merged))
+        return SetDistribution(sets, tuple(merged[s] for s in sets))
+
+    return oracle
+
+
+def uniform_set_oracle(sets: Iterable[Iterable[int]]) -> DistributionOracle:
+    """Oracle for the uniform distribution over the given independent sets."""
+    sets = list(sets)
+    if not sets:
+        raise InputError("need at least one set")
+    table: dict[VertexSet, float] = {}
+    for s in sets:
+        key = vertex_set(s)
+        table[key] = table.get(key, 0.0) + 1.0
+    return table_oracle(table)
 
 
 def reference_hard_core_oracle(lam: float):

@@ -33,7 +33,6 @@ from hcchroma.fractional import (
     greedy_fractional_colouring,
     hard_core_oracle,
     interval_measure,
-    uniform_set_oracle,
     validate_colouring,
     vertex_interval_bound,
 )
@@ -114,7 +113,7 @@ def test_criterion_03_greedy_hand_traces():
     c5 = cycle(5)
     max_sets = [(0, 2), (1, 3), (2, 4), (0, 3), (1, 4)]
     col = greedy_fractional_colouring(
-        c5, LocalWeights.from_alpha(c5, [(2.5, 0.0)] * 5), uniform_set_oracle(max_sets)
+        c5, LocalWeights.from_alpha(c5, [(2.5, 0.0)] * 5), helpers.uniform_set_oracle(max_sets)
     )
     assert len(col.taus) == 1 and abs(col.taus[0] - 2.5) <= 1e-9
     assert abs(col.total - 2.5) <= 1e-9

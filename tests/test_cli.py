@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hcchroma
-from hcchroma import constructions, dpcolor, hardcore
+from hcchroma import cli, constructions, dpcolor, hardcore
 from hcchroma.cli import main
 from hcchroma.graph import (
     MAX_VERTICES,
@@ -1080,18 +1080,110 @@ def test_construct_zero_limits_are_legal(flags, message, capsys):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["frac-colour", "--input", "g.edges", "--epsilon", "1", "--seed", "1"],
-    ["frac-colour", "--input", "g.edges", "--epsilon", "1", "--threads", "2"],
-    ["hardcore-stats", "--input", "g.edges", "--lam", "1", "--threads", "2"],
-    ["hardcore-stats", "--input", "g.edges", "--lam", "1", "--max-distance", "2"],
-    ["semibip", "--input", "g.edges", "--threads", "2"],
-    ["dp-solve", "--cover", "c.json", "--threads", "2"],
-    ["construct", "--delta", "3", "--level", "0", "--threads", "2"],
-], ids=["frac-seed", "frac-threads", "stats-threads", "stats-max-distance",
-        "semibip-threads", "dp-threads", "construct-threads"])
+REMOVED_FLAGS = {
+    "frac-seed": ["frac-colour", "--input", "g.edges", "--epsilon", "1", "--seed", "1"],
+    "frac-threads": ["frac-colour", "--input", "g.edges", "--epsilon", "1", "--threads", "2"],
+    "stats-threads": ["hardcore-stats", "--input", "g.edges", "--lam", "1", "--threads", "2"],
+    "stats-max-distance": ["hardcore-stats", "--input", "g.edges", "--lam", "1",
+                           "--max-distance", "2"],
+    "semibip-threads": ["semibip", "--input", "g.edges", "--threads", "2"],
+    "dp-threads": ["dp-solve", "--cover", "c.json", "--threads", "2"],
+    "construct-threads": ["construct", "--delta", "3", "--level", "0", "--threads", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", REMOVED_FLAGS.values(), ids=REMOVED_FLAGS.keys())
 def test_removed_flags_are_usage_errors(argv):
     assert _exit_code(argv) == 2
+
+
+STATS = ["hardcore-stats", "--input", "g.edges", "--lam", "1"]
+
+# argv on which `cli.parse_args` must act as the full parser does
+PARSE_CASES = {
+    "empty": [],
+    "help": ["-h"],
+    "long-help": ["--help"],
+    "unknown-command": ["colour", "--input", "g.edges"],
+    "command-prefix": ["hardcore", "--input", "g.edges", "--lam", "1"],
+    "top-level-option-first": ["--cutoff", "3", "hardcore-stats"],
+    "help-then-command": ["-h", "hardcore-stats"],
+    **{f"{name}-help": [name, "-h"] for name in cli.COMMANDS},
+    "help-after-options": [*STATS, "-h"],
+    "help-abbreviated": [*STATS, "--he"],
+    "dp-help-after-options": ["dp-solve", "--cover", "c.json", "--help"],
+    "missing-required": ["hardcore-stats", "--input", "g.edges"],
+    "missing-level": ["construct", "--delta", "3"],
+    "bad-type": ["hardcore-stats", "--input", "g.edges", "--lam", "x"],
+    "bad-int": ["construct", "--delta", "three", "--level", "0"],
+    "bad-choice": [*STATS, "--format", "xml"],
+    **{f"removed-{key}": argv for key, argv in REMOVED_FLAGS.items()},
+    "extra-positional": ["semibip", "--input", "g.edges", "extra"],
+    "missing-value": [*STATS, "--seed"],
+    "equals-form": ["hardcore-stats", "--input=g.edges", "--lam=0.5"],
+    "abbreviations": ["hardcore-stats", "--input", "g.edges", "--la", "1", "--fact"],
+    "ambiguous-abbreviation": [*STATS, "--s", "3"],
+    "double-dash-last": ["semibip", "--input", "g.edges", "--"],
+    "double-dash-first": ["semibip", "--", "--input", "g.edges"],
+    "repeated-option": ["semibip", "--input", "g.edges", "--cutoff", "3", "--cutoff", "4"],
+    "negative-value": ["frac-colour", "--input", "g.edges", "--epsilon", "-1"],
+    "stats": [*STATS, "--fact-check", "--format", "json", "--steps", "9"],
+    "semibip-auto": ["semibip", "--input", "g.edges", "--lam", "auto", "--trials", "4"],
+    "frac-colour": ["frac-colour", "--input", "g.edges", "--epsilon", "1",
+                    "--slack-tsv", "s.tsv", "--output", "o.json"],
+    "dp-solve": ["dp-solve", "--cover", "c.json", "--ell", "16", "--certify",
+                 "--two-phase", "--rounds", "3"],
+    "construct": ["construct", "--delta", "3", "--level", "0", "--out-graph", "g.edges"],
+}
+
+
+def _parsed(parse, argv, capsys):
+    """What ``parse(argv)`` gives: the namespace's fields (None if it exits),
+    the exit code (None if it returns), stdout and stderr."""
+    try:
+        fields, code = vars(parse(list(argv))), None
+    except SystemExit as exc:
+        fields, code = None, exc.code
+    out, err = capsys.readouterr()
+    return fields, code, out, err
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES.values(), ids=PARSE_CASES.keys())
+def test_one_command_parser_acts_as_the_full_parser(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _parsed(lambda a: cli.make_parser().parse_args(a), argv, capsys)
+    assert _parsed(cli.parse_args, argv, capsys) == full
+
+
+def test_a_well_formed_command_builds_only_its_own_parser(monkeypatch):
+    def full_parser():
+        raise AssertionError("built the full parser")
+
+    monkeypatch.setattr(cli, "make_parser", full_parser)
+    for key in ("stats", "semibip-auto", "frac-colour", "dp-solve", "construct",
+                "equals-form", "abbreviations", "repeated-option"):
+        args = cli.parse_args(PARSE_CASES[key])
+        assert args.command == PARSE_CASES[key][0]
+        assert args.run is cli.COMMANDS[args.command][2]
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["hcchroma", "construct", "--delta", "3", "--level", "0"])
+    assert main() == 0
+    assert _strict_json(capsys.readouterr().out)["n"] == 4
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["hardcore-stats", "--help"]],
+                         ids=["top-level", "hardcore-stats"])
+def test_console_help_is_the_full_parsers_help(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    _, code, expected, _ = _parsed(lambda a: cli.make_parser().parse_args(a), argv, capsys)
+    assert code == 0 and expected.startswith(f"usage: hcchroma {' '.join(argv[:-1])}")
+    src = Path(hcchroma.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-m", "hcchroma", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
 
 
 def test_cutoff_is_resolved_only_by_subcommands_that_use_it(c5_file, tmp_path, monkeypatch):

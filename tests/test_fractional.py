@@ -29,8 +29,6 @@ from hcchroma.fractional import (
     greedy_fractional_colouring,
     hard_core_oracle,
     interval_measure,
-    table_oracle,
-    uniform_set_oracle,
     validate_colouring,
     vertex_interval_bound,
 )
@@ -80,7 +78,7 @@ def test_hand_trace_k2():
 def test_hand_trace_c5_uniform():
     g = cycle(5)
     col = greedy_fractional_colouring(
-        g, weights_alpha0(g, 2.5), uniform_set_oracle(C5_MAX_SETS)
+        g, weights_alpha0(g, 2.5), helpers.uniform_set_oracle(C5_MAX_SETS)
     )
     assert col.taus == (2.5,)
     assert abs(col.total - 2.5) <= 1e-9
@@ -94,7 +92,7 @@ def test_hand_trace_c5_uniform():
 def test_validate_examples():
     g = cycle(5)
     col = greedy_fractional_colouring(
-        g, weights_alpha0(g, 2.5), uniform_set_oracle(C5_MAX_SETS)
+        g, weights_alpha0(g, 2.5), helpers.uniform_set_oracle(C5_MAX_SETS)
     )
     assert validate_colouring(g, col, 2.5 + 1e-9).ok
     bad = validate_colouring(g, col, 0.0)
@@ -107,7 +105,7 @@ def test_validate_examples():
 def test_extract_examples():
     g = cycle(5)
     col = greedy_fractional_colouring(
-        g, weights_alpha0(g, 2.5), uniform_set_oracle(C5_MAX_SETS)
+        g, weights_alpha0(g, 2.5), helpers.uniform_set_oracle(C5_MAX_SETS)
     )
     picked = extract_independent_set(g, col)
     assert len(picked) == 2
@@ -132,7 +130,7 @@ def test_hypothesis_violation_identifies_vertex():
     # uniform over the empty set gives zero occupancy everywhere
     g = K2
     with pytest.raises(HypothesisError) as err:
-        greedy_fractional_colouring(g, weights_alpha0(g, 3.0), uniform_set_oracle([()]))
+        greedy_fractional_colouring(g, weights_alpha0(g, 3.0), helpers.uniform_set_oracle([()]))
     assert "vertex" in str(err.value)
 
 
@@ -232,7 +230,7 @@ def test_table_oracle_restricts_by_intersection():
     from hcchroma import path
 
     g = path(3)
-    oracle = table_oracle({(0, 2): 1.0, (1,): 1.0})
+    oracle = helpers.table_oracle({(0, 2): 1.0, (1,): 1.0})
     dist = oracle(g, (0, 1))
     assert dist.sets == ((0,), (1,))
     assert dist.probs == (0.5, 0.5)
@@ -256,7 +254,7 @@ def test_table_oracle_greedy_past_round_one():
     from hcchroma import path
 
     g = path(3)
-    oracle = table_oracle({(0,): 3.0, (0, 2): 1.0, (1,): 2.0, (2,): 2.0})
+    oracle = helpers.table_oracle({(0,): 3.0, (0, 2): 1.0, (1,): 2.0, (2,): 2.0})
     col = greedy_fractional_colouring(g, weights_alpha0(g, 8.0), oracle)
     expected = {
         (): [(2, 9 / 4), (8 / 3, 11 / 3)],

@@ -24,7 +24,6 @@ from hcchroma.fractional import (
     greedy_fractional_colouring,
     hard_core_oracle,
     interval_measure,
-    uniform_set_oracle,
     validate_colouring,
     vertex_interval_bound,
 )
@@ -45,7 +44,7 @@ def c5_colouring(base):
     g = cycle(5)
     if base == "uniform":
         weights = LocalWeights.from_alpha(g, [(2.5, 0.0)] * 5)
-        col = greedy_fractional_colouring(g, weights, uniform_set_oracle(C5_MAX_SETS))
+        col = greedy_fractional_colouring(g, weights, helpers.uniform_set_oracle(C5_MAX_SETS))
         return g, col, [2.5 + 1e-9] * 5
     return (g, *hard_core_colouring(g, 2.0))
 
