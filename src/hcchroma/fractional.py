@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, islice, pairwise, repeat
-from operator import le, lt
+from itertools import accumulate, chain, compress, islice, pairwise, repeat, starmap
+from operator import le, lt, sub
 from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 from . import hardcore
@@ -171,8 +171,7 @@ class FractionalColouring:
     pairwise disjoint and tile [0, total).  ``taus`` records the measure
     added per greedy iteration.  The parts, one per independent set coloured
     in some round, are the one full copy of the colouring: `write_json`
-    streams its text out, and `validate_colouring` shares their interval
-    lists rather than copying them per member vertex.
+    streams its text out and `validate_colouring` reads them in place.
     """
 
     parts: Mapping[VertexSet, tuple[Interval, ...]]
@@ -410,15 +409,19 @@ def validate_colouring(g: Graph, col: FractionalColouring, bound) -> ValidationR
     coloured with v.
 
     A part must be a strictly increasing tuple of vertex ids in 0..n-1; a
-    malformed part is reported and credits no vertex with measure.
+    malformed part is reported and credits no vertex with measure.  Besides
+    the report it holds only references: to each part's own interval tuple
+    per member, and to every interval in one sorted list.  A measure is
+    0.0 - fsum(a - b), bit for bit fsum(b - a): a - b is -(b - a) exactly,
+    fsum's one rounding (half to even) and its inf, NaN and errors negate
+    with the terms, and 0.0 - x is exact, a zero sum giving fsum's +0.0.
 
-    Adjacent vertices are not compared interval by interval, because two
-    checks made here already imply that they share no measure.  Every part
-    is checked to be independent, so adjacent vertices never share a part.
-    And if two intervals overlap by more than 1e-12, so does some
-    consecutive pair of the sorted interval list, which is reported: the
-    successor of the earlier-starting interval either overlaps it or starts
-    (like everything after it) no earlier than 1e-12 before its end.
+    Adjacent vertices are not compared interval by interval: every part is
+    checked to be independent, so adjacent vertices share no part, and if
+    two intervals overlap by more than 1e-12, so does some consecutive pair
+    of the sorted interval list, which is reported (the successor of the
+    earlier-starting interval either overlaps it or starts, like everything
+    after it, no earlier than 1e-12 before its end).
     """
     n = g.n
     if isinstance(bound, (int, float)):
@@ -434,11 +437,9 @@ def validate_colouring(g: Graph, col: FractionalColouring, bound) -> ValidationR
         failures.append(f"total {col.total!r} is not finite")
     adj_masks = g.adjacency_masks
     flat: list[Interval] = []
-    # per vertex: the interval-length list of each of its parts (shared, not
-    # copied), and its smallest and largest interval, replaced only on < and
-    # > as min and max replace, so that NaN endpoints give min's and max's
-    # results
-    lengths: list[list[list[float]]] = [[] for _ in range(n)]
+    # per vertex: its parts' own interval tuples, and its smallest and largest
+    # interval, replaced only on < and > as min and max do, NaN endpoints too
+    held: list[list[tuple[Interval, ...]]] = [[] for _ in range(n)]
     lows: list[Interval | None] = [None] * n
     highs: list[Interval | None] = [None] * n
     for s, ivs in col.parts.items():
@@ -465,11 +466,10 @@ def validate_colouring(g: Graph, col: FractionalColouring, bound) -> ValidationR
                 failures.append(f"degenerate interval [{a}, {b}) on part {s}")
         flat.extend(ivs)
         if members and ivs:
-            part_lengths = [b - a for a, b in ivs]
             low = min(ivs)
             high = max(ivs)
             for v in members:
-                lengths[v].append(part_lengths)
+                held[v].append(ivs)
                 if lows[v] is None or low < lows[v]:
                     lows[v] = low
                 if highs[v] is None or high > highs[v]:
@@ -489,10 +489,9 @@ def validate_colouring(g: Graph, col: FractionalColouring, bound) -> ValidationR
             )
     elif col.total > 1e-9:
         failures.append("no intervals but positive total")
-    measures = []
-    slacks = []
+    measures, slacks = [], []
     for v in range(n):
-        mv = math.fsum(chain.from_iterable(lengths[v]))
+        mv = 0.0 - math.fsum(starmap(sub, chain.from_iterable(held[v])))
         measures.append(mv)
         if mv < 1.0 - SATURATE_TOL:
             failures.append(f"vertex {v} has measure {mv!r} < 1")

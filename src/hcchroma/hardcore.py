@@ -28,10 +28,10 @@ set exact quotients in lambda, rounded once, against their float formulas.
 Only frac-colour's oracle enumerates independent sets: it lists G's sets
 once per run, after counting them against `SET_BUDGET`, and narrows that
 list to the live vertices round by round.  The module also provides a
-Glauber-dynamics sampler for graphs above the exact cutoff, whose steps
-cost O(1) each plus O(deg v) when the chosen vertex v changes state, and
-the occupancy lower bound used by the fractional-colouring weight
-optimisation.
+Glauber-dynamics sampler for graphs above the exact cutoff, which keeps
+one int per vertex and whose steps cost O(1) plus O(deg v) when the chosen
+vertex v changes state, and the occupancy lower bound used by the
+fractional-colouring weight optimisation.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import compress
 
 from .errors import HypothesisError, InputError, SizeError
 from .graph import Graph, VertexSet, is_triangle_free
@@ -438,8 +439,8 @@ def glauber_sample(g: Graph, lam: float, steps: int, seed: int) -> VertexSet:
     occupied neighbour.  The draws are those of a loop that calls
     ``randrange(n)``, and the result is deterministic for a fixed seed.
 
-    Cost: the state is a flag per vertex plus a count of its occupied
-    neighbours, so a step costs O(1), plus O(deg v) when v changes state.
+    Cost: the state is one int per vertex, its occupied neighbours or -1 if
+    occupied, so a step costs O(1), plus O(deg v) when v changes state.
     """
     import random
 
@@ -455,24 +456,24 @@ def glauber_sample(g: Graph, lam: float, steps: int, seed: int) -> VertexSet:
     k = n.bit_length()
     adjacency = g.adjacency
     p_occ = lam / (1.0 + lam)
-    occupied = bytearray(n)
-    blocked = [0] * n  # occupied neighbours; an occupied vertex has none
+    state = [0] * n  # v's occupied neighbours, or -1 when v is occupied
     for _ in range(steps):
         v = getrandbits(k)
         while v >= n:
             v = getrandbits(k)
-        if blocked[v]:
+        s = state[v]
+        if s > 0:
             continue  # v is unoccupied and stays so
         if uniform() < p_occ:
-            if not occupied[v]:
-                occupied[v] = 1
+            if not s:
+                state[v] = -1
                 for u in adjacency[v]:
-                    blocked[u] += 1
-        elif occupied[v]:
-            occupied[v] = 0
+                    state[u] += 1
+        elif s:
+            state[v] = 0
             for u in adjacency[v]:
-                blocked[u] -= 1
-    return tuple(v for v in range(n) if occupied[v])
+                state[u] -= 1
+    return tuple(compress(range(n), map(partial(operator.eq, -1), state)))
 
 
 def conditional_fact_check(

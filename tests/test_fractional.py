@@ -419,6 +419,24 @@ def test_write_json_holds_no_copy_of_the_text():
     assert peak < 0.1 * text_length
 
 
+def test_validate_colouring_holds_no_copy_of_the_intervals():
+    g = random_triangle_free(18, 0.32, 1)
+    lam, _ = choose_local_weights(g, 1.0)
+    col = pipeline_colouring(g, 1.0)
+    bounds = [vertex_interval_bound(lam, g.degree(v)) for v in range(g.n)]
+    intervals = sum(len(ivs) for ivs in col.parts.values())
+    assert intervals >= 1000
+    tracemalloc.start()
+    try:
+        assert validate_colouring(g, col, bounds).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # references to the intervals take about 30 bytes per interval here; a
+    # copied length per interval (a float and its list slot) about 90
+    assert peak < 50 * intervals
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     st.integers(min_value=2, max_value=8),

@@ -7,7 +7,9 @@ independence and interval disjointness; the per-edge sweep in
 `helpers.reference_edge_failures` checks it directly, and on every
 colouring here a failure it finds must also fail the validator.  Every
 report must equal `helpers.reference_validate_colouring`'s, also on the
-pipeline runs and on colourings with NaN or infinite endpoints.
+pipeline runs and on colourings with NaN, infinite, signed-zero or int
+endpoints; where the reference raises (fsum on lengths +inf and -inf, or on
+a sum that overflows), the validator must raise the same exception.
 """
 
 import math
@@ -121,11 +123,20 @@ def report_key(report):
 
 
 def validate_like_reference(g, col, bounds):
-    """`validate_colouring`'s report, checked equal to the reference's."""
+    """`validate_colouring`'s report, checked equal to the reference's.
+
+    Where the reference raises, the validator must raise an exception of
+    the same type with the same text, which is raised on.
+    """
+    try:
+        expected = helpers.reference_validate_colouring(g, col, bounds)
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(Exception) as raised:
+            validate_colouring(g, col, bounds)
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+        raise raised.value
     report = validate_colouring(g, col, bounds)
-    assert report_key(report) == report_key(
-        helpers.reference_validate_colouring(g, col, bounds)
-    )
+    assert report_key(report) == report_key(expected)
     return report
 
 
@@ -222,16 +233,60 @@ ODD_COLOURINGS = {
     "inf-both": ({(0,): ((INF, INF),), (1,): ((-INF, -INF),)}, 1.0),
     "dependent-and-malformed": ({(0, 1, 1): ((0.0, 1.0),), (0, 1): ((1.0, 2.0),)}, 2.0),
     "empty-part": ({(): ((0.0, 1.0),), (0, 1, 2): ()}, 1.0),
+    # a length of -0.0; the measure of a zero sum is +0.0
+    "signed-zero-degenerate": ({(0, 2): ((0.0, -0.0),), (1,): ((0.0, 1.0),)}, 1.0),
+    # int lengths, one of them not a float (2^53 + 1 rounds to even)
+    "int-endpoints": ({(0, 2): ((0, 1), (3, 2**53 + 4)), (1,): ((1, 2.5), (2.5, 3))}, 2**53 + 4),
+    "vertex-in-no-part": ({(0,): ((0.0, 1.0),), (1,): ((1.0, 2.0),)}, 2.0),
+    # fsum raises on lengths +inf and -inf, and on a finite sum that overflows
+    "inf-minus-inf": ({(0,): ((0.0, INF), (INF, 0.0)), (1, 2): ((0.0, 1.0),)}, 1.0),
+    "overflowing-sum": ({(0,): ((-1e308, 0.0), (0.0, 1e308)), (1, 2): ((0.0, 1.0),)}, 1e308),
 }
+ODD_RAISES = {"inf-minus-inf": ValueError, "overflowing-sum": OverflowError}
+ODD_GRAPH = Graph.from_edges(3, [(0, 1)])  # vertex 2 isolated
 
 
 @pytest.mark.parametrize("bound", [2.0, INF, [1.0, 1.5, 2.0]], ids=["scalar", "inf", "per-vertex"])
 @pytest.mark.parametrize("name", sorted(ODD_COLOURINGS))
 def test_odd_colourings_match_reference_validator(name, bound):
-    # vertices 0 and 1 adjacent; vertex 2 isolated
-    g = Graph.from_edges(3, [(0, 1)])
     parts, total = ODD_COLOURINGS[name]
-    validate_like_reference(g, FractionalColouring(parts, total), bound)
+    col = FractionalColouring(parts, total)
+    if name in ODD_RAISES:
+        with pytest.raises(ODD_RAISES[name]):
+            validate_like_reference(ODD_GRAPH, col, bound)
+    else:
+        validate_like_reference(ODD_GRAPH, col, bound)
+
+
+@pytest.mark.parametrize("name", ["signed-zero-degenerate", "vertex-in-no-part"])
+def test_zero_measure_is_plus_zero(name):
+    parts, total = ODD_COLOURINGS[name]
+    report = validate_like_reference(ODD_GRAPH, FractionalColouring(parts, total), 2.0)
+    zeros = [m for m in report.vertex_measure if m == 0.0]
+    assert zeros and all(math.copysign(1.0, m) == 1.0 for m in zeros)
+
+
+ENDPOINTS = (
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.integers(min_value=-(2**60), max_value=2**60)
+    | st.sampled_from([0.0, -0.0, 1e308, -1e308, INF, -INF])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from([(), (0,), (1,), (2,), (0, 2), (1, 2), (0, 1), (2, 1)]),
+        st.lists(st.tuples(ENDPOINTS, ENDPOINTS), max_size=4).map(tuple),
+        max_size=5,
+    ),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+def test_arbitrary_endpoints_match_reference_validator(parts, total):
+    try:
+        validate_like_reference(ODD_GRAPH, FractionalColouring(parts, total), 2.0)
+    except (ValueError, OverflowError):
+        pass  # fsum's errors, raised alike by both validators
 
 
 def test_pipeline_runs_match_reference_validator(pipeline_runs):
